@@ -39,7 +39,6 @@ from .engine import (
     simulate_stratonovich_pure,
 )
 from .linalg import (
-    NumericPolicy,
     PureStateVector,
     QuantumState,
     haar_random_state_vector,

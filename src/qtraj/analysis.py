@@ -23,7 +23,13 @@ from .errors import (
     NoDiffusiveChannels,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, as_complex_matrix, project_to_state
+from .linalg import (  # traceless_hermitian_basis is re-exported
+    PureStateVector,
+    QuantumState,
+    as_complex_matrix,
+    project_to_state,
+    traceless_hermitian_basis,
+)
 from .model import MeasurementModel
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -240,26 +246,6 @@ def empirical_invariant_measure(
 
 # -- Lie rank (hypoellipticity) check ------------------------------------------
 
-def traceless_hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of traceless Hermitian n x n matrices, (n^2-1, n, n)."""
-    mats = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            sym = np.zeros((n, n), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(sym)
-            asym = np.zeros((n, n), dtype=np.complex128)
-            asym[j, k] = -1.0j / np.sqrt(2.0)
-            asym[k, j] = 1.0j / np.sqrt(2.0)
-            mats.append(asym)
-    for l in range(1, n):
-        diag = np.zeros(n)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        mats.append(np.diag(diag / np.sqrt(l * (l + 1))).astype(np.complex128))
-    return np.stack(mats)
-
-
 @dataclass(frozen=True)
 class LieRankReport:
     rank: int
@@ -268,20 +254,48 @@ class LieRankReport:
     n_fields: int
 
 
+_FD_STEP = 1e-5  # central-difference step for the Jacobians of the fields
+
+
+def _field_values(arr: _ModelArrays, word, xs: np.ndarray) -> np.ndarray:
+    """Values at coordinate rows xs of a drift/diffusion field or bracket.
+
+    ``word`` names the field: index 0 is the Stratonovich drift, index
+    j >= 1 the diffusion field of L_j, and a pair (f, g) the bracket
+    [f, g](x) = Dg(x) f(x) - Df(x) g(x).
+    """
+    if isinstance(word, int):
+        if word == 0:
+            return _strat_a_b(arr, xs)
+        return _strat_b_b(arr, xs)[:, word - 1]
+    f, g = word
+    return np.einsum("bij,bj->bi", _jacobian(arr, g, xs), _field_values(arr, f, xs)) - (
+        np.einsum("bij,bj->bi", _jacobian(arr, f, xs), _field_values(arr, g, xs))
+    )
+
+
+def _jacobian(arr: _ModelArrays, word, xs: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians (B, N, N) of a field at coordinate rows xs."""
+    b, dim = xs.shape
+    step = _FD_STEP * np.eye(dim)
+    points = np.concatenate([xs[:, None] + step, xs[:, None] - step]).reshape(-1, dim)
+    vals = _field_values(arr, word, points).reshape(2, b, dim, dim)
+    return (vals[0] - vals[1]).transpose(0, 2, 1) / (2.0 * _FD_STEP)
+
+
 def lie_rank_check(
     m: MeasurementModel,
     psi: PureStateVector,
     max_depth: int = 3,
-    fd_step: float = 1e-5,
     sv_threshold: float = 1e-6,
 ) -> LieRankReport:
     """Rank of the Lie algebra of drift and diffusion fields at a pure state.
 
-    States are coordinatized as real vectors over an orthonormal traceless
-    Hermitian basis; the drift and diffusion fields of the Stratonovich
-    system are evaluated there, iterated Lie brackets are formed with
-    central-difference Jacobians, and the span is projected onto the
-    tangent space of the pure-state manifold before the rank decision.
+    The fields are the engine's Stratonovich drift and diffusion fields on
+    real coordinates over the Hermitian basis {I/sqrt(n), tau_a}; iterated
+    Lie brackets are formed with central-difference Jacobians, and the
+    span is projected onto the tangent space of the pure-state manifold
+    before the rank decision.
     """
     if m.n_diffusive == 0:
         raise NoDiffusiveChannels("the Lie-rank check needs diffusive fields")
@@ -293,81 +307,34 @@ def lie_rank_check(
     if max_depth < 1:
         raise ValidationError("max_depth must be >= 1")
 
-    basis = traceless_hermitian_basis(n)
-    dim_r = basis.shape[0]
-    eye = np.eye(n, dtype=np.complex128) / n
     arr = _ModelArrays(m)
-
-    def to_coords(rho: np.ndarray) -> np.ndarray:
-        return np.einsum("aij,ji->a", basis, rho).real
-
-    def from_coords(x: np.ndarray) -> np.ndarray:
-        return eye + np.einsum("a,aij->ij", x, basis)
-
-    def drift_field(x: np.ndarray) -> np.ndarray:
-        rho = from_coords(x)[None]
-        return to_coords(_strat_a_b(arr, rho)[0])
-
-    def diffusion_field(j: int):
-        def field(x: np.ndarray) -> np.ndarray:
-            rho = from_coords(x)[None]
-            return to_coords(_strat_b_b(arr, rho)[0, j])
-
-        return field
-
-    def jacobian(field, x: np.ndarray) -> np.ndarray:
-        jac = np.empty((dim_r, dim_r))
-        for a in range(dim_r):
-            xp = x.copy()
-            xp[a] += fd_step
-            xm = x.copy()
-            xm[a] -= fd_step
-            jac[:, a] = (field(xp) - field(xm)) / (2.0 * fd_step)
-        return jac
-
-    def bracket(f, g):
-        def field(x: np.ndarray) -> np.ndarray:
-            return jacobian(g, x) @ f(x) - jacobian(f, x) @ g(x)
-
-        return field
-
-    generators = [drift_field] + [diffusion_field(j) for j in range(m.n_diffusive)]
-    x0 = to_coords(psi.projector())
+    x0 = arr.coords(psi.projector()[None])
 
     # tangent space of the pure-state manifold at psi, in coordinates
-    comp = scipy.linalg.null_space(psi.amplitudes.conj()[None, :])
+    amp = psi.amplitudes
+    comp = scipy.linalg.null_space(amp.conj()[None, :])
     tangent = []
-    for i in range(comp.shape[1]):
-        v = comp[:, i]
-        tau1 = np.outer(psi.amplitudes, v.conj()) + np.outer(v, psi.amplitudes.conj())
-        tau2 = 1.0j * np.outer(psi.amplitudes, v.conj()) - 1.0j * np.outer(
-            v, psi.amplitudes.conj()
-        )
-        tangent.append(to_coords(tau1))
-        tangent.append(to_coords(tau2))
-    tangent = np.stack(tangent)
+    for v in comp.T:
+        outer = np.outer(amp, v.conj())
+        tangent += [outer + outer.conj().T, 1.0j * (outer - outer.conj().T)]
+    tangent = arr.coords(np.stack(tangent))
     tangent /= np.linalg.norm(tangent, axis=1)[:, None]
     tangent_dim = tangent.shape[0]
 
     def current_rank(vectors) -> int:
-        proj = np.stack(vectors) @ tangent.T
+        proj = np.concatenate(vectors) @ tangent.T
         svals = np.linalg.svd(proj, compute_uv=False)
         return int(np.count_nonzero(svals > sv_threshold))
 
-    fields = list(generators)
-    vectors = [f(x0) for f in fields]
+    generators = list(range(1 + m.n_diffusive))
+    vectors = [_field_values(arr, g, x0) for g in generators]
     frontier = list(generators)
     rank = current_rank(vectors)
     depth = 1
     while rank < tangent_dim and depth < max_depth:
-        new_frontier = []
-        for g in generators:
-            for f in frontier:
-                br = bracket(g, f)
-                new_frontier.append(br)
-                vectors.append(br(x0))
+        frontier = [(g, f) for g in generators for f in frontier]
+        vectors += [_field_values(arr, word, x0) for word in frontier]
         rank = current_rank(vectors)
-        frontier = new_frontier
         depth += 1
 
     return LieRankReport(

@@ -9,10 +9,24 @@ Three schemes are provided:
   under the physical law: drift L[rho], diffusion
   L_j rho + rho L_j* - m_j rho, jump replacement rho -> J_k[rho]/lambda_k
   fired with probability min(lambda_k nu_k dt, 1) and the matching
-  compensator drift, restricted to lambda_k > 1e-12.
+  compensator drift, restricted to lambda_k > 1e-12.  When
+  max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per step
+  over all states, exceeds 0.1, every step of every trajectory is split
+  into the same s = ceil(bound / 0.05) substeps; s depends only on the
+  model and dt, never on the states in the batch.
 * ``stratonovich`` -- Heun (stochastic midpoint) integration of the
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
+
+The steps work on coherence-vector coordinates (Alicki & Lendi, LNP 286):
+over the orthonormal Hermitian basis {I/sqrt(n), tau_a} every
+Hermiticity-preserving map is a real n^2 x n^2 matrix.  The generator,
+the drift K, the linear parts of the diffusion fields, the jump maps and
+the pieces of the Stratonovich fields are derived once per model from
+``model.apply_*``, so a step is a few real matrix products on (B, n^2)
+arrays.  Step kernels take and return complex (B, n, n) matrices and
+convert at their boundary.  At n = 2 the positivity repairs are
+closed-form clips of the Bloch radius; larger n use an eigendecomposition.
 
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes below compute one
@@ -45,8 +59,15 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, hs_norm, project_to_simplex
-from .model import MeasurementModel
+from .linalg import (
+    PureStateVector,
+    QuantumState,
+    hs_norm,
+    project_to_simplex,
+    superoperator_matrix,
+    traceless_hermitian_basis,
+)
+from .model import MeasurementModel, apply_jump, apply_k, apply_l0, apply_liouvillian
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -166,155 +187,158 @@ class FlowResult:
     limit_point: QuantumState | None
 
 
-# -- precomputed model arrays -------------------------------------------------
+# -- model in real coordinates ------------------------------------------------
+
+def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat, rounded the same way for every batch size.
+
+    numpy sends a single row to BLAS gemv and several rows to gemm, whose
+    roundings differ; einsum runs one loop for both, so a trajectory's
+    path does not depend on the batch it is integrated in.
+    """
+    return np.einsum("bi,ij->bj", x, mat)
+
 
 class _ModelArrays:
-    """Stacked operator arrays for batched stepping."""
+    """The model's maps as real matrices on coherence-vector coordinates.
+
+    Every matrix is derived by ``superoperator_matrix`` from
+    ``model.apply_*`` or from a Stratonovich field piece, over the
+    orthonormal Hermitian basis {I/sqrt(n), tau_a}, and stored transposed
+    so that it acts on batches of coordinate rows (B, n^2).  The
+    coordinates are sqrt(2) times the expansion coefficients, which leaves
+    every matrix unchanged and makes them (tr rho, tr sigma_a rho) at
+    n = 2, where converting to and from matrices is then exact up to one
+    rounding per entry.
+    """
 
     def __init__(self, m: MeasurementModel):
         n = m.dim
+        nn = n * n
         self.n = n
-        self.H = np.array(m.hamiltonian)
         self.n_diff = m.n_diffusive
         self.K = m.n_jump
-        self.n_diss = len(m.dissipative_ops)
-        if self.n_diff:
-            self.Ls = np.stack(m.diffusive_ops)
-            self.Lds = self.Ls.conj().transpose(0, 2, 1)
-            self.X = self.Ls + self.Lds                       # L_j + L_j*
-            self.XL = np.stack([x @ l for x, l in zip(self.X, self.Ls)])
-            self.LdX = np.stack([ld @ x for ld, x in zip(self.Lds, self.X)])
-        else:
-            self.Ls = np.zeros((0, n, n), dtype=np.complex128)
-            self.Lds = self.Ls
-            self.X = self.Ls
-            self.XL = self.Ls
-            self.LdX = self.Ls
-        self.D1 = np.array(m.d1)
-        self.D2 = np.array(m.d2)
-        self.D3 = np.array(m.d3)
-        self.nu = np.array([ch.weight for ch in m.jump_channels])
-        self.nu_total = m.total_jump_mass
-        self.Js = [np.stack(ch.kraus_ops) for ch in m.jump_channels]
-        self.Jds = [j.conj().transpose(0, 2, 1) for j in self.Js]
-        self.Es = (
-            np.stack([ch.effect() for ch in m.jump_channels])
-            if self.K
-            else np.zeros((0, n, n), dtype=np.complex128)
+        basis = np.concatenate(
+            [np.eye(n, dtype=np.complex128)[None] / math.sqrt(n), traceless_hermitian_basis(n)]
         )
-        if self.n_diss:
-            self.Ss = np.stack(m.dissipative_ops)
-            self.Sds = self.Ss.conj().transpose(0, 2, 1)
-        else:
-            self.Ss = np.zeros((0, n, n), dtype=np.complex128)
-            self.Sds = self.Ss
+        # x = coords(rho) has x_a = tr(dual_a rho) and rho = sum_a x_a dual_a / 2;
+        # dual / 2 is exact, so at n = 2 every conversion entry is 0, +-1 or +-1/2
+        dual = basis * math.sqrt(2.0)
+        flat = dual.reshape(nn, nn).view(np.float64)  # (re, im) pairs per entry
+        self._to = flat.T.copy()
+        self._from = 0.5 * flat
+        trace = 0.5 * np.trace(dual, axis1=1, axis2=2).real  # tr rho = trace . x
 
+        def mat(f):
+            return superoperator_matrix(f, basis).real
 
-def _btrace(x: np.ndarray) -> np.ndarray:
-    return np.einsum("bii->b", x)
+        def stack(mats):  # (N, c*N): column block c is mats[c].T
+            return np.concatenate([mt.T for mt in mats], axis=1) if mats else np.zeros((nn, 0))
 
+        def traces(mats):  # (N, c): column c is the functional x -> tr mats[c] x
+            return np.array([mt.T @ trace for mt in mats]).reshape(-1, nn).T
 
-def _sandwich_sum(ops: np.ndarray, dags: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_m ops[m] rho ops[m]* over a batch of rho."""
-    return ((ops[None] @ rho[:, None]) @ dags[None]).sum(axis=1)
+        self.Lt = mat(lambda r: apply_liouvillian(m, r)).T
+        self.Kt = mat(lambda r: apply_k(m, r)).T
+        # linear parts G_j of the diffusion fields; m_j = tr G_j[rho]
+        gs = [mat(lambda r, op=op: op @ r + r @ op.conj().T) for op in m.diffusive_ops]
+        self.Gt = stack(gs)
+        self.mvec = traces(gs)
+        # jump maps J_k; lambda_k = tr J_k[rho]
+        js = [mat(lambda r, k=k: apply_jump(m, r, k)) for k in range(self.K)]
+        self.Jt = stack(js)
+        self.lamvec = traces(js)
+        self.nu = np.array([ch.weight for ch in m.jump_channels])
+        self.peak_intensity = max(
+            (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
+            default=0.0,
+        )
+        # Stratonovich drift: At x + sum_j m_j b_j + (cvec . x) x, with
+        # C = sum_j C_j, C_j[rho] = X_j L_j rho + rho L_j* X_j, X_j = L_j + L_j*
+        def c_j(r, op):
+            x = op + op.conj().T
+            return x @ op @ r + r @ op.conj().T @ x
 
+        c = sum((mat(lambda r, op=op: c_j(r, op)) for op in m.diffusive_ops), np.zeros((nn, nn)))
+        self.At = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
+        self.cvec = 0.5 * traces([c])
 
-def _apply_jump_b(arr: _ModelArrays, rho: np.ndarray, k: int) -> np.ndarray:
-    return _sandwich_sum(arr.Js[k], arr.Jds[k], rho)
+    def coords(self, mats: np.ndarray) -> np.ndarray:
+        """(B, n, n) complex -> (B, n^2) coordinates of the Hermitian part."""
+        flat = np.ascontiguousarray(mats, dtype=np.complex128).reshape(mats.shape[0], -1)
+        return _rows(flat.view(np.float64), self._to)
 
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """(B, n^2) coordinates -> (B, n, n) complex matrices."""
+        return _rows(x, self._from).view(np.complex128).reshape(-1, self.n, self.n)
 
-def _jump_rates_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    if arr.K == 0:
-        return np.zeros((rho.shape[0], 0))
-    lam = np.einsum("kij,bji->bk", arr.Es, rho).real
-    return np.clip(lam, 0.0, None)
-
-
-def _drifts_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    """Complex output drifts tr{(L_j + L_j*) rho} for a batch."""
-    if arr.n_diff == 0:
-        return np.zeros((rho.shape[0], 0), dtype=np.complex128)
-    return np.einsum("mij,bji->bm", arr.X, rho)
+    def substeps(self, dt: float) -> int:
+        """Fixed substep count: 1, or enough that the bound
+        max_k nu_k lambda_max(E_k) dt / s on any state's jump intensity per
+        substep is at most half the cap."""
+        worst = self.peak_intensity * dt
+        if worst <= _INTENSITY_CAP:
+            return 1
+        return int(math.ceil(worst / (0.5 * _INTENSITY_CAP)))
 
 
 def _apply_liouvillian_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    h = arr.H
-    out = -1j * (h @ rho - rho @ h)
-    if arr.n_diff:
-        out += _sandwich_sum(arr.Ls, arr.Lds, rho)
-        out -= 0.5 * (arr.D1 @ rho + rho @ arr.D1)
-    if arr.K:
-        for k in range(arr.K):
-            out += arr.nu[k] * _apply_jump_b(arr, rho, k)
-        out -= 0.5 * (arr.D2 @ rho + rho @ arr.D2)
-    if arr.n_diss:
-        out += _sandwich_sum(arr.Ss, arr.Sds, rho)
-        out -= 0.5 * (arr.D3 @ rho + rho @ arr.D3)
-    return out
+    return _rows(rho, arr.Lt)
 
 
 def _apply_k_b(arr: _ModelArrays, sig: np.ndarray) -> np.ndarray:
-    h = arr.H
-    out = -1j * (h @ sig - sig @ h)
-    if arr.n_diff:
-        out += _sandwich_sum(arr.Ls, arr.Lds, sig)
-        out -= 0.5 * (arr.D1 @ sig + sig @ arr.D1)
-    if arr.K:
-        out -= 0.5 * (arr.D2 @ sig + sig @ arr.D2)
-        out += arr.nu_total * sig
-    if arr.n_diss:
-        out += _sandwich_sum(arr.Ss, arr.Sds, sig)
-        out -= 0.5 * (arr.D3 @ sig + sig @ arr.D3)
+    return _rows(sig, arr.Kt)
+
+
+def _per_channel(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """(B, N) coordinates through a stacked (N, c*N) matrix -> (B, c, N)."""
+    return _rows(x, mat).reshape(x.shape[0], -1, x.shape[1])
+
+
+def _strat_b_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
+    """Diffusion fields b_j = G_j rho - m_j rho, (B, N) -> (B, n_diff, N)."""
+    m = _rows(rho, arr.mvec)
+    return _per_channel(rho, arr.Gt) - m[:, :, None] * rho[:, None]
+
+
+def _strat_a_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
+    """Stratonovich drift of the pure-state system, (B, N) -> (B, N)."""
+    m = _rows(rho, arr.mvec)
+    out = _rows(rho, arr.At) + _rows(rho, arr.cvec) * rho
+    return out + np.einsum("bj,bja->ba", m, _strat_b_b(arr, rho))
+
+
+# -- positivity repairs on coordinates ----------------------------------------
+#
+# At n = 2 a coordinate row is (t, r) with eigenvalues (t -+ |r|)/2, so each
+# repair is a closed-form clip of the Bloch radius |r|; rows that need no
+# repair are returned unchanged.
+
+def _radial(x: np.ndarray):
+    """(trace, Bloch radius) of n = 2 coordinate rows."""
+    return x[:, 0], np.sqrt((x[:, 1:] ** 2).sum(axis=1))
+
+
+def _set_radial(x: np.ndarray, r: np.ndarray, t_new, r_new) -> np.ndarray:
+    """Rows with trace t_new and Bloch radius r_new in the direction of x.
+
+    A row whose radius does not change is multiplied by exactly 1.
+    """
+    out = x * (r_new / np.where(r > 0.0, r, 1.0))[:, None]
+    out[:, 0] = t_new
     return out
 
 
-# -- Hermitian 2x2 eigensystem (analytic, batched) ----------------------------
-
-def _hermitize_b(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().transpose(0, 2, 1))
+def _eigh_b(arr: _ModelArrays, x: np.ndarray):
+    return np.linalg.eigh(arr.matrices(x))
 
 
-def _eig2x2(mats: np.ndarray):
-    """Eigenvalues (w-, w+) and projector onto the w+ eigenvector.
-
-    mats must be Hermitian (2x2).  Returns (wminus, wplus, pplus) where
-    pplus is the (B, 2, 2) rank-one projector of the larger eigenvalue.
-    Degenerate matrices get an arbitrary but fixed projector, which is
-    harmless because the reconstruction no longer depends on it.
-    """
-    a = mats[:, 0, 0].real
-    d = mats[:, 1, 1].real
-    b = mats[:, 0, 1]
-    half = 0.5 * (a + d)
-    delta = 0.5 * (a - d)
-    q = np.sqrt(delta**2 + np.abs(b) ** 2)
-    wplus = half + q
-    wminus = half - q
-    pos = delta >= 0
-    v1 = np.where(pos, (q + delta).astype(np.complex128), b)
-    v2 = np.where(pos, b.conj(), (q - delta).astype(np.complex128))
-    norm2 = np.abs(v1) ** 2 + np.abs(v2) ** 2
-    degenerate = norm2 <= 1e-280
-    v1 = np.where(degenerate, 1.0 + 0.0j, v1)
-    v2 = np.where(degenerate, 0.0 + 0.0j, v2)
-    norm2 = np.where(degenerate, 1.0, norm2)
-    p11 = (np.abs(v1) ** 2) / norm2
-    p12 = v1 * v2.conj() / norm2
-    pplus = np.empty_like(mats)
-    pplus[:, 0, 0] = p11
-    pplus[:, 0, 1] = p12
-    pplus[:, 1, 0] = p12.conj()
-    pplus[:, 1, 1] = 1.0 - p11
-    return wminus, wplus, pplus
+def _compose_b(arr: _ModelArrays, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    return arr.coords((evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1))
 
 
-def _recompose2x2(wminus, wplus, pplus):
-    eye = np.eye(2, dtype=np.complex128)
-    return wplus[:, None, None] * pplus + wminus[:, None, None] * (eye - pplus)
-
-
-def _repair_positive_b(sig: np.ndarray):
-    """Hermitize and project eigenvalues to nonnegative at fixed trace.
+def _repair_positive_b(arr: _ModelArrays, sig: np.ndarray):
+    """Project eigenvalues to nonnegative at fixed trace; also return traces.
 
     The pre-repair trace is the statistical weight of the trajectory and
     must keep its meaning, so negative eigenvalue mass is redistributed
@@ -322,63 +346,53 @@ def _repair_positive_b(sig: np.ndarray):
     Matrices whose trace is not positive are clipped instead and reported
     through the underflow path.
     """
-    sig = _hermitize_b(sig)
-    n = sig.shape[1]
-    if n == 2:
-        wm, wp, pp = _eig2x2(sig)
-        s = wm + wp
-        fixable = (wm < 0.0) & (s > 0.0)
-        wp_new = np.where(fixable, s, np.clip(wp, 0.0, None))
-        wm_new = np.where(fixable, 0.0, np.clip(wm, 0.0, None))
-        return _recompose2x2(wm_new, wp_new, pp), wm_new + wp_new
-    evals, evecs = np.linalg.eigh(sig)
+    if arr.n == 2:
+        t, r = _radial(sig)
+        under = t <= 0.0  # keep only the clipped top eigenvalue
+        wp = np.clip(0.5 * (t + r), 0.0, None)
+        t_new = np.where(under, wp, t)
+        return _set_radial(sig, r, t_new, np.where(under, wp, np.minimum(r, t))), t_new
+    evals, evecs = _eigh_b(arr, sig)
     s = evals.sum(axis=1)
     fixable = (evals.min(axis=1) < 0.0) & (s > 0.0)
     evals_new = np.clip(evals, 0.0, None)
     if fixable.any():
         idx = np.flatnonzero(fixable)
-        scaled = project_to_simplex(evals[idx] / s[idx, None]) * s[idx, None]
-        evals_new[idx] = scaled
-    out = (evecs * evals_new[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-    return out, evals_new.sum(axis=1)
+        evals_new[idx] = project_to_simplex(evals[idx] / s[idx, None]) * s[idx, None]
+    return _compose_b(arr, evals_new, evecs), evals_new.sum(axis=1)
 
 
-def _project_state_b(rho: np.ndarray) -> np.ndarray:
-    """Hermitize and project the spectrum onto the probability simplex."""
-    rho = _hermitize_b(rho)
-    n = rho.shape[1]
-    if n == 2:
-        wm, wp, pp = _eig2x2(rho)
-        p = np.clip(0.5 * (wp - wm + 1.0), 0.0, 1.0)
-        return _recompose2x2(1.0 - p, p, pp)
-    evals, evecs = np.linalg.eigh(rho)
-    w = project_to_simplex(evals)
-    return (evecs * w[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+def _project_state_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
+    """Project the spectrum onto the probability simplex."""
+    if arr.n == 2:
+        _, r = _radial(rho)
+        return _set_radial(rho, r, 1.0, np.minimum(r, 1.0))
+    evals, evecs = _eigh_b(arr, rho)
+    return _compose_b(arr, project_to_simplex(evals), evecs)
 
 
-def _project_pure_b(rho: np.ndarray):
+def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
     """Project onto the dominant eigenvector; also return the purity defect.
 
     The defect is the linear entropy of the trace-normalized positive part
     before projection, a per-step measure of how far the scheme drifted
     off the pure-state manifold.
     """
-    rho = _hermitize_b(rho)
-    n = rho.shape[1]
-    if n == 2:
-        wm, wp, pp = _eig2x2(rho)
-        wmc = np.clip(wm, 0.0, None)
-        wpc = np.clip(wp, 1e-300, None)
+    if arr.n == 2:
+        t, r = _radial(rho)
+        wmc = np.clip(0.5 * (t - r), 0.0, None)
+        wpc = np.clip(0.5 * (t + r), 1e-300, None)
         s = wmc + wpc
         defect = 1.0 - (wmc**2 + wpc**2) / s**2
-        return pp.copy(), defect
-    evals, evecs = np.linalg.eigh(rho)
+        out = _set_radial(rho, r, 1.0, 1.0)
+        out[r == 0.0] = arr.coords(np.diag([1.0, 0.0])[None])  # no direction: |0><0|
+        return out, defect
+    evals, evecs = _eigh_b(arr, rho)
     evals = np.clip(evals, 0.0, None)
     s = np.clip(evals.sum(axis=1), 1e-300, None)
     defect = 1.0 - ((evals / s[:, None]) ** 2).sum(axis=1)
     top = evecs[:, :, -1]
-    out = top[:, :, None] * top.conj()[:, None, :]
-    return out, defect
+    return arr.coords(top[:, :, None] * top.conj()[:, None, :]), defect
 
 
 def _entropy_b(state: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -390,72 +404,64 @@ def _entropy_b(state: np.ndarray, weights: np.ndarray | None = None) -> np.ndarr
 
 
 # -- single steps -------------------------------------------------------------
+#
+# Each step takes and returns complex (B, n, n) matrices and works on
+# coordinates in between.
 
 def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
-    incr = dt * _apply_k_b(arr, sig)
+    x = arr.coords(sig)
+    incr = dt * _apply_k_b(arr, x)
     if arr.n_diff:
-        lsig = arr.Ls[None] @ sig[:, None] + sig[:, None] @ arr.Lds[None]
-        incr += (dW[:, :, None, None] * lsig).sum(axis=1)
-    fired = np.zeros((sig.shape[0], arr.K), dtype=np.int64)
-    for k in range(arr.K):
-        fire = u[:, k] < arr.nu[k] * dt
-        if fire.any():
-            idx = np.flatnonzero(fire)
-            incr[idx] += _apply_jump_b(arr, sig[idx], k) - sig[idx]
-            fired[idx, k] = 1
-    sig, weights = _repair_positive_b(sig + incr)
-    return sig, weights, fired
+        incr += np.einsum("bj,bja->ba", dW, _per_channel(x, arr.Gt))
+    fired = np.zeros((x.shape[0], arr.K), dtype=np.int64)
+    if arr.K:
+        fired[:] = u < arr.nu * dt
+        idx = np.flatnonzero(fired.any(axis=1))
+        if idx.size:
+            jx = _per_channel(x[idx], arr.Jt)
+            incr[idx] += np.einsum("bk,bka->ba", fired[idx], jx - x[idx, None])
+    x, weights = _repair_positive_b(arr, x + incr)
+    return arr.matrices(x), weights, fired
 
 
 def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
-    m_drift = _drifts_b(arr, rho).real
+    """One Euler step on coordinates; returns (coordinates, fired, m)."""
+    m_drift = _rows(rho, arr.mvec)
     incr = dt * _apply_liouvillian_b(arr, rho)
     if arr.n_diff:
-        fields = (
-            arr.Ls[None] @ rho[:, None]
-            + rho[:, None] @ arr.Lds[None]
-            - m_drift[:, :, None, None] * rho[:, None]
-        )
-        incr += (dW[:, :, None, None] * fields).sum(axis=1)
+        incr += np.einsum("bj,bja->ba", dW, _strat_b_b(arr, rho))
     fired = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
     if arr.K:
-        lam = _jump_rates_b(arr, rho)
-        for k in range(arr.K):
-            active = lam[:, k] > _LAMBDA_FLOOR
-            if not active.any():
-                continue
-            jrho = _apply_jump_b(arr, rho, k)
-            comp = arr.nu[k] * dt * (jrho - lam[:, k, None, None] * rho)
-            if active.all():
-                incr -= comp
-            else:
-                idx = np.flatnonzero(active)
-                incr[idx] -= comp[idx]
-            p = np.minimum(lam[:, k] * arr.nu[k] * dt, 1.0)
-            fire = (u[:, k] < p) & active
-            if fire.any():
-                idx = np.flatnonzero(fire)
-                incr[idx] += jrho[idx] / lam[idx, k, None, None] - rho[idx]
-                fired[idx, k] = 1
-    return _project_state_b(rho + incr), fired, m_drift
+        lam = np.clip(_rows(rho, arr.lamvec), 0.0, None)
+        active = lam > _LAMBDA_FLOOR
+        jx = _per_channel(rho, arr.Jt)
+        comp = jx - lam[:, :, None] * rho[:, None]
+        incr -= np.einsum("bk,bka->ba", active * (arr.nu * dt), comp)
+        fired[:] = (u < np.minimum(lam * arr.nu * dt, 1.0)) & active
+        idx = np.flatnonzero(fired.any(axis=1))
+        if idx.size:
+            lam_safe = np.where(active[idx], lam[idx], 1.0)
+            jumped = jx[idx] / lam_safe[:, :, None] - rho[idx, None]
+            incr[idx] += np.einsum("bk,bka->ba", fired[idx], jumped)
+    return _project_state_b(arr, rho + incr), fired, m_drift
 
 
 def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, extra_gens):
-    if arr.K:
-        lam = _jump_rates_b(arr, rho)
-        worst = float((lam * arr.nu).max()) * dt if lam.size else 0.0
-        if worst > _INTENSITY_CAP:
-            if not adaptive:
-                raise StepTooLarge(
-                    f"jump intensity per step {worst:.3g} exceeds {_INTENSITY_CAP}"
-                )
-            s = int(math.ceil(worst / (0.5 * _INTENSITY_CAP)))
-            return _posterior_substeps(arr, rho, dt, dW, s, extra_gens)
-    rho, fired, m_drift = _posterior_substep(arr, rho, dt, dW, u)
-    return rho, fired, m_drift
+    s = arr.substeps(dt)
+    if s > 1 and not adaptive:
+        raise StepTooLarge(
+            f"jump intensity per step can reach {arr.peak_intensity * dt:.3g}, "
+            f"above {_INTENSITY_CAP}"
+        )
+    x = arr.coords(rho)
+    if s > 1:
+        x, fired, m_drift = _posterior_substeps(arr, x, dt, dW, s, extra_gens)
+    else:
+        x, fired, m_drift = _posterior_substep(arr, x, dt, dW, u)
+    return arr.matrices(x), fired, m_drift
 
 
-def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s, extra_gens):
+def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, extra_gens):
     """Split one step into s substeps, conditioning the noise on its total.
 
     The substep Wiener increments are a Brownian bridge refinement of the
@@ -482,41 +488,17 @@ def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s, extra_gens):
     return rho, fired_total, m_first
 
 
-def _strat_a_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    h = arr.H
-    out = -1j * (h @ rho - rho @ h)
-    for j in range(arr.n_diff):
-        mj = np.einsum("ij,bji->b", arr.X[j], rho)
-        bj = arr.Ls[j] @ rho + rho @ arr.Lds[j] - mj[:, None, None] * rho
-        out = out + mj[:, None, None] * bj
-        s1 = np.einsum("ij,bji->b", arr.XL[j], rho)
-        out = out - 0.5 * (arr.XL[j] @ rho - s1[:, None, None] * rho)
-        s2 = np.einsum("ij,bji->b", arr.LdX[j], rho)
-        out = out - 0.5 * (rho @ arr.LdX[j] - s2[:, None, None] * rho)
-    return out
-
-
-def _strat_b_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    m = np.einsum("mij,bji->bm", arr.X, rho)
-    return (
-        arr.Ls[None] @ rho[:, None]
-        + rho[:, None] @ arr.Lds[None]
-        - m[:, :, None, None] * rho[:, None]
-    )
-
-
 def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):
-    m_drift = _drifts_b(arr, rho).real
-    a0 = _strat_a_b(arr, rho)
-    b0 = _strat_b_b(arr, rho)
-    pred = rho + dt * a0 + (dW[:, :, None, None] * b0).sum(axis=1)
+    x = arr.coords(rho)
+    m_drift = _rows(x, arr.mvec)
+    a0 = _strat_a_b(arr, x)
+    b0 = _strat_b_b(arr, x)
+    pred = x + dt * a0 + np.einsum("bj,bja->ba", dW, b0)
     a1 = _strat_a_b(arr, pred)
     b1 = _strat_b_b(arr, pred)
-    rho_new = rho + 0.5 * dt * (a0 + a1) + (dW[:, :, None, None] * 0.5 * (b0 + b1)).sum(
-        axis=1
-    )
-    rho_proj, defect = _project_pure_b(rho_new)
-    return rho_proj, defect, m_drift
+    x_new = x + 0.5 * dt * (a0 + a1) + 0.5 * np.einsum("bj,bja->ba", dW, b0 + b1)
+    x_proj, defect = _project_pure_b(arr, x_new)
+    return arr.matrices(x_proj), defect, m_drift
 
 
 # -- collectors ---------------------------------------------------------------
@@ -721,26 +703,40 @@ def _prepare_rho0(m: MeasurementModel, rho0: QuantumState) -> np.ndarray:
     return np.array(rho0.matrix)
 
 
+def _check_stratonovich_model(m: MeasurementModel) -> None:
+    """The Stratonovich scheme needs a diffusive, pure-state-preserving model."""
+    if m.n_jump:
+        raise JumpChannelsPresent("stratonovich scheme requires a diffusive model")
+    if any(hs_norm(op) > 1e-14 for op in m.dissipative_ops):
+        raise NotPurePreserving("dissipative operators break pure-state preservation")
+    if m.n_diffusive == 0:
+        raise NoDiffusiveChannels("stratonovich scheme needs diffusive operators")
+
+
+def _simulate_path(m, mode, rho0_mat, grid, seed, adaptive=True):
+    """One trajectory recorded in full; returns (collector, underflow)."""
+    arr = _ModelArrays(m)
+    coll = _PathCollector(mode, grid, m.dim, arr.n_diff)
+    _, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll, adaptive=adaptive)
+    return coll, bool(under[0])
+
+
 def simulate_linear(
     m: MeasurementModel, rho0: QuantumState, grid: TimeGrid, seed: int
 ) -> LinearTrajectory:
     """One trajectory of the unnormalized equation under the reference law.
 
     Deterministic given the seed.  The trace is kept as the trajectory
-    weight: states are Hermitized and negative eigenvalues clipped each
-    step, but the trace is never renormalized.
+    weight: negative eigenvalues are repaired each step, but the trace is
+    never renormalized.
     """
-    arr = _ModelArrays(m)
-    rho0_mat = _prepare_rho0(m, rho0)
-    coll = _PathCollector("linear", grid, m.dim, arr.n_diff)
-    coll.dt = grid.dt
-    alive, under = _simulate_batch(arr, "linear", rho0_mat, grid, [seed], coll)
+    coll, under = _simulate_path(m, "linear", _prepare_rho0(m, rho0), grid, seed)
     return LinearTrajectory(
         grid=grid,
         sigma_path=coll.states,
         weight_path=coll.weights,
         output=OutputRecord(coll.wiener, coll.jump_events, None),
-        weight_underflow=bool(under[0]),
+        weight_underflow=under,
     )
 
 
@@ -753,15 +749,16 @@ def simulate_posterior(
 ) -> PosteriorTrajectory:
     """One trajectory of the nonlinear equation under the physical law.
 
-    Each step is re-projected onto the state space.  Whenever the realized
-    per-step jump intensity exceeds the cap the step is subdivided
-    (``adaptive=True``, the default) or StepTooLarge is raised.
+    Each step is re-projected onto the state space.  Substepping depends
+    only on the model and dt: when max_k nu_k lambda_max(E_k) dt, the
+    largest jump intensity per step any state can reach, exceeds 0.1,
+    every step is split into the same number of substeps
+    (``adaptive=True``, the default), or StepTooLarge is raised at the
+    first step (``adaptive=False``).
     """
-    arr = _ModelArrays(m)
-    rho0_mat = _prepare_rho0(m, rho0)
-    coll = _PathCollector("posterior", grid, m.dim, arr.n_diff)
-    coll.dt = grid.dt
-    _simulate_batch(arr, "posterior", rho0_mat, grid, [seed], coll, adaptive=adaptive)
+    coll, _ = _simulate_path(
+        m, "posterior", _prepare_rho0(m, rho0), grid, seed, adaptive=adaptive
+    )
     return PosteriorTrajectory(
         grid=grid,
         state_path=coll.states,
@@ -779,18 +776,10 @@ def simulate_stratonovich_pure(
     re-projected onto the dominant eigenvector, and the largest observed
     pre-projection purity defect is reported on the trajectory.
     """
-    if m.n_jump:
-        raise JumpChannelsPresent("stratonovich scheme requires a diffusive model")
-    if any(hs_norm(op) > 1e-14 for op in m.dissipative_ops):
-        raise NotPurePreserving("dissipative operators break pure-state preservation")
-    if m.n_diffusive == 0:
-        raise NoDiffusiveChannels("stratonovich scheme needs diffusive operators")
+    _check_stratonovich_model(m)
     if psi0.dim != m.dim:
         raise DimensionMismatch("initial vector dimension does not match the model")
-    arr = _ModelArrays(m)
-    coll = _PathCollector("stratonovich", grid, m.dim, arr.n_diff)
-    coll.dt = grid.dt
-    _simulate_batch(arr, "stratonovich", psi0.projector(), grid, [seed], coll)
+    coll, _ = _simulate_path(m, "stratonovich", psi0.projector(), grid, seed)
     return PosteriorTrajectory(
         grid=grid,
         state_path=coll.states,
@@ -882,14 +871,8 @@ def run_ensemble(
         raise ValidationError("n_traj must be >= 1")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
-    arr = _ModelArrays(m)
     if mode == "stratonovich":
-        if m.n_jump:
-            raise JumpChannelsPresent("stratonovich mode requires a diffusive model")
-        if any(hs_norm(op) > 1e-14 for op in m.dissipative_ops):
-            raise NotPurePreserving("dissipative operators break purity preservation")
-        if m.n_diffusive == 0:
-            raise NoDiffusiveChannels("stratonovich mode needs diffusive operators")
+        _check_stratonovich_model(m)
         evals, evecs = np.linalg.eigh(rho0.matrix)
         if 1.0 - float(evals[-1]) > 1e-9:
             raise ValidationError("stratonovich mode needs a pure initial state")
@@ -939,17 +922,17 @@ def run_ensemble(
         jse = totals.std(axis=0, ddof=1) / math.sqrt(totals.shape[0])
     elif totals.shape[0] == 1:
         jmean = totals[0].astype(float)
-        jse = np.zeros(arr.K)
+        jse = np.zeros(m.n_jump)
     else:
-        jmean = np.zeros(arr.K)
-        jse = np.zeros(arr.K)
+        jmean = np.zeros(m.n_jump)
+        jse = np.zeros(m.n_jump)
 
     if merged.wiener_n > 0:
         wmean = merged.wiener_s1 / merged.wiener_n
         wvar = merged.wiener_s2 / merged.wiener_n - wmean**2
     else:
-        wmean = np.zeros(arr.n_diff)
-        wvar = np.zeros(arr.n_diff)
+        wmean = np.zeros(m.n_diffusive)
+        wvar = np.zeros(m.n_diffusive)
 
     stats = EnsembleStats(
         mode=mode,

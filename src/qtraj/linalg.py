@@ -8,32 +8,12 @@ built on.  All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotHermitian, ValidationError, ZeroTrace
-
-
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Tolerance gates for finite-precision checks, kept in one record.
-
-    Tolerances marked "per dim" are multiplied by the matrix dimension
-    where they are applied.
-    """
-
-    hermitian_tol: float = 1e-12        # per dim; state Hermiticity
-    psd_tol: float = 1e-10              # allowed negative eigenvalue
-    trace_tol: float = 1e-12            # |tr rho - 1|
-    purity_tol: float = 1e-9            # linear entropy considered pure
-    spectral_hermitian_tol: float = 1e-10   # per dim; spectral_decomposition
-    orthonormal_tol: float = 1e-10
-    unit_norm_tol: float = 1e-12
-
-
-DEFAULT_POLICY = NumericPolicy()
 
 
 def as_complex_matrix(a, dim: int | None = None) -> np.ndarray:
@@ -82,20 +62,50 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
 
 
-def spectral_decomposition(
-    a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY
-) -> list[tuple[float, np.ndarray]]:
+def spectral_decomposition(a: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenpairs of a Hermitian matrix, eigenvalues descending.
 
-    Raises NotHermitian if ||a - a*||_2 exceeds the policy gate.
+    Raises NotHermitian if ||a - a*||_2 exceeds 1e-10 * dim.
     """
     a = as_complex_matrix(a)
     n = a.shape[0]
-    if hs_norm(a - a.conj().T) > policy.spectral_hermitian_tol * n:
+    if hs_norm(a - a.conj().T) > 1e-10 * n:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     evals, evecs = np.linalg.eigh(hermitize(a))
     order = np.argsort(evals)[::-1]
     return [(float(evals[i]), evecs[:, i].copy()) for i in order]
+
+
+def traceless_hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of traceless Hermitian n x n matrices, (n^2-1, n, n)."""
+    mats = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            sym = np.zeros((n, n), dtype=np.complex128)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            mats.append(sym)
+            asym = np.zeros((n, n), dtype=np.complex128)
+            asym[j, k] = -1.0j / np.sqrt(2.0)
+            asym[k, j] = 1.0j / np.sqrt(2.0)
+            mats.append(asym)
+    for l in range(1, n):
+        diag = np.zeros(n)
+        diag[:l] = 1.0
+        diag[l] = -float(l)
+        mats.append(np.diag(diag / np.sqrt(l * (l + 1))).astype(np.complex128))
+    return np.stack(mats)
+
+
+def superoperator_matrix(f, basis: np.ndarray) -> np.ndarray:
+    """Matrix of the linear map f in a basis: M[a, b] = tr(basis_a* f(basis_b)).
+
+    ``basis`` is a stack (N, n, n) orthonormal in the Hilbert-Schmidt inner
+    product, so x -> M x acts on expansion coefficients as f acts on
+    matrices.  Over a Hermitian basis a Hermiticity-preserving f gives a
+    real M (returned with a zero imaginary part).
+    """
+    images = np.stack([f(b) for b in basis])
+    return np.einsum("aij,bij->ab", basis.conj(), images)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -131,12 +141,10 @@ def matrix_exp_action(a: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
 class QuantumState:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
-    Invariants are checked on construction against DEFAULT_POLICY-style
-    gates; instances are immutable.
+    Invariants are checked on construction; instances are immutable.
     """
 
     matrix: np.ndarray
-    purity_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         mat = as_complex_matrix(self.matrix)
@@ -181,7 +189,7 @@ class PureStateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def project_to_state(a: np.ndarray, purity_tol: float = 1e-9) -> QuantumState:
+def project_to_state(a: np.ndarray) -> QuantumState:
     """Nearest density matrix: Hermitize, then project the spectrum.
 
     The eigenbasis of (a + a*)/2 is kept and the eigenvalue vector is
@@ -195,7 +203,7 @@ def project_to_state(a: np.ndarray, purity_tol: float = 1e-9) -> QuantumState:
         raise ZeroTrace("all eigenvalues are <= -1; no meaningful state nearby")
     w = project_to_simplex(evals)
     mat = (evecs * w) @ evecs.conj().T
-    return QuantumState(hermitize(mat), purity_tol=purity_tol)
+    return QuantumState(hermitize(mat))
 
 
 def haar_random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The generator is vectorized in a column-stacking convention
 (vec(A X B) = (B^T kron A) vec(X)) and exponentiated densely, which is an
-exact reference at the small dimensions this package targets.
+exact reference at the small dimensions this package targets.  Its matrix
+is derived from ``model.apply_liouvillian`` applied to the matrix units,
+so the master equation and the trajectory engine share one generator.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonUniqueEquilibrium, NoStationaryState, NumericalError, ValidationError
-from .linalg import QuantumState, as_complex_matrix, hermitize, hs_norm, project_to_state
+from .linalg import (
+    QuantumState,
+    as_complex_matrix,
+    hermitize,
+    hs_norm,
+    project_to_state,
+    superoperator_matrix,
+)
 from .model import MeasurementModel, apply_liouvillian
 
 _VEC_CACHE: "weakref.WeakKeyDictionary[MeasurementModel, VectorizedLiouvillian]" = (
@@ -44,55 +53,16 @@ class VectorizedLiouvillian:
         return _unvec(self.matrix @ _vec(rho), self.dim)
 
 
-def _build_matrix(m: MeasurementModel) -> np.ndarray:
-    n = m.dim
-    eye = np.eye(n, dtype=np.complex128)
-
-    def left(a):
-        return np.kron(eye, a)
-
-    def right(b):
-        return np.kron(b.T, eye)
-
-    def sandwich(a, b):
-        # vec(a X b) = (b.T kron a) vec(X)
-        return np.kron(b.T, a)
-
-    h = m.hamiltonian
-    out = -1j * (left(h) - right(h))
-    out -= 0.5 * (left(m.d1) + right(m.d1))
-    for op in m.diffusive_ops:
-        out += sandwich(op, op.conj().T)
-    out -= 0.5 * (left(m.d2) + right(m.d2))
-    for ch in m.jump_channels:
-        for j in ch.kraus_ops:
-            out += ch.weight * sandwich(j, j.conj().T)
-    out -= 0.5 * (left(m.d3) + right(m.d3))
-    for op in m.dissipative_ops:
-        out += sandwich(op, op.conj().T)
-    return out
-
-
 def vectorized_liouvillian(m: MeasurementModel) -> VectorizedLiouvillian:
-    """Build (or fetch from the per-model cache) the vectorized generator.
-
-    The construction is validated against apply_liouvillian on 20 seeded
-    random Hermitian inputs before the instance is cached.
-    """
+    """Build (or fetch from the per-model cache) the vectorized generator."""
     with _VEC_LOCK:
         cached = _VEC_CACHE.get(m)
     if cached is not None:
         return cached
-    mat = _build_matrix(m)
-    vec = VectorizedLiouvillian(dim=m.dim, matrix=mat)
-    rng = np.random.Generator(np.random.Philox(key=20))
-    for _ in range(20):
-        x = rng.standard_normal((m.dim, m.dim)) + 1j * rng.standard_normal((m.dim, m.dim))
-        x = hermitize(x)
-        if hs_norm(vec.apply(x) - apply_liouvillian(m, x)) > 1e-10 * max(1.0, hs_norm(x)):
-            raise NumericalError(
-                "vectorized generator disagrees with the direct application"
-            )  # pragma: no cover - construction is exact
+    n = m.dim
+    units = np.stack([_unvec(e, n) for e in np.eye(n * n, dtype=np.complex128)])
+    mat = superoperator_matrix(lambda r: apply_liouvillian(m, r), units)
+    vec = VectorizedLiouvillian(dim=n, matrix=mat)
     with _VEC_LOCK:
         _VEC_CACHE[m] = vec
     return vec
