@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .engine import PosteriorTrajectory, _ModelArrays, _strat_a_b, _strat_b_b
+from .engine import PosteriorTrajectory, _ModelArrays, _strat_a_b
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -265,9 +265,8 @@ def _field_values(arr: _ModelArrays, word, xs: np.ndarray) -> np.ndarray:
     [f, g](x) = Dg(x) f(x) - Df(x) g(x).
     """
     if isinstance(word, int):
-        if word == 0:
-            return _strat_a_b(arr, xs)
-        return _strat_b_b(arr, xs)[:, word - 1]
+        a, b, _ = _strat_a_b(arr, xs)
+        return a if word == 0 else b[:, word - 1]
     f, g = word
     return np.einsum("bij,bj->bi", _jacobian(arr, g, xs), _field_values(arr, f, xs)) - (
         np.einsum("bij,bj->bi", _jacobian(arr, f, xs), _field_values(arr, g, xs))

@@ -28,9 +28,7 @@ from .engine import (
     RNG_ALGORITHM,
     TimeGrid,
     run_ensemble,
-    simulate_linear,
     simulate_posterior,
-    simulate_stratonovich_pure,
 )
 from .errors import NumericalError, ValidationError
 from .linalg import PureStateVector, QuantumState, haar_random_state_vector
@@ -124,15 +122,7 @@ def cmd_simulate(args) -> int:
         model, rho0, grid, n_traj=args.trajectories, seed=args.seed, mode=args.mode
     )
     write_ensemble_csv(out / "ensemble.csv", stats, meta)
-    if args.mode == "linear":
-        traj = simulate_linear(model, rho0, grid, seed=args.seed)
-    elif args.mode == "posterior":
-        traj = simulate_posterior(model, rho0, grid, seed=args.seed)
-    else:
-        evals, evecs = np.linalg.eigh(rho0.matrix)
-        psi0 = PureStateVector(evecs[:, -1])
-        traj = simulate_stratonovich_pure(model, psi0, grid, seed=args.seed)
-    write_trajectory_csv(out / "trajectory.csv", traj, meta)
+    write_trajectory_csv(out / "trajectory.csv", stats.trajectory, meta)
     print(f"wrote {out / 'ensemble.csv'} and {out / 'trajectory.csv'}")
     return 0
 

@@ -18,15 +18,17 @@ Three schemes are provided:
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
 
-The steps work on coherence-vector coordinates (Alicki & Lendi, LNP 286):
-over the orthonormal Hermitian basis {I/sqrt(n), tau_a} every
-Hermiticity-preserving map is a real n^2 x n^2 matrix.  The generator,
-the drift K, the linear parts of the diffusion fields, the jump maps and
-the pieces of the Stratonovich fields are derived once per model from
-``model.apply_*``, so a step is a few real matrix products on (B, n^2)
-arrays.  Step kernels take and return complex (B, n, n) matrices and
-convert at their boundary.  At n = 2 the positivity repairs are
-closed-form clips of the Bloch radius; larger n use an eigendecomposition.
+The state is carried as coherence-vector coordinates (Alicki & Lendi,
+LNP 286): over the orthonormal Hermitian basis {I/sqrt(n), tau_a} a state
+is a real n^2-vector and every Hermiticity-preserving map is a real
+n^2 x n^2 matrix.  The generator, the drift K, the linear parts of the
+diffusion fields, the jump maps and the pieces of the Stratonovich fields
+are derived once per model from ``model.apply_*`` and stacked side by
+side, so each drift/diffusion evaluation of a step is one real matrix
+product on (B, n^2) rows.  Rows are the loop state from the initial state
+to the last step; they are converted to complex matrices only when a
+public result is built.  At n = 2 the positivity repairs are closed-form
+clips of the Bloch radius; larger n use an eigendecomposition.
 
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes below compute one
@@ -170,6 +172,7 @@ class EnsembleStats:
     obs_mean: np.ndarray | None = None     # (n_rec,) complex
     obs_se_re: np.ndarray | None = None
     obs_se_im: np.ndarray | None = None
+    trajectory: LinearTrajectory | PosteriorTrajectory | None = None  # trajectory 0's path
     metadata: dict = field(default_factory=dict)
 
     def index_of_time(self, t: float) -> int:
@@ -199,24 +202,43 @@ def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.einsum("bi,ij->bj", x, mat)
 
 
+def _cuts(*widths) -> list:
+    """Column slices of consecutive blocks with the given widths."""
+    ends = np.cumsum(widths).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+
 class _ModelArrays:
     """The model's maps as real matrices on coherence-vector coordinates.
 
     Every matrix is derived by ``superoperator_matrix`` from
     ``model.apply_*`` or from a Stratonovich field piece, over the
     orthonormal Hermitian basis {I/sqrt(n), tau_a}, and stored transposed
-    so that it acts on batches of coordinate rows (B, n^2).  The
+    so that it acts on batches of coordinate rows (B, N), N = n^2.  The
     coordinates are sqrt(2) times the expansion coefficients, which leaves
     every matrix unchanged and makes them (tr rho, tr sigma_a rho) at
     n = 2, where converting to and from matrices is then exact up to one
     rounding per entry.
+
+    Each scheme evaluates all of its maps at a point with one product
+    against a fused stack, whose column blocks are, left to right:
+
+    * ``lin``: the drift K, the diffusion parts G_1..G_d, the jump maps
+      J_1..J_K;
+    * ``post``: the generator L, G_1..G_d, the functionals
+      m_j = tr G_j[rho], J_1..J_K and lambda_k = tr J_k[rho];
+    * ``strat``: the Stratonovich drift piece A, G_1..G_d, m_j and
+      c = tr C[rho] / 2.
+
+    ``lin_cuts``, ``post_cuts`` and ``strat_cuts`` slice out the blocks.
     """
 
     def __init__(self, m: MeasurementModel):
         n = m.dim
         nn = n * n
+        d = m.n_diffusive
         self.n = n
-        self.n_diff = m.n_diffusive
+        self.n_diff = d
         self.K = m.n_jump
         basis = np.concatenate(
             [np.eye(n, dtype=np.complex128)[None] / math.sqrt(n), traceless_hermitian_basis(n)]
@@ -238,30 +260,31 @@ class _ModelArrays:
         def traces(mats):  # (N, c): column c is the functional x -> tr mats[c] x
             return np.array([mt.T @ trace for mt in mats]).reshape(-1, nn).T
 
-        self.Lt = mat(lambda r: apply_liouvillian(m, r)).T
-        self.Kt = mat(lambda r: apply_k(m, r)).T
         # linear parts G_j of the diffusion fields; m_j = tr G_j[rho]
         gs = [mat(lambda r, op=op: op @ r + r @ op.conj().T) for op in m.diffusive_ops]
-        self.Gt = stack(gs)
-        self.mvec = traces(gs)
         # jump maps J_k; lambda_k = tr J_k[rho]
         js = [mat(lambda r, k=k: apply_jump(m, r, k)) for k in range(self.K)]
-        self.Jt = stack(js)
-        self.lamvec = traces(js)
-        self.nu = np.array([ch.weight for ch in m.jump_channels])
-        self.peak_intensity = max(
-            (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
-            default=0.0,
-        )
-        # Stratonovich drift: At x + sum_j m_j b_j + (cvec . x) x, with
+        # Stratonovich drift: A x + sum_j m_j b_j + c x, with A = L0 - C / 2,
         # C = sum_j C_j, C_j[rho] = X_j L_j rho + rho L_j* X_j, X_j = L_j + L_j*
         def c_j(r, op):
             x = op + op.conj().T
             return x @ op @ r + r @ op.conj().T @ x
 
         c = sum((mat(lambda r, op=op: c_j(r, op)) for op in m.diffusive_ops), np.zeros((nn, nn)))
-        self.At = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
-        self.cvec = 0.5 * traces([c])
+        at = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
+        self.lin = np.hstack([mat(lambda r: apply_k(m, r)).T, stack(gs), stack(js)])
+        lt = mat(lambda r: apply_liouvillian(m, r)).T
+        self.post = np.hstack([lt, stack(gs), traces(gs), stack(js), traces(js)])
+        self.strat = np.hstack([at, stack(gs), traces(gs), 0.5 * traces([c])])
+        self.lin_cuts = _cuts(nn, d * nn, self.K * nn)
+        self.post_cuts = _cuts(nn, d * nn, d, self.K * nn, self.K)
+        self.strat_cuts = _cuts(nn, d * nn, d, 1)
+        self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
+        self.nu = np.array([ch.weight for ch in m.jump_channels])
+        self.peak_intensity = max(
+            (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
+            default=0.0,
+        )
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
         """(B, n, n) complex -> (B, n^2) coordinates of the Hermitian part."""
@@ -271,6 +294,14 @@ class _ModelArrays:
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """(B, n^2) coordinates -> (B, n, n) complex matrices."""
         return _rows(x, self._from).view(np.complex128).reshape(-1, self.n, self.n)
+
+    def rows(self, state: np.ndarray) -> np.ndarray:
+        """Coordinate rows of a batch: (B, n^2) rows pass, (B, n, n) matrices convert.
+
+        ``_simulate_batch`` always passes rows; accepting complex matrices
+        lets ``perfbench/kernels.py`` time the step kernels on matrix states.
+        """
+        return state if state.ndim == 2 else self.coords(state)
 
     def substeps(self, dt: float) -> int:
         """Fixed substep count: 1, or enough that the bound
@@ -282,41 +313,49 @@ class _ModelArrays:
         return int(math.ceil(worst / (0.5 * _INTENSITY_CAP)))
 
 
-def _apply_liouvillian_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    return _rows(rho, arr.Lt)
+def _channels(y: np.ndarray, nn: int) -> np.ndarray:
+    """(B, c*N) column blocks of a fused product -> (B, c, N)."""
+    return y.reshape(y.shape[0], -1, nn)
 
 
-def _apply_k_b(arr: _ModelArrays, sig: np.ndarray) -> np.ndarray:
-    return _rows(sig, arr.Kt)
+def _apply_k_b(arr: _ModelArrays, x: np.ndarray):
+    """Linear scheme at rows x, one product: K x, (G_j x)_j, (J_k x)_k."""
+    nn = x.shape[1]
+    y = _rows(x, arr.lin)
+    kx, gx, jx = [y[:, s] for s in arr.lin_cuts]
+    return kx, _channels(gx, nn), _channels(jx, nn)
 
 
-def _per_channel(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """(B, N) coordinates through a stacked (N, c*N) matrix -> (B, c, N)."""
-    return _rows(x, mat).reshape(x.shape[0], -1, x.shape[1])
+def _apply_liouvillian_b(arr: _ModelArrays, x: np.ndarray):
+    """Posterior scheme at rows x, one product: L x, (G_j x)_j, m, (J_k x)_k, lambda."""
+    nn = x.shape[1]
+    y = _rows(x, arr.post)
+    lx, gx, m, jx, lam = [y[:, s] for s in arr.post_cuts]
+    return lx, _channels(gx, nn), m, _channels(jx, nn), lam
 
 
-def _strat_b_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    """Diffusion fields b_j = G_j rho - m_j rho, (B, N) -> (B, n_diff, N)."""
-    m = _rows(rho, arr.mvec)
-    return _per_channel(rho, arr.Gt) - m[:, :, None] * rho[:, None]
-
-
-def _strat_a_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    """Stratonovich drift of the pure-state system, (B, N) -> (B, N)."""
-    m = _rows(rho, arr.mvec)
-    out = _rows(rho, arr.At) + _rows(rho, arr.cvec) * rho
-    return out + np.einsum("bj,bja->ba", m, _strat_b_b(arr, rho))
+def _strat_a_b(arr: _ModelArrays, x: np.ndarray):
+    """Stratonovich fields at rows x, one product: drift a (B, N),
+    diffusion fields b_j = G_j x - m_j x (B, n_diff, N), and m (B, n_diff)."""
+    y = _rows(x, arr.strat)
+    ax, gx, m, c = [y[:, s] for s in arr.strat_cuts]
+    b = _channels(gx, x.shape[1]) - m[:, :, None] * x[:, None]
+    return ax + c * x + np.einsum("bj,bja->ba", m, b), b, m
 
 
 # -- positivity repairs on coordinates ----------------------------------------
 #
 # At n = 2 a coordinate row is (t, r) with eigenvalues (t -+ |r|)/2, so each
 # repair is a closed-form clip of the Bloch radius |r|; rows that need no
-# repair are returned unchanged.
+# repair are returned unchanged.  Larger n convert to matrices for eigh.
+
+_GROUND2 = np.array([1.0, 0.0, 0.0, 1.0])  # coordinates of |0><0| at n = 2
+
 
 def _radial(x: np.ndarray):
     """(trace, Bloch radius) of n = 2 coordinate rows."""
-    return x[:, 0], np.sqrt((x[:, 1:] ** 2).sum(axis=1))
+    r = x[:, 1:]
+    return x[:, 0], np.sqrt(np.einsum("bi,bi->b", r, r))
 
 
 def _set_radial(x: np.ndarray, r: np.ndarray, t_new, r_new) -> np.ndarray:
@@ -349,7 +388,7 @@ def _repair_positive_b(arr: _ModelArrays, sig: np.ndarray):
     if arr.n == 2:
         t, r = _radial(sig)
         under = t <= 0.0  # keep only the clipped top eigenvalue
-        wp = np.clip(0.5 * (t + r), 0.0, None)
+        wp = np.maximum(0.5 * (t + r), 0.0)
         t_new = np.where(under, wp, t)
         return _set_radial(sig, r, t_new, np.where(under, wp, np.minimum(r, t))), t_new
     evals, evecs = _eigh_b(arr, sig)
@@ -364,9 +403,10 @@ def _repair_positive_b(arr: _ModelArrays, sig: np.ndarray):
 
 def _project_state_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
     """Project the spectrum onto the probability simplex."""
-    if arr.n == 2:
-        _, r = _radial(rho)
-        return _set_radial(rho, r, 1.0, np.minimum(r, 1.0))
+    if arr.n == 2:  # trace 1, Bloch radius min(r, 1)
+        out = rho * (1.0 / np.maximum(_radial(rho)[1], 1.0))[:, None]
+        out[:, 0] = 1.0
+        return out
     evals, evecs = _eigh_b(arr, rho)
     return _compose_b(arr, project_to_simplex(evals), evecs)
 
@@ -380,12 +420,12 @@ def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
     """
     if arr.n == 2:
         t, r = _radial(rho)
-        wmc = np.clip(0.5 * (t - r), 0.0, None)
-        wpc = np.clip(0.5 * (t + r), 1e-300, None)
+        wmc = np.maximum(0.5 * (t - r), 0.0)
+        wpc = np.maximum(0.5 * (t + r), 1e-300)
         s = wmc + wpc
         defect = 1.0 - (wmc**2 + wpc**2) / s**2
         out = _set_radial(rho, r, 1.0, 1.0)
-        out[r == 0.0] = arr.coords(np.diag([1.0, 0.0])[None])  # no direction: |0><0|
+        out[r == 0.0] = _GROUND2  # no direction: |0><0|
         return out, defect
     evals, evecs = _eigh_b(arr, rho)
     evals = np.clip(evals, 0.0, None)
@@ -395,46 +435,37 @@ def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
     return arr.coords(top[:, :, None] * top.conj()[:, None, :]), defect
 
 
-def _entropy_b(state: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    tr2 = np.einsum("bij,bji->b", state, state).real
-    if weights is None:
-        return 1.0 - tr2
-    w = np.clip(weights, _WEIGHT_FLOOR, None)
-    return 1.0 - tr2 / w**2
-
-
 # -- single steps -------------------------------------------------------------
 #
-# Each step takes and returns complex (B, n, n) matrices and works on
-# coordinates in between.
+# Each step takes and returns coordinate rows (B, n^2); ``arr.rows`` also
+# accepts complex (B, n, n) matrices.
 
 def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
-    x = arr.coords(sig)
-    incr = dt * _apply_k_b(arr, x)
+    x = arr.rows(sig)
+    kx, gx, jx = _apply_k_b(arr, x)
+    incr = dt * kx
     if arr.n_diff:
-        incr += np.einsum("bj,bja->ba", dW, _per_channel(x, arr.Gt))
+        incr += np.einsum("bj,bja->ba", dW, gx)
     fired = np.zeros((x.shape[0], arr.K), dtype=np.int64)
     if arr.K:
         fired[:] = u < arr.nu * dt
         idx = np.flatnonzero(fired.any(axis=1))
         if idx.size:
-            jx = _per_channel(x[idx], arr.Jt)
-            incr[idx] += np.einsum("bk,bka->ba", fired[idx], jx - x[idx, None])
+            incr[idx] += np.einsum("bk,bka->ba", fired[idx], jx[idx] - x[idx, None])
     x, weights = _repair_positive_b(arr, x + incr)
-    return arr.matrices(x), weights, fired
+    return x, weights, fired
 
 
 def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
     """One Euler step on coordinates; returns (coordinates, fired, m)."""
-    m_drift = _rows(rho, arr.mvec)
-    incr = dt * _apply_liouvillian_b(arr, rho)
+    lx, gx, m_drift, jx, lam = _apply_liouvillian_b(arr, rho)
+    incr = dt * lx
     if arr.n_diff:
-        incr += np.einsum("bj,bja->ba", dW, _strat_b_b(arr, rho))
+        incr += np.einsum("bj,bja->ba", dW, gx) - np.einsum("bj,bj->b", dW, m_drift)[:, None] * rho
     fired = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
     if arr.K:
-        lam = np.clip(_rows(rho, arr.lamvec), 0.0, None)
+        lam = np.maximum(lam, 0.0)
         active = lam > _LAMBDA_FLOOR
-        jx = _per_channel(rho, arr.Jt)
         comp = jx - lam[:, :, None] * rho[:, None]
         incr -= np.einsum("bk,bka->ba", active * (arr.nu * dt), comp)
         fired[:] = (u < np.minimum(lam * arr.nu * dt, 1.0)) & active
@@ -453,12 +484,10 @@ def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, extra_gens):
             f"jump intensity per step can reach {arr.peak_intensity * dt:.3g}, "
             f"above {_INTENSITY_CAP}"
         )
-    x = arr.coords(rho)
+    x = arr.rows(rho)
     if s > 1:
-        x, fired, m_drift = _posterior_substeps(arr, x, dt, dW, s, extra_gens)
-    else:
-        x, fired, m_drift = _posterior_substep(arr, x, dt, dW, u)
-    return arr.matrices(x), fired, m_drift
+        return _posterior_substeps(arr, x, dt, dW, s, extra_gens)
+    return _posterior_substep(arr, x, dt, dW, u)
 
 
 def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, extra_gens):
@@ -489,80 +518,103 @@ def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, extra_gens):
 
 
 def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):
-    x = arr.coords(rho)
-    m_drift = _rows(x, arr.mvec)
-    a0 = _strat_a_b(arr, x)
-    b0 = _strat_b_b(arr, x)
+    x = arr.rows(rho)
+    a0, b0, m_drift = _strat_a_b(arr, x)
     pred = x + dt * a0 + np.einsum("bj,bja->ba", dW, b0)
-    a1 = _strat_a_b(arr, pred)
-    b1 = _strat_b_b(arr, pred)
+    a1, b1, _ = _strat_a_b(arr, pred)
     x_new = x + 0.5 * dt * (a0 + a1) + 0.5 * np.einsum("bj,bja->ba", dW, b0 + b1)
     x_proj, defect = _project_pure_b(arr, x_new)
-    return arr.matrices(x_proj), defect, m_drift
+    return x_proj, defect, m_drift
+
+
+def _entropy_rows(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Linear entropy 1 - tr rho^2 = 1 - |x|^2 / 2; with weights w (linear
+    mode), that of the normalized state, 1 - |x|^2 / (2 w^2)."""
+    tr2 = 0.5 * np.einsum("bi,bi->b", x, x)
+    if weights is None:
+        return 1.0 - tr2
+    return 1.0 - tr2 / np.maximum(weights, _WEIGHT_FLOOR) ** 2
 
 
 # -- collectors ---------------------------------------------------------------
 
 class _PathCollector:
-    """Records one trajectory's full path (batch size must be 1)."""
+    """Records the full path of row 0 of every batch it is given.
 
-    def __init__(self, mode: str, grid: TimeGrid, n: int, n_diff: int):
+    Per-step records are stored as arrays and turned into the public
+    trajectory once, by ``result``.
+    """
+
+    def __init__(self, arr: _ModelArrays, mode: str, grid: TimeGrid):
         n_rec = grid.n_steps + 1
+        self.arr = arr
         self.mode = mode
-        self.dt = grid.dt
-        self.states = np.zeros((n_rec, n, n), dtype=np.complex128)
+        self.grid = grid
+        self.rows = np.zeros((n_rec, arr.n * arr.n))
         self.weights = np.ones(n_rec)
         self.entropy = np.zeros(n_rec)
-        self.wiener = np.zeros((grid.n_steps, n_diff))
-        self.compensated = (
-            np.zeros((grid.n_steps, n_diff)) if mode != "linear" else None
-        )
-        self.jump_events: list[tuple[int, int]] = []
-        self.purity_defect_max = 0.0
+        self.dW = np.zeros((grid.n_steps, arr.n_diff))
+        self.m_drift = np.zeros((grid.n_steps, arr.n_diff))
+        self.fired = np.zeros((grid.n_steps, arr.K), dtype=np.int64)
+        self.defect = np.zeros(grid.n_steps)
 
     def collect(self, i, state, weights, entropy, fired, dW, m_drift, defect, alive):
-        self.states[i] = state[0]
+        self.rows[i] = state[0]
         self.weights[i] = weights[0]
         self.entropy[i] = entropy[0]
         if i > 0:
-            if dW is not None and dW.shape[1]:
-                if self.mode == "linear":
-                    self.wiener[i - 1] = dW[0]
-                else:
-                    self.compensated[i - 1] = dW[0]
-                    self.wiener[i - 1] = dW[0] + m_drift[0] * self.dt
+            self.dW[i - 1] = dW[0]
+            if m_drift is not None:
+                self.m_drift[i - 1] = m_drift[0]
             if fired is not None:
-                for k in np.flatnonzero(fired[0]):
-                    for _ in range(int(fired[0, k])):
-                        self.jump_events.append((i - 1, int(k)))
+                self.fired[i - 1] = fired[0]
             if defect is not None:
-                self.purity_defect_max = max(self.purity_defect_max, float(defect[0]))
+                self.defect[i - 1] = defect[0]
+
+    # _StatsCollector.collect records through this alias, so that perfbench,
+    # which times ``collect`` calls, still counts one call per step.
+    record = collect
+
+    def result(self, underflow: bool):
+        """The public trajectory, with the path converted to matrices once."""
+        states = self.arr.matrices(self.rows)
+        steps, ks = np.nonzero(self.fired)
+        counts = self.fired[steps, ks]
+        jumps = list(zip(np.repeat(steps, counts).tolist(), np.repeat(ks, counts).tolist()))
+        if self.mode == "linear":
+            output = OutputRecord(self.dW, jumps, None)
+            return LinearTrajectory(self.grid, states, self.weights, output, underflow)
+        # output increments dW = dW~ + m dt under the physical law
+        output = OutputRecord(self.dW + self.m_drift * self.grid.dt, jumps, self.dW)
+        defect = float(np.fmax.reduce(self.defect, initial=0.0))
+        return PosteriorTrajectory(self.grid, states, output, self.entropy, defect)
 
 
 class _StatsCollector:
-    """Streaming per-step mean/M2 aggregates over one batch of trajectories."""
+    """Streaming per-step mean/M2 aggregates over one batch of trajectories.
 
-    def __init__(self, mode, grid, n, n_diff, n_jump, observable):
+    Each collect converts the live rows, in one product, to the columns
+    [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
+    and keeps their mean and M2 per step.  With ``keep_path`` it also
+    records row 0's full path.
+    """
+
+    def __init__(self, arr: _ModelArrays, mode, grid, observable, keep_path):
         n_rec = grid.n_steps + 1
-        self.mode = mode
-        self.count = np.zeros(n_rec, dtype=np.int64)
-        self.mean_state = np.zeros((n_rec, n, n), dtype=np.complex128)
-        self.m2_re = np.zeros((n_rec, n, n))
-        self.m2_im = np.zeros((n_rec, n, n))
-        self.mean_weight = np.zeros(n_rec)
-        self.m2_weight = np.zeros(n_rec)
-        self.mean_entropy = np.zeros(n_rec)
-        self.m2_entropy = np.zeros(n_rec)
-        self.observable = observable
-        self.obs_dag = observable.conj().T if observable is not None else None
+        to_cols = arr._from
         if observable is not None:
-            self.obs_mean = np.zeros(n_rec, dtype=np.complex128)
-            self.obs_m2_re = np.zeros(n_rec)
-            self.obs_m2_im = np.zeros(n_rec)
+            unit = arr.matrices(np.eye(arr.n * arr.n))  # the matrix of each unit row
+            obs = np.einsum("ij,aji->a", observable.conj().T, unit)
+            to_cols = np.hstack([to_cols, np.stack([obs.real, obs.imag], axis=1)])
+        self.to_cols = to_cols
+        self.count = np.zeros(n_rec, dtype=np.int64)
+        self.mean = np.zeros((n_rec, to_cols.shape[1] + 2))
+        self.m2 = np.zeros_like(self.mean)
+        self.path = _PathCollector(arr, mode, grid) if keep_path else None
         self.jump_totals = None  # (B, K), set lazily
-        self.n_jump = n_jump
-        self.wiener_s1 = np.zeros(n_diff)
-        self.wiener_s2 = np.zeros(n_diff)
+        self.n_jump = arr.K
+        self.wiener_s1 = np.zeros(arr.n_diff)
+        self.wiener_s2 = np.zeros(arr.n_diff)
         self.wiener_n = 0
         self.entropy_max = None  # (B,)
         self.defect_max = None   # (B,), stratonovich pre-projection defect
@@ -570,6 +622,8 @@ class _StatsCollector:
         self.underflow = None
 
     def collect(self, i, state, weights, entropy, fired, dW, m_drift, defect, alive):
+        if self.path is not None:
+            self.path.record(i, state, weights, entropy, fired, dW, m_drift, defect, alive)
         b = state.shape[0]
         if self.jump_totals is None:
             self.jump_totals = np.zeros((b, self.n_jump), dtype=np.int64)
@@ -578,33 +632,21 @@ class _StatsCollector:
         np.maximum(self.entropy_max, entropy, out=self.entropy_max)
         if defect is not None:
             np.maximum(self.defect_max, defect, out=self.defect_max)
-        vals_state = state[alive]
         cnt = int(alive.sum())
         if cnt:
+            vals = np.column_stack(
+                (_rows(state[alive], self.to_cols), weights[alive], entropy[alive])
+            )
             self.count[i] = cnt
-            self.mean_state[i] = vals_state.mean(axis=0)
-            dev = vals_state - self.mean_state[i]
-            self.m2_re[i] = (dev.real**2).sum(axis=0)
-            self.m2_im[i] = (dev.imag**2).sum(axis=0)
-            w = weights[alive]
-            self.mean_weight[i] = w.mean()
-            self.m2_weight[i] = ((w - self.mean_weight[i]) ** 2).sum()
-            e = entropy[alive]
-            self.mean_entropy[i] = e.mean()
-            self.m2_entropy[i] = ((e - self.mean_entropy[i]) ** 2).sum()
-            if self.observable is not None:
-                obs = np.einsum("ij,bji->b", self.obs_dag, vals_state)
-                self.obs_mean[i] = obs.mean()
-                od = obs - self.obs_mean[i]
-                self.obs_m2_re[i] = (od.real**2).sum()
-                self.obs_m2_im[i] = (od.imag**2).sum()
+            self.mean[i] = vals.mean(axis=0)
+            self.m2[i] = ((vals - self.mean[i]) ** 2).sum(axis=0)
         if i > 0:
             if fired is not None and fired.size:
                 self.jump_totals[alive] += fired[alive]
-            if dW is not None and dW.shape[1] and alive.any():
+            if dW is not None and dW.shape[1] and cnt:
                 self.wiener_s1 += dW[alive].sum(axis=0)
                 self.wiener_s2 += (dW[alive] ** 2).sum(axis=0)
-                self.wiener_n += int(alive.sum())
+                self.wiener_n += cnt
 
 
 # -- core driver --------------------------------------------------------------
@@ -622,10 +664,10 @@ def _simulate_batch(
 
     Noise is drawn per trajectory in chunks of _CHUNK steps (normals first,
     then jump uniforms), so a trajectory's randomness depends only on its
-    seed.  Returns (alive, underflow) masks.
+    seed.  The state is a (B, n^2) array of coordinate rows throughout.
+    Returns (alive, underflow) masks.
     """
     b = len(seeds)
-    n = arr.n
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
     extra_gens = None
     if mode == "posterior" and arr.K:
@@ -633,17 +675,14 @@ def _simulate_batch(
             np.random.Generator(np.random.Philox(key=int(s)).jumped(1)) for s in seeds
         ]
 
-    state = np.repeat(rho0_mat[None].astype(np.complex128), b, axis=0)
-    weights = np.trace(state, axis1=1, axis2=2).real.copy()
+    x = np.repeat(arr.coords(rho0_mat[None]), b, axis=0)
+    weights = np.full(b, np.trace(rho0_mat).real)
     alive = np.ones(b, dtype=bool)
     underflow = np.zeros(b, dtype=bool)
-    eye = np.eye(n, dtype=np.complex128)
+    linear = mode == "linear"
 
-    if mode == "linear":
-        entropy = _entropy_b(state, weights)
-    else:
-        entropy = _entropy_b(state)
-    collector.collect(0, state, weights, entropy, None, None, None, None, alive)
+    entropy = _entropy_rows(x, weights if linear else None)
+    collector.collect(0, x, weights, entropy, None, None, None, None, alive)
 
     dt = grid.dt
     sqdt = math.sqrt(dt)
@@ -660,39 +699,40 @@ def _simulate_batch(
             dW = normals[:, l]
             u = uniforms[:, l] if uniforms is not None else None
             defect = None
-            if mode == "linear":
-                state, weights, fired = _step_linear(arr, state, dt, dW, u)
+            if linear:
+                x, weights, fired = _step_linear(arr, x, dt, dW, u)
                 low = weights < _WEIGHT_FLOOR
                 if low.any():
                     underflow |= low
                     zero = weights <= 0.0
                     if zero.any():
                         idx = np.flatnonzero(zero)
-                        state[idx] = (_WEIGHT_FLOOR / n) * eye
+                        x[idx] = _WEIGHT_FLOOR * arr.mixed
                         weights[idx] = _WEIGHT_FLOOR
                 m_drift = None
-                entropy = _entropy_b(state, weights)
+                entropy = _entropy_rows(x, weights)
             elif mode == "posterior":
-                state, fired, m_drift = _step_posterior(
-                    arr, state, dt, dW, u, adaptive, extra_gens
-                )
-                entropy = _entropy_b(state)
+                x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, extra_gens)
+                entropy = _entropy_rows(x)
             else:
-                state, defect, m_drift = _step_stratonovich(arr, state, dt, dW)
+                x, defect, m_drift = _step_stratonovich(arr, x, dt, dW)
                 fired = None
-                entropy = _entropy_b(state)
+                entropy = _entropy_rows(x)
 
-            bad = ~np.isfinite(state.reshape(b, -1)).all(axis=1)
-            bad |= ~np.isfinite(weights)
+            # the entropy is finite exactly when the row is (|x|^2 carries
+            # every inf and nan); in linear mode the weight is checked too
+            bad = ~np.isfinite(entropy)
+            if linear:
+                bad |= ~np.isfinite(weights)
             if bad.any():
                 newly = bad & alive
                 alive &= ~bad
                 idx = np.flatnonzero(newly)
-                state[idx] = eye / n
+                x[idx] = arr.mixed
                 weights[idx] = 1.0
                 entropy[idx] = 0.0
             collector.collect(
-                start + l + 1, state, weights, entropy, fired, dW, m_drift, defect, alive
+                start + l + 1, x, weights, entropy, fired, dW, m_drift, defect, alive
             )
     return alive, underflow
 
@@ -714,11 +754,11 @@ def _check_stratonovich_model(m: MeasurementModel) -> None:
 
 
 def _simulate_path(m, mode, rho0_mat, grid, seed, adaptive=True):
-    """One trajectory recorded in full; returns (collector, underflow)."""
+    """One trajectory recorded in full, as its public trajectory result."""
     arr = _ModelArrays(m)
-    coll = _PathCollector(mode, grid, m.dim, arr.n_diff)
+    coll = _PathCollector(arr, mode, grid)
     _, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll, adaptive=adaptive)
-    return coll, bool(under[0])
+    return coll.result(bool(under[0]))
 
 
 def simulate_linear(
@@ -730,14 +770,7 @@ def simulate_linear(
     weight: negative eigenvalues are repaired each step, but the trace is
     never renormalized.
     """
-    coll, under = _simulate_path(m, "linear", _prepare_rho0(m, rho0), grid, seed)
-    return LinearTrajectory(
-        grid=grid,
-        sigma_path=coll.states,
-        weight_path=coll.weights,
-        output=OutputRecord(coll.wiener, coll.jump_events, None),
-        weight_underflow=under,
-    )
+    return _simulate_path(m, "linear", _prepare_rho0(m, rho0), grid, seed)
 
 
 def simulate_posterior(
@@ -756,15 +789,7 @@ def simulate_posterior(
     (``adaptive=True``, the default), or StepTooLarge is raised at the
     first step (``adaptive=False``).
     """
-    coll, _ = _simulate_path(
-        m, "posterior", _prepare_rho0(m, rho0), grid, seed, adaptive=adaptive
-    )
-    return PosteriorTrajectory(
-        grid=grid,
-        state_path=coll.states,
-        output=OutputRecord(coll.wiener, coll.jump_events, coll.compensated),
-        entropy_path=coll.entropy,
-    )
+    return _simulate_path(m, "posterior", _prepare_rho0(m, rho0), grid, seed, adaptive)
 
 
 def simulate_stratonovich_pure(
@@ -779,48 +804,22 @@ def simulate_stratonovich_pure(
     _check_stratonovich_model(m)
     if psi0.dim != m.dim:
         raise DimensionMismatch("initial vector dimension does not match the model")
-    coll, _ = _simulate_path(m, "stratonovich", psi0.projector(), grid, seed)
-    return PosteriorTrajectory(
-        grid=grid,
-        state_path=coll.states,
-        output=OutputRecord(coll.wiener, coll.jump_events, coll.compensated),
-        entropy_path=coll.entropy,
-        purity_defect_max=coll.purity_defect_max,
-    )
+    return _simulate_path(m, "stratonovich", psi0.projector(), grid, seed)
 
 
 # -- ensembles ----------------------------------------------------------------
-
-def _expand(vec, like):
-    extra = like.ndim - vec.ndim
-    return vec.reshape(vec.shape + (1,) * extra)
-
 
 def _merge_collectors(a: _StatsCollector, b: _StatsCollector) -> _StatsCollector:
     """Chan-merge two block collectors into the first (in trajectory order)."""
     ca, cb = a.count, b.count
     tot = ca + cb
     safe = np.where(tot > 0, tot, 1)
-    frac = np.where(tot > 0, cb / safe, 0.0)
-    wpair = ca * cb / safe
+    frac = np.where(tot > 0, cb / safe, 0.0)[:, None]
+    wpair = (ca * cb / safe)[:, None]
 
-    delta = b.mean_state - a.mean_state
-    a.m2_re += b.m2_re + delta.real**2 * _expand(wpair, a.m2_re)
-    a.m2_im += b.m2_im + delta.imag**2 * _expand(wpair, a.m2_im)
-    a.mean_state += delta * _expand(frac, a.mean_state)
-
-    dw = b.mean_weight - a.mean_weight
-    a.m2_weight += b.m2_weight + dw**2 * wpair
-    a.mean_weight += dw * frac
-    de = b.mean_entropy - a.mean_entropy
-    a.m2_entropy += b.m2_entropy + de**2 * wpair
-    a.mean_entropy += de * frac
-
-    if a.observable is not None:
-        od = b.obs_mean - a.obs_mean
-        a.obs_m2_re += b.obs_m2_re + od.real**2 * wpair
-        a.obs_m2_im += b.obs_m2_im + od.imag**2 * wpair
-        a.obs_mean += od * frac
+    delta = b.mean - a.mean
+    a.m2 += b.m2 + delta**2 * wpair
+    a.mean += delta * frac
 
     a.count = tot
     a.jump_totals = np.concatenate([a.jump_totals, b.jump_totals], axis=0)
@@ -835,9 +834,9 @@ def _merge_collectors(a: _StatsCollector, b: _StatsCollector) -> _StatsCollector
 
 
 def _run_block(args):
-    (m, mode, rho0_mat, grid, seeds, observable, adaptive) = args
+    (m, mode, rho0_mat, grid, seeds, observable, adaptive, keep_path) = args
     arr = _ModelArrays(m)
-    coll = _StatsCollector(mode, grid, m.dim, arr.n_diff, arr.K, observable)
+    coll = _StatsCollector(arr, mode, grid, observable, keep_path)
     alive, under = _simulate_batch(
         arr, mode, rho0_mat, grid, seeds, coll, adaptive=adaptive
     )
@@ -865,7 +864,8 @@ def run_ensemble(
     estimates the a-priori state by reweighting; in posterior and
     stratonovich modes it is the average of the normalized states.  Blocks
     of trajectories are reduced in index order, so results are independent
-    of the worker count (``QTRAJ_THREADS``).
+    of the worker count (``QTRAJ_THREADS``).  The full path of trajectory 0,
+    recorded in the same pass, is returned as ``trajectory``.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
@@ -888,7 +888,7 @@ def run_ensemble(
     blocks = []
     for start in range(0, n_traj, _BLOCK):
         seeds = [seed + i for i in range(start, min(start + _BLOCK, n_traj))]
-        blocks.append((m, mode, rho0_mat, grid, seeds, observable, adaptive))
+        blocks.append((m, mode, rho0_mat, grid, seeds, observable, adaptive, start == 0))
 
     threads = int(os.environ.get("QTRAJ_THREADS", "1") or "1")
     if threads > 1 and len(blocks) > 1:
@@ -909,12 +909,12 @@ def run_ensemble(
         )
 
     cnt = merged.count
-    denom = np.where(cnt > 1, cnt * np.maximum(cnt - 1, 1), 1)
-
-    def _se(m2):
-        return np.sqrt(m2 / _expand(denom.astype(float), m2)) * _expand(
-            (cnt > 1).astype(float), m2
-        )
+    denom = np.where(cnt > 1, cnt * np.maximum(cnt - 1, 1), 1).astype(float)
+    se = np.sqrt(merged.m2 / denom[:, None]) * (cnt > 1)[:, None]
+    mean = merged.mean
+    n = m.dim
+    ent = 2 * n * n  # columns of the state entries; then tr(O* rho), weight, entropy
+    se_state = se[:, :ent].reshape(-1, n, n, 2)
 
     totals = merged.jump_totals[alive] if alive.any() else merged.jump_totals[:0]
     if totals.shape[0] > 1:
@@ -934,28 +934,30 @@ def run_ensemble(
         wmean = np.zeros(m.n_diffusive)
         wvar = np.zeros(m.n_diffusive)
 
+    has_obs = observable is not None
     stats = EnsembleStats(
         mode=mode,
         times=grid.times,
         n_traj=n_traj,
         n_failed=n_failed,
         n_underflow=int(under.sum()),
-        mean_state=merged.mean_state,
-        se_state_re=_se(merged.m2_re),
-        se_state_im=_se(merged.m2_im),
-        mean_weight=merged.mean_weight,
-        se_weight=_se(merged.m2_weight),
-        mean_entropy=merged.mean_entropy,
-        se_entropy=_se(merged.m2_entropy),
+        mean_state=mean[:, :ent].copy().view(np.complex128).reshape(-1, n, n),
+        se_state_re=se_state[..., 0].copy(),
+        se_state_im=se_state[..., 1].copy(),
+        mean_weight=mean[:, -2].copy(),
+        se_weight=se[:, -2].copy(),
+        mean_entropy=mean[:, -1].copy(),
+        se_entropy=se[:, -1].copy(),
         max_entropy_per_traj=merged.entropy_max,
         max_purity_defect_per_traj=merged.defect_max,
         jump_count_mean=jmean,
         jump_count_se=jse,
         wiener_increment_mean=wmean,
         wiener_increment_var=wvar,
-        obs_mean=merged.obs_mean if observable is not None else None,
-        obs_se_re=_se(merged.obs_m2_re) if observable is not None else None,
-        obs_se_im=_se(merged.obs_m2_im) if observable is not None else None,
+        obs_mean=mean[:, ent] + 1j * mean[:, ent + 1] if has_obs else None,
+        obs_se_re=se[:, ent].copy() if has_obs else None,
+        obs_se_im=se[:, ent + 1].copy() if has_obs else None,
+        trajectory=merged.path.result(bool(under[0])),
         metadata={
             "mode": mode,
             "seed": seed,

@@ -189,21 +189,28 @@ class PureStateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def project_to_state(a: np.ndarray) -> QuantumState:
-    """Nearest density matrix: Hermitize, then project the spectrum.
+def _nearest_states(a: np.ndarray) -> np.ndarray:
+    """Nearest density matrices of a stack (T, n, n), as a (T, n, n) array.
 
-    The eigenbasis of (a + a*)/2 is kept and the eigenvalue vector is
-    replaced by its Euclidean projection onto the probability simplex.
+    Each matrix is Hermitized; the eigenbasis of (a + a*)/2 is kept and the
+    eigenvalue vector is replaced by its Euclidean projection onto the
+    probability simplex.  One batched eigendecomposition serves the stack.
+    """
+    herm = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    evals, evecs = np.linalg.eigh(herm)
+    if np.any(evals.max(axis=1) <= -1.0):
+        raise ZeroTrace("all eigenvalues are <= -1; no meaningful state nearby")
+    mats = (evecs * project_to_simplex(evals)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    return 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+
+
+def project_to_state(a: np.ndarray) -> QuantumState:
+    """Nearest density matrix: Hermitize, then project the spectrum onto
+    the probability simplex (``_nearest_states`` of one matrix).
+
     Idempotent on valid states.
     """
-    a = as_complex_matrix(a)
-    herm = hermitize(a)
-    evals, evecs = np.linalg.eigh(herm)
-    if np.max(evals) <= -1.0:
-        raise ZeroTrace("all eigenvalues are <= -1; no meaningful state nearby")
-    w = project_to_simplex(evals)
-    mat = (evecs * w) @ evecs.conj().T
-    return QuantumState(hermitize(mat))
+    return QuantumState(_nearest_states(as_complex_matrix(a)[None])[0])
 
 
 def haar_random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

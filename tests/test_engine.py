@@ -24,7 +24,7 @@ from qtraj import (
     standard_direct,
 )
 from qtraj import engine
-from qtraj.engine import _ModelArrays, _repair_positive_b, _strat_a_b, _strat_b_b
+from qtraj.engine import _ModelArrays, _repair_positive_b, _strat_a_b
 from qtraj.errors import (
     JumpChannelsPresent,
     MultipleDiffusiveOps,
@@ -150,7 +150,7 @@ class TestStratonovichFields:
             {"dimension": 2, "hamiltonian": np.zeros((2, 2)), "diffusive_ops": [SIGMA_Z]}
         )
         arr = _ModelArrays(m)
-        b = _strat_b_b(arr, arr.coords(excited.matrix[None]))
+        _, b, _ = _strat_a_b(arr, arr.coords(excited.matrix[None]))
         assert np.abs(b).max() < 1e-14
 
     def test_a_reduces_to_hamiltonian_flow(self, rng):
@@ -163,7 +163,7 @@ class TestStratonovichFields:
         )
         arr = _ModelArrays(m)
         rho = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]], dtype=complex)
-        a = arr.matrices(_strat_a_b(arr, arr.coords(rho[None])))[0]
+        a = arr.matrices(_strat_a_b(arr, arr.coords(rho[None]))[0])[0]
         want = -1j * (SIGMA_X @ rho - rho @ SIGMA_X)
         assert hs_norm(a - want) < 1e-14
 
@@ -458,7 +458,9 @@ class TestStepsMatchReference:
         m = _random_model(rng, n, n_diff=2, n_jump=2, n_diss=1)
         sig = 1.3 * _random_states(rng, self.B, n)
         dW, u = self._noise(rng, m)
-        out, w, fired = engine._step_linear(_ModelArrays(m), sig, self.DT, dW, u)
+        arr = _ModelArrays(m)
+        out, w, fired = engine._step_linear(arr, sig, self.DT, dW, u)
+        out = arr.matrices(out)
         assert fired.sum() > 0
         for i in range(self.B):
             want, w_want, f_want = _linear_ref(m, sig[i], self.DT, dW[i], u[i])
@@ -488,6 +490,7 @@ class TestStepsMatchReference:
         arr = _ModelArrays(m)
         assert arr.substeps(self.DT) == 1
         out, fired, m_drift = engine._step_posterior(arr, rho, self.DT, dW, u, False, None)
+        out = arr.matrices(out)
         if n_jump:
             assert fired[:, 0].sum() > 0 and fired[:, 1].sum() > 0
             assert not fired[1::4, 1].any()
@@ -503,7 +506,9 @@ class TestStepsMatchReference:
         m = _random_model(rng, n, n_diff=2, n_jump=0)
         rho = _random_states(rng, self.B, n, pure=True)
         dW, _ = self._noise(rng, m)
-        out, defect, m_drift = engine._step_stratonovich(_ModelArrays(m), rho, self.DT, dW)
+        arr = _ModelArrays(m)
+        out, defect, m_drift = engine._step_stratonovich(arr, rho, self.DT, dW)
+        out = arr.matrices(out)
         for i in range(self.B):
             want, d_want, m_want = _stratonovich_ref(m, rho[i], self.DT, dW[i])
             assert np.abs(out[i] - want).max() < 1e-12
@@ -550,3 +555,93 @@ class TestBatchIndependence:
                 monkeypatch.setenv("QTRAJ_THREADS", threads)
                 stats = run_ensemble(self.MODEL, mixed, self.GRID, 12, seed=5, mode="posterior")
                 assert np.array_equal(stats.max_entropy_per_traj, want)
+
+
+class TestRowCollectors:
+    """Ensemble aggregates on coordinate rows against numpy over single paths."""
+
+    GRID = TimeGrid(t_final=0.05, dt=1e-3)
+    N_TRAJ = 20  # blocks of 8, 8 and 4 with _BLOCK = 8
+    SEED = 41
+
+    def _case(self, mode, request):
+        if mode == "stratonovich":
+            psi0 = PureStateVector([1.0, 0.0])
+            m = request.getfixturevalue("homodyne_model")
+            return m, QuantumState(psi0.projector()), lambda s: simulate_stratonovich_pure(
+                m, psi0, self.GRID, s
+            )
+        m = request.getfixturevalue("heterodyne_model")
+        rho0 = request.getfixturevalue("mixed")
+        sim = simulate_linear if mode == "linear" else simulate_posterior
+        return m, rho0, lambda s: sim(m, rho0, self.GRID, s)
+
+    @staticmethod
+    def _mean_se(vals):
+        return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
+
+    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
+    def test_fields_match_numpy_over_paths(self, mode, request, monkeypatch):
+        m, rho0, simulate = self._case(mode, request)
+        trajs = [simulate(self.SEED + i) for i in range(self.N_TRAJ)]
+        if mode == "linear":
+            states = np.stack([t.sigma_path for t in trajs])
+            weights = np.stack([t.weight_path for t in trajs])
+            tr2 = np.einsum("ktij,ktji->kt", states, states).real
+            entropy = 1.0 - tr2 / weights**2
+        else:
+            states = np.stack([t.state_path for t in trajs])
+            weights = np.ones(states.shape[:2])
+            entropy = np.stack([t.entropy_path for t in trajs])
+        obs = np.einsum("ij,ktji->kt", SIGMA_X.conj().T, states)
+        want = {
+            "state": self._mean_se(states.real) + self._mean_se(states.imag)[1:],
+            "weight": self._mean_se(weights),
+            "entropy": self._mean_se(entropy),
+            "obs": self._mean_se(obs.real) + self._mean_se(obs.imag),
+        }
+
+        def close(got, ref):
+            # 1e-12 relative; 1e-15 absolute for values that are zero up to rounding
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+        monkeypatch.setattr(engine, "_BLOCK", 8)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QTRAJ_THREADS", threads)
+            stats = run_ensemble(
+                m, rho0, self.GRID, self.N_TRAJ, self.SEED, mode, observable=SIGMA_X
+            )
+            mean_re, se_re, se_im = want["state"]
+            close(stats.mean_state.real, mean_re)
+            close(stats.mean_state.imag, states.imag.mean(axis=0))
+            close(stats.se_state_re, se_re)
+            close(stats.se_state_im, se_im)
+            close(stats.mean_weight, want["weight"][0])
+            close(stats.se_weight, want["weight"][1])
+            close(stats.mean_entropy, want["entropy"][0])
+            close(stats.se_entropy, want["entropy"][1])
+            obs_re, obs_se_re, obs_im, obs_se_im = want["obs"]
+            close(stats.obs_mean.real, obs_re)
+            close(stats.obs_mean.imag, obs_im)
+            close(stats.obs_se_re, obs_se_re)
+            close(stats.obs_se_im, obs_se_im)
+
+    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
+    def test_trajectory_zero_equals_single_path(self, mode, request, monkeypatch):
+        m, rho0, simulate = self._case(mode, request)
+        want = simulate(self.SEED)
+        monkeypatch.setattr(engine, "_BLOCK", 8)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QTRAJ_THREADS", threads)
+            got = run_ensemble(m, rho0, self.GRID, self.N_TRAJ, self.SEED, mode).trajectory
+            assert type(got) is type(want)
+            for name in ("sigma_path", "weight_path", "state_path", "entropy_path"):
+                if hasattr(want, name):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got.output.wiener, want.output.wiener)
+            assert got.output.jump_events == want.output.jump_events
+            if mode != "linear":
+                assert np.array_equal(
+                    got.output.compensated_wiener, want.output.compensated_wiener
+                )
+                assert got.purity_defect_max == want.purity_defect_max

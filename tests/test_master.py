@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtraj import (
     QuantumState,
@@ -8,6 +9,7 @@ from qtraj import (
     equilibrium,
     evolve_master,
     hs_norm,
+    project_to_state,
     random_density_matrix,
     vectorized_liouvillian,
 )
@@ -84,6 +86,18 @@ class TestEvolveMaster:
         slow = [evolve_master(heterodyne_model, mixed, [t])[0] for t in times]
         for a, b in zip(fast, slow):
             assert hs_norm(a.matrix - b.matrix) < 1e-9
+
+    @pytest.mark.parametrize("model", ["heterodyne_model", "direct_model"])
+    def test_batched_projection_equals_per_state(self, model, excited, request):
+        m = request.getfixturevalue(model)
+        dt = 0.02
+        got = evolve_master(m, excited, np.arange(101) * dt)
+        prop = scipy.linalg.expm(vectorized_liouvillian(m).matrix * dt)
+        v = excited.matrix.flatten(order="F")
+        for state in got:
+            want = project_to_state(v.reshape((2, 2), order="F")).matrix
+            assert np.array_equal(state.matrix, want)
+            v = prop @ v
 
     def test_rejects_bad_times(self, decay_model, mixed):
         with pytest.raises(ValidationError):
