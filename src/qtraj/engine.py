@@ -2,14 +2,11 @@
 
 Three schemes are provided:
 
-* ``linear``       -- Euler-Maruyama for the unnormalized equation under the
-  reference law: drift K[sigma], diffusion L_j sigma + sigma L_j*, jumps
-  fired per channel with state-independent probability nu_k dt.
-* ``posterior``    -- Euler-Maruyama for the normalized nonlinear equation
-  under the physical law: drift L[rho], diffusion
-  L_j rho + rho L_j* - m_j rho, jump replacement rho -> J_k[rho]/lambda_k
-  fired with probability min(lambda_k nu_k dt, 1) and the matching
-  compensator drift, restricted to lambda_k > 1e-12.  When
+* ``linear``       -- the unnormalized equation under the reference law,
+  jumps fired per channel with state-independent probability nu_k dt.
+* ``posterior``    -- the normalized nonlinear equation under the physical
+  law, jump replacement rho -> J_k[rho]/lambda_k fired with probability
+  min(lambda_k nu_k dt, 1), restricted to lambda_k > 1e-12.  When
   max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per step
   over all states, exceeds 0.1, every step of every trajectory is split
   into the same s = ceil(bound / 0.05) substeps; s depends only on the
@@ -18,24 +15,37 @@ Three schemes are provided:
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
 
+The linear and posterior schemes take one completely positive Kraus step
+(Rouchon & Ralph, PRA 91, 012118, 2015; Guevara & Wiseman, PRA 102,
+052217, 2020): sigma -> M sigma M* + dt sum_h S_h sigma S_h*, with
+M = I + dt G + sum_j xi_j L_j and G = -i H - (D1 + D2 + D3)/2, or
+sigma -> sum_k J_k[sigma] over the channels that fire.  States therefore
+stay positive by construction, with no repair.  The linear scheme uses
+xi = dW and rescales the image to the Euler-Maruyama trace
+w = tr sigma + dt tr K[sigma] + sum_j m_j dW_j (+ lambda_k - tr sigma per
+fired channel), so the weight is an exact discrete martingale; a row whose
+image or w is not positive gets weight 0 and the underflow reset.  The
+posterior scheme uses the output increment xi = dW + m dt (m at the start
+of the step) and divides by the trace; -D2/2 in G and the normalization
+produce the jump compensator drift.
+
 The state is carried as coherence-vector coordinates (Alicki & Lendi,
 LNP 286): over the orthonormal Hermitian basis {I/sqrt(n), tau_a} a state
 is a real n^2-vector and every Hermiticity-preserving map is a real
-n^2 x n^2 matrix.  The generator, the drift K, the linear parts of the
-diffusion fields, the jump maps and the pieces of the Stratonovich fields
-are derived once per model from ``model.apply_*`` and stacked side by
-side, so each drift/diffusion evaluation of a step is one real matrix
-product on (B, n^2) rows.  Rows are the loop state from the initial state
-to the last step; they are converted to complex matrices only when a
-public result is built.  At n = 2 the positivity repairs are closed-form
-clips of the Bloch radius; larger n use an eigendecomposition.
+n^2 x n^2 matrix.  The Kraus pieces, the jump maps and the pieces of the
+Stratonovich fields are derived once per model from ``model.apply_*``
+and stacked side by side, so each evaluation of a step is one real
+matrix product on (B, n^2) rows.  Rows are the loop state from the
+initial state to the last step; they are converted to complex matrices
+only when a public result is built.
 
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes below compute one
 unambiguous numerical solution, which is what all outputs refer to.
 
-Trajectory-level randomness comes from a counter-based Philox generator
-keyed by ``seed + trajectory_index``, so ensembles are reproducible and
+Trajectory-level randomness comes from one counter-based Philox stream
+keyed by ``seed + trajectory_index``, which also supplies the noise of
+posterior substeps, so ensembles are reproducible and
 embarrassingly parallel; ``QTRAJ_THREADS`` caps worker processes.  Results
 do not depend on the worker count: trajectories are reduced in index order
 over fixed-size blocks.
@@ -65,11 +75,10 @@ from .linalg import (
     PureStateVector,
     QuantumState,
     hs_norm,
-    project_to_simplex,
     superoperator_matrix,
     traceless_hermitian_basis,
 )
-from .model import MeasurementModel, apply_jump, apply_k, apply_l0, apply_liouvillian
+from .model import MeasurementModel, apply_jump, apply_k, apply_l0
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -212,25 +221,25 @@ class _ModelArrays:
     """The model's maps as real matrices on coherence-vector coordinates.
 
     Every matrix is derived by ``superoperator_matrix`` from
-    ``model.apply_*`` or from a Stratonovich field piece, over the
-    orthonormal Hermitian basis {I/sqrt(n), tau_a}, and stored transposed
-    so that it acts on batches of coordinate rows (B, N), N = n^2.  The
-    coordinates are sqrt(2) times the expansion coefficients, which leaves
-    every matrix unchanged and makes them (tr rho, tr sigma_a rho) at
-    n = 2, where converting to and from matrices is then exact up to one
+    ``model.apply_*``, from the Kraus pieces or from a Stratonovich field
+    piece, over the orthonormal Hermitian basis {I/sqrt(n), tau_a}, and
+    stored transposed so that it acts on batches of coordinate rows (B, N),
+    N = n^2.  The coordinates are sqrt(2) times the expansion coefficients,
+    which leaves every matrix unchanged and makes them (tr rho, tr sigma_a rho)
+    at n = 2, where converting to and from matrices is then exact up to one
     rounding per entry.
 
     Each scheme evaluates all of its maps at a point with one product
     against a fused stack, whose column blocks are, left to right:
 
-    * ``lin``: the drift K, the diffusion parts G_1..G_d, the jump maps
-      J_1..J_K;
-    * ``post``: the generator L, G_1..G_d, the functionals
-      m_j = tr G_j[rho], J_1..J_K and lambda_k = tr J_k[rho];
+    * ``kraus(dt)``, for the linear and posterior schemes, built once per
+      step size: the Kraus channels E0, C_1..C_d and P_jl (j <= l), the
+      functionals m_j = tr G_j[x] and tr x + dt tr K[x], the jump maps
+      J_1..J_K and lambda_k = tr J_k[x];
     * ``strat``: the Stratonovich drift piece A, G_1..G_d, m_j and
       c = tr C[rho] / 2.
 
-    ``lin_cuts``, ``post_cuts`` and ``strat_cuts`` slice out the blocks.
+    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks.
     """
 
     def __init__(self, m: MeasurementModel):
@@ -250,6 +259,7 @@ class _ModelArrays:
         self._to = flat.T.copy()
         self._from = 0.5 * flat
         trace = 0.5 * np.trace(dual, axis1=1, axis2=2).real  # tr rho = trace . x
+        self.tr0 = float(trace[0])  # tr rho = tr0 * x_0; exactly 1 at n = 2
 
         def mat(f):
             return superoperator_matrix(f, basis).real
@@ -260,24 +270,44 @@ class _ModelArrays:
         def traces(mats):  # (N, c): column c is the functional x -> tr mats[c] x
             return np.array([mt.T @ trace for mt in mats]).reshape(-1, nn).T
 
+        def conj_by(a, b=None):  # r -> a r a*, or r -> a r b* + b r a*
+            if b is None:
+                return lambda r: a @ r @ a.conj().T
+            return lambda r: a @ r @ b.conj().T + b @ r @ a.conj().T
+
+        ops = m.diffusive_ops
         # linear parts G_j of the diffusion fields; m_j = tr G_j[rho]
-        gs = [mat(lambda r, op=op: op @ r + r @ op.conj().T) for op in m.diffusive_ops]
+        gs = [mat(lambda r, op=op: op @ r + r @ op.conj().T) for op in ops]
         # jump maps J_k; lambda_k = tr J_k[rho]
         js = [mat(lambda r, k=k: apply_jump(m, r, k)) for k in range(self.K)]
+        # Kraus step M rho M* + dt sum_h S_h rho S_h*, M = I + dt G + sum_j xi_j L_j,
+        # expanded in dt and xi: E0 = I + dt A + dt^2 Q with A = G . + . G* +
+        # sum_h S_h . S_h* and Q = G . G*; C_j = G_j + dt X_j with
+        # X_j = G . L_j* + L_j . G*; P_jj = L_j . L_j*, P_jl = L_j . L_l* + L_l . L_j*
+        g = -1j * m.hamiltonian - 0.5 * (m.d1 + m.d2 + m.d3)
+        a = mat(lambda r: g @ r + r @ g.conj().T + sum(conj_by(s)(r) for s in m.dissipative_ops))
+        q = mat(conj_by(g))
+        xs = [mat(conj_by(g, op)) for op in ops]
+        self.pairs = np.triu_indices(d)
+        ps = [mat(conj_by(ops[j], None if j == l else ops[l])) for j, l in zip(*self.pairs)]
+        k_trace = mat(lambda r: apply_k(m, r)).T @ trace  # x -> tr K[x]
+        # the dt-free pieces of kraus(dt)
+        self._kraus_parts = (
+            a.T, q.T, stack(gs), stack(xs), stack(ps), traces(gs), trace, k_trace,
+            stack(js), traces(js),
+        )
+        self._kraus = {}
+        n_chan = 1 + d + len(ps)
+        self.kraus_cuts = _cuts(n_chan * nn, d, 1, self.K * nn, self.K)
         # Stratonovich drift: A x + sum_j m_j b_j + c x, with A = L0 - C / 2,
         # C = sum_j C_j, C_j[rho] = X_j L_j rho + rho L_j* X_j, X_j = L_j + L_j*
         def c_j(r, op):
             x = op + op.conj().T
             return x @ op @ r + r @ op.conj().T @ x
 
-        c = sum((mat(lambda r, op=op: c_j(r, op)) for op in m.diffusive_ops), np.zeros((nn, nn)))
+        c = sum((mat(lambda r, op=op: c_j(r, op)) for op in ops), np.zeros((nn, nn)))
         at = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
-        self.lin = np.hstack([mat(lambda r: apply_k(m, r)).T, stack(gs), stack(js)])
-        lt = mat(lambda r: apply_liouvillian(m, r)).T
-        self.post = np.hstack([lt, stack(gs), traces(gs), stack(js), traces(js)])
         self.strat = np.hstack([at, stack(gs), traces(gs), 0.5 * traces([c])])
-        self.lin_cuts = _cuts(nn, d * nn, self.K * nn)
-        self.post_cuts = _cuts(nn, d * nn, d, self.K * nn, self.K)
         self.strat_cuts = _cuts(nn, d * nn, d, 1)
         self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
         self.nu = np.array([ch.weight for ch in m.jump_channels])
@@ -285,6 +315,18 @@ class _ModelArrays:
             (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
             default=0.0,
         )
+
+    def kraus(self, dt: float) -> np.ndarray:
+        """The Kraus stack at step dt, built on first use and kept per dt
+        (posterior substeps run at dt / s)."""
+        st = self._kraus.get(dt)
+        if st is None:
+            a, q, gs, xs, ps, ms, trace, k_trace, js, lams = self._kraus_parts
+            e0 = np.eye(a.shape[0]) + dt * a + (dt * dt) * q
+            st = self._kraus[dt] = np.hstack(
+                [e0, gs + dt * xs, ps, ms, (trace + dt * k_trace)[:, None], js, lams]
+            )
+        return st
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
         """(B, n, n) complex -> (B, n^2) coordinates of the Hermitian part."""
@@ -318,20 +360,25 @@ def _channels(y: np.ndarray, nn: int) -> np.ndarray:
     return y.reshape(y.shape[0], -1, nn)
 
 
-def _apply_k_b(arr: _ModelArrays, x: np.ndarray):
-    """Linear scheme at rows x, one product: K x, (G_j x)_j, (J_k x)_k."""
+def _apply_k_b(arr: _ModelArrays, x: np.ndarray, dt: float):
+    """Kraus step pieces at rows x, one product against ``arr.kraus(dt)``:
+    the channel images (E0 x, (C_j x)_j, (P_jl x)_jl) as (B, c, N), m (B, d),
+    the drift trace tr x + dt tr K x (B,), (J_k x)_k (B, K, N) and lambda (B, K)."""
     nn = x.shape[1]
-    y = _rows(x, arr.lin)
-    kx, gx, jx = [y[:, s] for s in arr.lin_cuts]
-    return kx, _channels(gx, nn), _channels(jx, nn)
+    y = _rows(x, arr.kraus(dt))
+    kx, m, w, jx, lam = [y[:, s] for s in arr.kraus_cuts]
+    return _channels(kx, nn), m, w[:, 0], _channels(jx, nn), lam
 
 
-def _apply_liouvillian_b(arr: _ModelArrays, x: np.ndarray):
-    """Posterior scheme at rows x, one product: L x, (G_j x)_j, m, (J_k x)_k, lambda."""
-    nn = x.shape[1]
-    y = _rows(x, arr.post)
-    lx, gx, m, jx, lam = [y[:, s] for s in arr.post_cuts]
-    return lx, _channels(gx, nn), m, _channels(jx, nn), lam
+def _kraus_image(arr: _ModelArrays, kx: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The no-jump image E0 x + sum_j xi_j C_j x + sum_{j<=l} xi_j xi_l P_jl x,
+    which is M x M* + dt sum_h S_h x S_h* for M = I + dt G + sum_j xi_j L_j."""
+    img = kx[:, 0]
+    if arr.n_diff:
+        j, l = arr.pairs
+        coef = np.concatenate([xi, xi[:, j] * xi[:, l]], axis=1)
+        img = img + np.einsum("bc,bca->ba", coef, kx[:, 1:])
+    return img
 
 
 def _strat_a_b(arr: _ModelArrays, x: np.ndarray):
@@ -343,11 +390,11 @@ def _strat_a_b(arr: _ModelArrays, x: np.ndarray):
     return ax + c * x + np.einsum("bj,bja->ba", m, b), b, m
 
 
-# -- positivity repairs on coordinates ----------------------------------------
+# -- projection onto pure states ----------------------------------------------
 #
-# At n = 2 a coordinate row is (t, r) with eigenvalues (t -+ |r|)/2, so each
-# repair is a closed-form clip of the Bloch radius |r|; rows that need no
-# repair are returned unchanged.  Larger n convert to matrices for eigh.
+# At n = 2 a coordinate row is (t, r) with eigenvalues (t -+ |r|)/2, so the
+# projection is a closed-form rescaling of the Bloch radius |r|.  Larger n
+# convert to matrices for eigh.
 
 _GROUND2 = np.array([1.0, 0.0, 0.0, 1.0])  # coordinates of |0><0| at n = 2
 
@@ -368,49 +415,6 @@ def _set_radial(x: np.ndarray, r: np.ndarray, t_new, r_new) -> np.ndarray:
     return out
 
 
-def _eigh_b(arr: _ModelArrays, x: np.ndarray):
-    return np.linalg.eigh(arr.matrices(x))
-
-
-def _compose_b(arr: _ModelArrays, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    return arr.coords((evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1))
-
-
-def _repair_positive_b(arr: _ModelArrays, sig: np.ndarray):
-    """Project eigenvalues to nonnegative at fixed trace; also return traces.
-
-    The pre-repair trace is the statistical weight of the trajectory and
-    must keep its meaning, so negative eigenvalue mass is redistributed
-    (Euclidean projection onto the scaled simplex) rather than discarded.
-    Matrices whose trace is not positive are clipped instead and reported
-    through the underflow path.
-    """
-    if arr.n == 2:
-        t, r = _radial(sig)
-        under = t <= 0.0  # keep only the clipped top eigenvalue
-        wp = np.maximum(0.5 * (t + r), 0.0)
-        t_new = np.where(under, wp, t)
-        return _set_radial(sig, r, t_new, np.where(under, wp, np.minimum(r, t))), t_new
-    evals, evecs = _eigh_b(arr, sig)
-    s = evals.sum(axis=1)
-    fixable = (evals.min(axis=1) < 0.0) & (s > 0.0)
-    evals_new = np.clip(evals, 0.0, None)
-    if fixable.any():
-        idx = np.flatnonzero(fixable)
-        evals_new[idx] = project_to_simplex(evals[idx] / s[idx, None]) * s[idx, None]
-    return _compose_b(arr, evals_new, evecs), evals_new.sum(axis=1)
-
-
-def _project_state_b(arr: _ModelArrays, rho: np.ndarray) -> np.ndarray:
-    """Project the spectrum onto the probability simplex."""
-    if arr.n == 2:  # trace 1, Bloch radius min(r, 1)
-        out = rho * (1.0 / np.maximum(_radial(rho)[1], 1.0))[:, None]
-        out[:, 0] = 1.0
-        return out
-    evals, evecs = _eigh_b(arr, rho)
-    return _compose_b(arr, project_to_simplex(evals), evecs)
-
-
 def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
     """Project onto the dominant eigenvector; also return the purity defect.
 
@@ -427,7 +431,7 @@ def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
         out = _set_radial(rho, r, 1.0, 1.0)
         out[r == 0.0] = _GROUND2  # no direction: |0><0|
         return out, defect
-    evals, evecs = _eigh_b(arr, rho)
+    evals, evecs = np.linalg.eigh(arr.matrices(rho))
     evals = np.clip(evals, 0.0, None)
     s = np.clip(evals.sum(axis=1), 1e-300, None)
     defect = 1.0 - ((evals / s[:, None]) ** 2).sum(axis=1)
@@ -441,43 +445,43 @@ def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
 # accepts complex (B, n, n) matrices.
 
 def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
+    """Kraus image with xi = dW (or the fired jump images), rescaled to the
+    Euler-Maruyama trace w; rows whose image or w is not positive get w = 0."""
     x = arr.rows(sig)
-    kx, gx, jx = _apply_k_b(arr, x)
-    incr = dt * kx
+    kx, m, w, jx, lam = _apply_k_b(arr, x, dt)
+    img = _kraus_image(arr, kx, dW)
     if arr.n_diff:
-        incr += np.einsum("bj,bja->ba", dW, gx)
+        w = w + np.einsum("bj,bj->b", dW, m)
     fired = np.zeros((x.shape[0], arr.K), dtype=np.int64)
     if arr.K:
         fired[:] = u < arr.nu * dt
         idx = np.flatnonzero(fired.any(axis=1))
         if idx.size:
-            incr[idx] += np.einsum("bk,bka->ba", fired[idx], jx[idx] - x[idx, None])
-    x, weights = _repair_positive_b(arr, x + incr)
-    return x, weights, fired
+            f = fired[idx]
+            img[idx] = np.einsum("bk,bka->ba", f, jx[idx])
+            w[idx] += np.einsum("bk,bk->b", f, lam[idx] - arr.tr0 * x[idx, :1])
+    tr_img = arr.tr0 * img[:, 0]
+    dead = (tr_img <= 0.0) | (w <= 0.0)
+    w = np.where(dead, 0.0, w)
+    return img * (w / np.where(dead, 1.0, tr_img))[:, None], w, fired
 
 
 def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
-    """One Euler step on coordinates; returns (coordinates, fired, m)."""
-    lx, gx, m_drift, jx, lam = _apply_liouvillian_b(arr, rho)
-    incr = dt * lx
-    if arr.n_diff:
-        incr += np.einsum("bj,bja->ba", dW, gx) - np.einsum("bj,bj->b", dW, m_drift)[:, None] * rho
+    """One normalized Kraus step with xi = dW + m dt, the output increment;
+    returns (coordinates, fired, m)."""
+    kx, m_drift, _, jx, lam = _apply_k_b(arr, rho, dt)
+    img = _kraus_image(arr, kx, dW + m_drift * dt)
     fired = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
     if arr.K:
-        lam = np.maximum(lam, 0.0)
-        active = lam > _LAMBDA_FLOOR
-        comp = jx - lam[:, :, None] * rho[:, None]
-        incr -= np.einsum("bk,bka->ba", active * (arr.nu * dt), comp)
-        fired[:] = (u < np.minimum(lam * arr.nu * dt, 1.0)) & active
+        fired[:] = (u < np.minimum(lam * arr.nu * dt, 1.0)) & (lam > _LAMBDA_FLOOR)
         idx = np.flatnonzero(fired.any(axis=1))
         if idx.size:
-            lam_safe = np.where(active[idx], lam[idx], 1.0)
-            jumped = jx[idx] / lam_safe[:, :, None] - rho[idx, None]
-            incr[idx] += np.einsum("bk,bka->ba", fired[idx], jumped)
-    return _project_state_b(arr, rho + incr), fired, m_drift
+            img[idx] = np.einsum("bk,bka->ba", fired[idx], jx[idx])
+    return img / (arr.tr0 * img[:, :1]), fired, m_drift
 
 
-def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, extra_gens):
+def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
+    """One step; at s > 1 substeps ``substep_noise`` holds their (dW, u)."""
     s = arr.substeps(dt)
     if s > 1 and not adaptive:
         raise StepTooLarge(
@@ -486,31 +490,19 @@ def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, extra_gens):
         )
     x = arr.rows(rho)
     if s > 1:
-        return _posterior_substeps(arr, x, dt, dW, s, extra_gens)
+        sub_dW, sub_u = substep_noise
+        return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)
     return _posterior_substep(arr, x, dt, dW, u)
 
 
-def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, extra_gens):
-    """Split one step into s substeps, conditioning the noise on its total.
-
-    The substep Wiener increments are a Brownian bridge refinement of the
-    already drawn per-step increment; jump uniforms are drawn fresh from
-    the per-trajectory auxiliary streams.
-    """
-    b = rho.shape[0]
-    dts = dt / s
-    if arr.n_diff:
-        eta = np.stack(
-            [g.standard_normal((s, arr.n_diff)) for g in extra_gens]
-        ) * math.sqrt(dts)  # (B, s, m)
-        deltas = dW[:, None, :] / s + eta - eta.mean(axis=1, keepdims=True)
-    else:
-        deltas = np.zeros((b, s, 0))
-    us = np.stack([g.random((s, arr.K)) for g in extra_gens])  # (B, s, K)
-    fired_total = np.zeros((b, arr.K), dtype=np.int64)
+def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
+    """Split one step into s substeps of dt / s, driven by the substep
+    increments dW (B, s, n_diff) and uniforms u (B, s, K); m is recorded at
+    the start of the step."""
+    fired_total = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
     m_first = None
     for l in range(s):
-        rho, fired, m_drift = _posterior_substep(arr, rho, dts, deltas[:, l], us[:, l])
+        rho, fired, m_drift = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
         fired_total += fired
         if m_first is None:
             m_first = m_drift
@@ -662,18 +654,16 @@ def _simulate_batch(
 ):
     """Integrate a batch of trajectories with per-trajectory Philox streams.
 
-    Noise is drawn per trajectory in chunks of _CHUNK steps (normals first,
-    then jump uniforms), so a trajectory's randomness depends only on its
-    seed.  The state is a (B, n^2) array of coordinate rows throughout.
-    Returns (alive, underflow) masks.
+    Noise is drawn per trajectory in chunks of steps (normals first, then
+    jump uniforms), so a trajectory's randomness depends only on its seed.
+    Posterior steps split into s > 1 substeps draw the noise of every
+    substep, in chunks of min(_CHUNK, n_steps) // s steps so that a chunk
+    holds no more values than at s = 1; a step's dW is the sum of its
+    substep increments.  The state is a (B, n^2) array of coordinate rows
+    throughout.  Returns (alive, underflow) masks.
     """
     b = len(seeds)
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
-    extra_gens = None
-    if mode == "posterior" and arr.K:
-        extra_gens = [
-            np.random.Generator(np.random.Philox(key=int(s)).jumped(1)) for s in seeds
-        ]
 
     x = np.repeat(arr.coords(rho0_mat[None]), b, axis=0)
     weights = np.full(b, np.trace(rho0_mat).real)
@@ -685,19 +675,24 @@ def _simulate_batch(
     collector.collect(0, x, weights, entropy, None, None, None, None, alive)
 
     dt = grid.dt
-    sqdt = math.sqrt(dt)
     n_steps = grid.n_steps
-    for start in range(0, n_steps, _CHUNK):
-        clen = min(_CHUNK, n_steps - start)
-        normals = (
-            np.stack([g.standard_normal((clen, arr.n_diff)) for g in gens]) * sqdt
-        )
-        uniforms = (
-            np.stack([g.random((clen, arr.K)) for g in gens]) if arr.K else None
-        )
+    s = arr.substeps(dt) if mode == "posterior" else 1
+    chunk = max(1, min(_CHUNK, n_steps) // s)
+    shape = (b, chunk) if s == 1 else (b, chunk, s)
+    normals = np.empty(shape + (arr.n_diff,))
+    uniforms = np.empty(shape + (arr.K,))
+    sqdt = math.sqrt(dt / s)
+    for start in range(0, n_steps, chunk):
+        clen = min(chunk, n_steps - start)
+        for g, nrm, uni in zip(gens, normals, uniforms):
+            g.standard_normal(out=nrm[:clen])
+            if arr.K:
+                g.random(out=uni[:clen])
+        normals[:, :clen] *= sqdt
+        step_dW = normals if s == 1 else normals[:, :clen].sum(axis=2)
         for l in range(clen):
-            dW = normals[:, l]
-            u = uniforms[:, l] if uniforms is not None else None
+            dW = step_dW[:, l]
+            u = uniforms[:, l] if s == 1 else None
             defect = None
             if linear:
                 x, weights, fired = _step_linear(arr, x, dt, dW, u)
@@ -712,7 +707,8 @@ def _simulate_batch(
                 m_drift = None
                 entropy = _entropy_rows(x, weights)
             elif mode == "posterior":
-                x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, extra_gens)
+                sub = None if s == 1 else (normals[:, l], uniforms[:, l])
+                x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
                 entropy = _entropy_rows(x)
             else:
                 x, defect, m_drift = _step_stratonovich(arr, x, dt, dW)
@@ -767,8 +763,7 @@ def simulate_linear(
     """One trajectory of the unnormalized equation under the reference law.
 
     Deterministic given the seed.  The trace is kept as the trajectory
-    weight: negative eigenvalues are repaired each step, but the trace is
-    never renormalized.
+    weight and is never renormalized; every state on the path is positive.
     """
     return _simulate_path(m, "linear", _prepare_rho0(m, rho0), grid, seed)
 
@@ -782,7 +777,7 @@ def simulate_posterior(
 ) -> PosteriorTrajectory:
     """One trajectory of the nonlinear equation under the physical law.
 
-    Each step is re-projected onto the state space.  Substepping depends
+    Every state on the path is a valid state.  Substepping depends
     only on the model and dt: when max_k nu_k lambda_max(E_k) dt, the
     largest jump intensity per step any state can reach, exceeds 0.1,
     every step is split into the same number of substeps

@@ -1,0 +1,65 @@
+"""The engine names and signatures that ``perfbench`` relies on.
+
+``perfbench/tracer.py`` wraps private engine functions by name and
+``perfbench/kernels.py`` calls the step kernels directly; a function that
+is renamed or loses a parameter only shows up there as a missing metric.
+Both files are imported read-only, without writing bytecode next to them.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qtraj import engine
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    for name in ("analysis", "cli", "engine", "master", "model", "serialize"):
+        importlib.import_module(f"qtraj.{name}")
+    return _load("tracer")
+
+
+def test_every_role_resolves(tracer):
+    patches = tracer._Patches()
+    for role, targets in tracer.ROLES.items():
+        assert any(patches.resolve(t) is not None for t in targets), role
+
+
+def test_traced_signatures(tracer):
+    patches = tracer._Patches()
+    substeps = patches.resolve("engine:_posterior_substeps")
+    assert substeps is not None
+    assert {"rho", "s"} <= set(inspect.signature(substeps[2]).parameters)
+    driver = inspect.signature(engine._simulate_batch).parameters
+    assert {"mode", "grid", "seeds"} <= set(driver)
+
+
+def test_kernel_cases_run():
+    kernels = _load("kernels")
+    rng = np.random.default_rng(3)
+    for name, (model, pure, step) in kernels._cases().items():
+        arr = engine._ModelArrays(model)
+        rho = kernels._random_states(rng, 2, pure)
+        dw = rng.standard_normal((2, model.n_diffusive)) * np.sqrt(kernels.DT)
+        u = rng.random((2, model.n_jump))
+        out = step(arr, rho, dw, u)
+        assert np.isfinite(out[0]).all(), name
