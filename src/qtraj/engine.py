@@ -144,6 +144,7 @@ class LinearTrajectory:
     sigma_path: np.ndarray     # (n_steps+1, n, n), unnormalized
     weight_path: np.ndarray    # (n_steps+1,), tr sigma
     output: OutputRecord
+    entropy_path: np.ndarray   # (n_steps+1,), 1 - tr sigma^2 / w^2
     weight_underflow: bool = False
 
 
@@ -348,11 +349,12 @@ class _ModelArrays:
     def substeps(self, dt: float) -> int:
         """Fixed substep count: 1, or enough that the bound
         max_k nu_k lambda_max(E_k) dt / s on any state's jump intensity per
-        substep is at most half the cap."""
+        substep is at most half the cap.  The ceil forgives relative rounding
+        of 1e-12, so a bound of 6.000000000000001 halves still gives 6."""
         worst = self.peak_intensity * dt
         if worst <= _INTENSITY_CAP:
             return 1
-        return int(math.ceil(worst / (0.5 * _INTENSITY_CAP)))
+        return int(math.ceil(worst / (0.5 * _INTENSITY_CAP) * (1.0 - 1e-12)))
 
 
 def _channels(y: np.ndarray, nn: int) -> np.ndarray:
@@ -520,12 +522,11 @@ def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):
 
 
 def _entropy_rows(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Linear entropy 1 - tr rho^2 = 1 - |x|^2 / 2; with weights w (linear
-    mode), that of the normalized state, 1 - |x|^2 / (2 w^2)."""
-    tr2 = 0.5 * np.einsum("bi,bi->b", x, x)
-    if weights is None:
-        return 1.0 - tr2
-    return 1.0 - tr2 / np.maximum(weights, _WEIGHT_FLOOR) ** 2
+    """Linear entropy 1 - tr rho^2 = 1 - |x|^2 / 2; with weights w > 0
+    (linear mode), that of the normalized state, 1 - |x / w|^2 / 2."""
+    if weights is not None:
+        x = x / weights[:, None]
+    return 1.0 - 0.5 * np.einsum("bi,bi->b", x, x)
 
 
 # -- collectors ---------------------------------------------------------------
@@ -575,7 +576,9 @@ class _PathCollector:
         jumps = list(zip(np.repeat(steps, counts).tolist(), np.repeat(ks, counts).tolist()))
         if self.mode == "linear":
             output = OutputRecord(self.dW, jumps, None)
-            return LinearTrajectory(self.grid, states, self.weights, output, underflow)
+            return LinearTrajectory(
+                self.grid, states, self.weights, output, self.entropy, underflow
+            )
         # output increments dW = dW~ + m dt under the physical law
         output = OutputRecord(self.dW + self.m_drift * self.grid.dt, jumps, self.dW)
         defect = float(np.fmax.reduce(self.defect, initial=0.0))

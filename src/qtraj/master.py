@@ -9,8 +9,6 @@ so the master equation and the trajectory engine share one generator.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +25,6 @@ from .linalg import (
     superoperator_matrix,
 )
 from .model import MeasurementModel, apply_liouvillian
-
-_VEC_CACHE: "weakref.WeakKeyDictionary[MeasurementModel, VectorizedLiouvillian]" = (
-    weakref.WeakKeyDictionary()
-)
-_VEC_LOCK = threading.Lock()
 
 
 def _vec(x: np.ndarray) -> np.ndarray:
@@ -55,18 +48,11 @@ class VectorizedLiouvillian:
 
 
 def vectorized_liouvillian(m: MeasurementModel) -> VectorizedLiouvillian:
-    """Build (or fetch from the per-model cache) the vectorized generator."""
-    with _VEC_LOCK:
-        cached = _VEC_CACHE.get(m)
-    if cached is not None:
-        return cached
+    """Build the vectorized generator."""
     n = m.dim
     units = np.stack([_unvec(e, n) for e in np.eye(n * n, dtype=np.complex128)])
     mat = superoperator_matrix(lambda r: apply_liouvillian(m, r), units)
-    vec = VectorizedLiouvillian(dim=n, matrix=mat)
-    with _VEC_LOCK:
-        _VEC_CACHE[m] = vec
-    return vec
+    return VectorizedLiouvillian(dim=n, matrix=mat)
 
 
 def evolve_master(

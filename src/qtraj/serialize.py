@@ -13,9 +13,12 @@ as row-major nested arrays:
     }
 
 JSON floats round-trip exactly, so a written model reloads bit-identically.
-All CSV files start with one '#'-prefixed metadata line (model hash,
-command, seed, dt, scheme, version) and print floats with 17 significant
-digits so reruns can be compared byte for byte.
+Every CSV goes through one writer, ``_write_table``: a '#'-prefixed metadata
+line (model hash, command, seed, dt, scheme, version), the header, then the
+given column arrays side by side, integers as integers and floats with 17
+significant digits, so reruns can be compared byte for byte.  The writers
+only arrange arrays the results already hold (plus running sums of the
+output record); no physical quantity is derived here.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ from .linalg import QuantumState
 from .model import MeasurementModel, build_model
 
 _FMT = "%.16e"
-
-
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -104,143 +103,92 @@ def _base_metadata(command: str, mhash: str, **extra) -> dict:
 
 
 def _state_header(prefix: str, n: int) -> list[str]:
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(f"{prefix}{i}{j}_re")
-            cols.append(f"{prefix}{i}{j}_im")
-    return cols
+    return [f"{prefix}{i}{j}_{part}" for i in range(n) for j in range(n) for part in ("re", "im")]
 
 
-def _state_row(mat: np.ndarray) -> list[str]:
-    out = []
-    for z in np.asarray(mat).reshape(-1):
-        out.append(_fmt(z.real))
-        out.append(_fmt(z.imag))
-    return out
+def _write_table(path, meta: dict, header: list[str], columns: list) -> None:
+    """The one CSV writer: metadata line, header, then one row per leading
+    index of the column arrays, stacked side by side.
+
+    Each array contributes its trailing entries as columns, complex ones as
+    interleaved re, im pairs.  Integer arrays print as integers (exact below
+    2^53), everything else with 17 significant digits.
+    """
+    blocks, fmt = [], []
+    for col in columns:
+        col = np.ascontiguousarray(col)
+        block = col.reshape(col.shape[0], -1)
+        if np.iscomplexobj(block):
+            block = block.view(np.float64)
+        blocks.append(block)
+        fmt += ["%d" if col.dtype.kind in "iu" else _FMT] * block.shape[1]
+    with open(path, "w") as fh:
+        fh.write(_metadata_line(meta) + ",".join(header) + "\n")
+        np.savetxt(fh, np.hstack(blocks), fmt=fmt, delimiter=",")
 
 
 def write_trajectory_csv(path, traj, meta: dict) -> None:
     """One row per grid time: state, weight, entropy, cumulative outputs."""
     if isinstance(traj, LinearTrajectory):
-        states = traj.sigma_path
-        weights = traj.weight_path
-        entropy = None
-        prefix = "sigma"
+        states, weights, prefix = traj.sigma_path, traj.weight_path, "sigma"
     elif isinstance(traj, PosteriorTrajectory):
-        states = traj.state_path
-        weights = None
-        entropy = traj.entropy_path
-        prefix = "rho"
+        states, weights, prefix = traj.state_path, np.ones(len(traj.state_path)), "rho"
     else:
         raise ConfigError(f"unsupported trajectory type {type(traj)!r}")
-    n = states.shape[1]
-    n_steps = states.shape[0] - 1
-    n_diff = traj.output.wiener.shape[1]
-    cum_w = np.vstack(
-        [np.zeros((1, n_diff)), np.cumsum(traj.output.wiener, axis=0)]
-    )
+    wiener = traj.output.wiener
+    cum_w = np.vstack([np.zeros((1, wiener.shape[1])), np.cumsum(wiener, axis=0)])
     channels = sorted({k for _, k in traj.output.jump_events})
-    cum_n = np.zeros((n_steps + 1, len(channels)), dtype=np.int64)
+    cum_n = np.zeros((len(states), len(channels)), dtype=np.int64)
     for step, k in traj.output.jump_events:
-        cum_n[step + 1 :, channels.index(k)] += 1
+        cum_n[step + 1, channels.index(k)] += 1
+    np.cumsum(cum_n, axis=0, out=cum_n)
 
-    header = ["t"] + _state_header(prefix, n)
-    header.append("weight")
-    header.append("entropy")
-    header += [f"cum_W{j}" for j in range(n_diff)]
+    header = ["t"] + _state_header(prefix, states.shape[1]) + ["weight", "entropy"]
+    header += [f"cum_W{j}" for j in range(wiener.shape[1])]
     header += [f"cum_N{k}" for k in channels]
-
-    with open(path, "w") as fh:
-        fh.write(_metadata_line(meta))
-        fh.write(",".join(header) + "\n")
-        times = traj.grid.times
-        for i in range(n_steps + 1):
-            row = [_fmt(times[i])]
-            row += _state_row(states[i])
-            row.append(_fmt(weights[i] if weights is not None else 1.0))
-            if entropy is not None:
-                row.append(_fmt(entropy[i]))
-            else:
-                w = max(weights[i], 1e-300)
-                tr2 = float(np.einsum("ij,ji->", states[i], states[i]).real)
-                row.append(_fmt(1.0 - tr2 / w**2))
-            row += [_fmt(v) for v in cum_w[i]]
-            row += [str(int(v)) for v in cum_n[i]]
-            fh.write(",".join(row) + "\n")
+    columns = [traj.grid.times, states, weights, traj.entropy_path, cum_w, cum_n]
+    _write_table(path, meta, header, columns)
 
 
 def write_ensemble_csv(path, stats: EnsembleStats, meta: dict) -> None:
     """Per-step ensemble aggregates with componentwise standard errors."""
     n = stats.mean_state.shape[1]
-    header = ["t"] + _state_header("mean", n)
-    header += _state_header("se", n)
+    header = ["t"] + _state_header("mean", n) + _state_header("se", n)
     header += ["mean_weight", "se_weight", "mean_entropy", "se_entropy"]
-    has_obs = stats.obs_mean is not None
-    if has_obs:
+    columns = [
+        stats.times,
+        stats.mean_state,
+        np.stack([stats.se_state_re, stats.se_state_im], axis=-1),
+        stats.mean_weight,
+        stats.se_weight,
+        stats.mean_entropy,
+        stats.se_entropy,
+    ]
+    if stats.obs_mean is not None:
         header += ["obs_re", "obs_im", "obs_se_re", "obs_se_im"]
-    with open(path, "w") as fh:
-        fh.write(_metadata_line(meta))
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(stats.times):
-            row = [_fmt(t)]
-            row += _state_row(stats.mean_state[i])
-            se = stats.se_state_re[i] + 1j * stats.se_state_im[i]
-            row += _state_row(se)
-            row += [
-                _fmt(stats.mean_weight[i]),
-                _fmt(stats.se_weight[i]),
-                _fmt(stats.mean_entropy[i]),
-                _fmt(stats.se_entropy[i]),
-            ]
-            if has_obs:
-                row += [
-                    _fmt(stats.obs_mean[i].real),
-                    _fmt(stats.obs_mean[i].imag),
-                    _fmt(stats.obs_se_re[i]),
-                    _fmt(stats.obs_se_im[i]),
-                ]
-            fh.write(",".join(row) + "\n")
+        columns += [stats.obs_mean, stats.obs_se_re, stats.obs_se_im]
+    _write_table(path, meta, header, columns)
 
 
 def write_states_csv(path, times, states: list[QuantumState], meta: dict) -> None:
     """State path in the same layout as trajectories (master/equilibrium)."""
-    n = states[0].dim
-    header = ["t"] + _state_header("eta", n)
-    with open(path, "w") as fh:
-        fh.write(_metadata_line(meta))
-        fh.write(",".join(header) + "\n")
-        for t, state in zip(times, states):
-            row = [_fmt(t)] + _state_row(state.matrix)
-            fh.write(",".join(row) + "\n")
+    header = ["t"] + _state_header("eta", states[0].dim)
+    columns = [np.asarray(times, dtype=float), np.stack([s.matrix for s in states])]
+    _write_table(path, meta, header, columns)
 
 
 def write_histogram_csv(path, hist: BlochHistogram, meta: dict) -> None:
     header = ["theta_index", "phi_index", "dwell_time", "count"]
-    with open(path, "w") as fh:
-        fh.write(_metadata_line(meta))
-        fh.write(",".join(header) + "\n")
-        for ti in range(hist.grid[0]):
-            for pi in range(hist.grid[1]):
-                fh.write(
-                    ",".join(
-                        [
-                            str(ti),
-                            str(pi),
-                            _fmt(hist.dwell_time[ti, pi]),
-                            str(int(hist.counts[ti, pi])),
-                        ]
-                    )
-                    + "\n"
-                )
+    theta, phi = np.indices(hist.grid)
+    columns = [theta.ravel(), phi.ravel(), hist.dwell_time.ravel(), hist.counts.ravel()]
+    _write_table(path, meta, header, columns)
 
 
 def write_report(path, lines: dict, meta: dict) -> None:
     """Flat key=value text report."""
+    body = format_report(lines)
     with open(path, "w") as fh:
-        fh.write(_metadata_line(meta))
-        for key, value in lines.items():
-            fh.write(f"{key}={value}\n")
+        fh.write(_metadata_line(meta) + (body + "\n" if body else ""))
 
 
 def format_report(lines: dict) -> str:

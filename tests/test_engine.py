@@ -143,6 +143,12 @@ class TestSimulatePosterior:
         with pytest.raises(StepTooLarge):
             simulate_posterior(m, mixed, grid, seed=31, adaptive=False)
 
+    def test_substep_count_forgives_rounding(self):
+        # peak intensity 300.00000000000006: the bound 6.000000000000001 gives 6
+        arr = _ModelArrays(generate_atom_model(standard_direct(300.0, 1000.0)))
+        assert arr.substeps(1e-3) == 6
+        assert arr.substeps(1e-3 * (1 + 1e-9)) == 7
+
 
 class TestStratonovichFields:
     def test_b_vanishes_at_eigenprojector(self, excited):
@@ -282,6 +288,17 @@ class TestLinearStepPositivity:
         traces = np.einsum("tii->t", traj.sigma_path).real
         assert np.abs(traces - traj.weight_path).max() < 1e-12
         assert traj.weight_underflow
+
+    def test_entropy_of_underflowed_rows(self, direct_model, ground):
+        # seed 4 resets the zero jump image to weight 1e-14, below which the
+        # weight keeps shrinking; the entropy is that of sigma / w all along
+        stats = run_ensemble(direct_model, ground, TimeGrid(2.0, 1e-3), 1, 4, "linear")
+        assert stats.max_entropy_per_traj[0] <= 0.5 + 1e-12
+        traj = stats.trajectory
+        assert traj.weight_path.min() < 1e-14
+        tr2 = np.einsum("tij,tji->t", traj.sigma_path, traj.sigma_path).real
+        assert np.abs(traj.entropy_path - (1.0 - tr2 / traj.weight_path**2)).max() <= 1e-12
+        assert traj.entropy_path.max() <= 0.5 + 1e-12
 
 
 class TestRunEnsemble:

@@ -42,9 +42,6 @@ class TestVectorizedLiouvillian:
                 x = random_hermitian(rng, 2)
                 assert hs_norm(vec.apply(x) - apply_liouvillian(m, x)) <= 1e-10
 
-    def test_cached_per_model(self, decay_model):
-        assert vectorized_liouvillian(decay_model) is vectorized_liouvillian(decay_model)
-
 
 class TestEvolveMaster:
     def test_zero_generator(self, rng):
