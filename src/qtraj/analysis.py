@@ -5,11 +5,12 @@ equilibrium state of the master equation, decompose quantum variances into
 their within-state and between-state parts, and histogram dim-2 trajectories
 over the Bloch sphere as an empirical stand-in for the invariant measure.
 The Lie-rank check evaluates the hypoellipticity condition for uniqueness
-of that measure at user-supplied points.
+of that measure at user-supplied points, from exact Lie brackets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,47 +255,49 @@ class LieRankReport:
     n_fields: int
 
 
-_FD_STEP = 1e-5  # central-difference step for the Jacobians of the fields
+_RANK_TOL = 1e-6  # singular values above this count towards the Lie rank
+_SPACING = 1.0    # stencil spacing; every spacing is exact on the polynomial fields
 
 
-def _field_values(arr: _ModelArrays, word, xs: np.ndarray) -> np.ndarray:
-    """Values at coordinate rows xs of a drift/diffusion field or bracket.
+def _derivatives(fields, degree: int, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Exact directional derivatives D f(x)[v] (F, V, B, N) of the F fields
+    ``fields`` (rows (P, N) -> (F, P, N)) of degree <= d at rows xs (B, N)
+    along V directions vs (V, B, N).  f(x + t v/|v|) is a polynomial of degree
+    <= d in t, so the central stencil with m = ceil(d/2) points per side and
+    weights (-1)^(k+1) (m!)^2 / (k (m-k)! (m+k)!) gives its slope at t = 0
+    exactly (Fornberg, Math. Comp. 51, 699, 1988)."""
+    m, f = -(-degree // 2), math.factorial
+    c = np.array([(-1) ** (k + 1) * f(m) ** 2 / (k * f(m - k) * f(m + k)) for k in range(1, m + 1)])
+    nrm = np.linalg.norm(vs, axis=-1)[..., None]
+    steps = _SPACING * np.concatenate([np.arange(1, m + 1), -np.arange(1, m + 1)])
+    pts = xs + steps[:, None, None, None] * (vs / np.where(nrm > 0.0, nrm, 1.0))
+    vals = fields(pts.reshape(-1, xs.shape[1])).reshape(-1, 2, m, *vs.shape)
+    return nrm * np.einsum("k,fkvbn->fvbn", c / _SPACING, vals[:, 0] - vals[:, 1])
 
-    ``word`` names the field: index 0 is the Stratonovich drift, index
-    j >= 1 the diffusion field of L_j, and a pair (f, g) the bracket
-    [f, g](x) = Dg(x) f(x) - Df(x) g(x).
-    """
-    if isinstance(word, int):
+
+def _brackets(arr: _ModelArrays, xs: np.ndarray, depth: int) -> np.ndarray:
+    """All right-nested brackets [g_1, [g_2, ... g_depth]] of the drift (g = 0)
+    and diffusion fields (g = j) at rows xs (B, N), (G**depth, B, N) with g_1
+    slowest.  [g, w](x) = Dw(x)[g(x)] - Dg(x)[w(x)]: the drift is cubic and the
+    diffusion fields are quadratic in x, and deg [f, g] = deg f + deg g - 1, so
+    a depth-k bracket has degree <= 2k + 1 and its derivatives are exact."""
+    if depth == 1:
         a, b, _ = _strat_a_b(arr, xs)
-        return a if word == 0 else b[:, word - 1]
-    f, g = word
-    return np.einsum("bij,bj->bi", _jacobian(arr, g, xs), _field_values(arr, f, xs)) - (
-        np.einsum("bij,bj->bi", _jacobian(arr, f, xs), _field_values(arr, g, xs))
-    )
+        return np.concatenate([a[:, None], b], axis=1).transpose(1, 0, 2)
+    gens, inner = _brackets(arr, xs, 1), _brackets(arr, xs, depth - 1)
+    d_inner = _derivatives(lambda ys: _brackets(arr, ys, depth - 1), 2 * depth - 1, xs, gens)
+    d_gens = _derivatives(lambda ys: _brackets(arr, ys, 1), 3, xs, inner)
+    return (d_inner.transpose(1, 0, 2, 3) - d_gens).reshape(-1, *xs.shape)
 
 
-def _jacobian(arr: _ModelArrays, word, xs: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians (B, N, N) of a field at coordinate rows xs."""
-    b, dim = xs.shape
-    step = _FD_STEP * np.eye(dim)
-    points = np.concatenate([xs[:, None] + step, xs[:, None] - step]).reshape(-1, dim)
-    vals = _field_values(arr, word, points).reshape(2, b, dim, dim)
-    return (vals[0] - vals[1]).transpose(0, 2, 1) / (2.0 * _FD_STEP)
-
-
-def lie_rank_check(
-    m: MeasurementModel,
-    psi: PureStateVector,
-    max_depth: int = 3,
-    sv_threshold: float = 1e-6,
-) -> LieRankReport:
+def lie_rank_check(m: MeasurementModel, psi: PureStateVector, max_depth: int = 3) -> LieRankReport:
     """Rank of the Lie algebra of drift and diffusion fields at a pure state.
 
     The fields are the engine's Stratonovich drift and diffusion fields on
     real coordinates over the Hermitian basis {I/sqrt(n), tau_a}; iterated
-    Lie brackets are formed with central-difference Jacobians, and the
-    span is projected onto the tangent space of the pure-state manifold
-    before the rank decision.
+    Lie brackets are formed from exact derivatives of these polynomial
+    fields, and the span is projected onto the tangent space of the
+    pure-state manifold before the rank decision (singular values > 1e-6).
     """
     if m.n_diffusive == 0:
         raise NoDiffusiveChannels("the Lie-rank check needs diffusive fields")
@@ -320,25 +323,16 @@ def lie_rank_check(
     tangent /= np.linalg.norm(tangent, axis=1)[:, None]
     tangent_dim = tangent.shape[0]
 
-    def current_rank(vectors) -> int:
-        proj = np.concatenate(vectors) @ tangent.T
-        svals = np.linalg.svd(proj, compute_uv=False)
-        return int(np.count_nonzero(svals > sv_threshold))
-
-    generators = list(range(1 + m.n_diffusive))
-    vectors = [_field_values(arr, g, x0) for g in generators]
-    frontier = list(generators)
-    rank = current_rank(vectors)
-    depth = 1
-    while rank < tangent_dim and depth < max_depth:
-        frontier = [(g, f) for g in generators for f in frontier]
-        vectors += [_field_values(arr, word, x0) for word in frontier]
-        rank = current_rank(vectors)
+    fields, depth, rank = np.zeros((0, tangent.shape[1])), 0, -1
+    while depth < max_depth and rank < tangent_dim:
         depth += 1
+        fields = np.concatenate([fields, _brackets(arr, x0, depth)[:, 0]])
+        svals = np.linalg.svd(fields @ tangent.T, compute_uv=False)
+        rank = int(np.count_nonzero(svals > _RANK_TOL))
 
     return LieRankReport(
         rank=min(rank, tangent_dim),
         full=rank >= tangent_dim,
         tangent_dim=tangent_dim,
-        n_fields=len(vectors),
+        n_fields=fields.shape[0],
     )

@@ -174,8 +174,10 @@ def cmd_check(args) -> int:
         lines["ellipticity_elliptic"] = n_elliptic
     for i, text in enumerate(args.exceptional_point or []):
         vec = _parse_complex_vector(text)
-        vec = vec / np.linalg.norm(vec)
-        psi = PureStateVector(vec)
+        nrm = np.linalg.norm(vec)
+        if not 0.0 < nrm < np.inf:
+            raise ValidationError(f"exceptional point {text!r} is not a nonzero finite vector")
+        psi = PureStateVector(vec / nrm)
         if model.n_diffusive:
             ell = check_ellipticity(model, psi)
             lines[f"point{i}_elliptic"] = ell.elliptic

@@ -74,9 +74,9 @@ from .errors import (
 from .linalg import (
     PureStateVector,
     QuantumState,
+    coherence_basis,
     hs_norm,
     superoperator_matrix,
-    traceless_hermitian_basis,
 )
 from .model import MeasurementModel, apply_jump, apply_k, apply_l0
 
@@ -250,9 +250,7 @@ class _ModelArrays:
         self.n = n
         self.n_diff = d
         self.K = m.n_jump
-        basis = np.concatenate(
-            [np.eye(n, dtype=np.complex128)[None] / math.sqrt(n), traceless_hermitian_basis(n)]
-        )
+        basis = coherence_basis(n)
         # x = coords(rho) has x_a = tr(dual_a rho) and rho = sum_a x_a dual_a / 2;
         # dual / 2 is exact, so at n = 2 every conversion entry is 0, +-1 or +-1/2
         dual = basis * math.sqrt(2.0)

@@ -91,10 +91,6 @@ class NonUniqueEquilibrium(NumericalError):
     pass
 
 
-class NoStationaryState(NumericalError):
-    pass
-
-
 class EnsembleFailure(NumericalError):
     pass
 

@@ -25,6 +25,8 @@ def as_complex_matrix(a, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch("matrix dimension must be >= 1")
     if dim is not None and mat.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {mat.shape[0]}")
+    if not np.isfinite(mat).all():
+        raise ValidationError("matrix has a non-finite entry")
     return mat
 
 
@@ -94,6 +96,12 @@ def traceless_hermitian_basis(n: int) -> np.ndarray:
         diag[l] = -float(l)
         mats.append(np.diag(diag / np.sqrt(l * (l + 1))).astype(np.complex128))
     return np.stack(mats)
+
+
+def coherence_basis(n: int) -> np.ndarray:
+    """Orthonormal Hermitian basis {I/sqrt(n), tau_a} of n x n matrices, (n^2, n, n)."""
+    eye = np.eye(n, dtype=np.complex128)[None] / np.sqrt(n)
+    return np.concatenate([eye, traceless_hermitian_basis(n)])
 
 
 def superoperator_matrix(f, basis: np.ndarray) -> np.ndarray:
@@ -174,6 +182,8 @@ class PureStateVector:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amp.shape[0] < 1:
             raise ValidationError("state vector must have length >= 1")
+        if not np.isfinite(amp).all():
+            raise ValidationError("state vector has a non-finite entry")
         if abs(float(np.linalg.norm(amp)) - 1.0) > 1e-12:
             raise ValidationError("state vector norm differs from 1 by more than 1e-12")
         amp = amp.copy()

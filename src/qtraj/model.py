@@ -46,6 +46,8 @@ from .linalg import (
     hs_norm,
 )
 
+_ELLIPTIC_TOL = 1e-9  # singular values above this count towards the diffusion rank
+
 
 def _parse_matrix(obj, dim: int | None) -> np.ndarray:
     """Accept an ndarray or nested rows of [re, im] pairs."""
@@ -79,8 +81,10 @@ class JumpChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not self.weight > 0.0:
-            raise ValidationError(f"jump channel weight must be positive, got {self.weight}")
+        if not 0.0 < self.weight < np.inf:
+            raise ValidationError(
+                f"jump channel weight must be positive and finite, got {self.weight}"
+            )
         if len(self.kraus_ops) == 0:
             raise ValidationError("jump channel needs at least one Kraus operator")
         dim = None
@@ -395,16 +399,15 @@ class EllipticityReport:
     required_rank: int
 
 
-def check_ellipticity(
-    m: MeasurementModel, psi: PureStateVector, sv_threshold: float = 1e-9
-) -> EllipticityReport:
+def check_ellipticity(m: MeasurementModel, psi: PureStateVector) -> EllipticityReport:
     """Diffusion ellipticity at the pure state |psi><psi|.
 
     The diffusion spans the tangent space at psi iff for every nonzero
     phi orthogonal to psi some j has Re <phi | L_j psi> != 0.  The check
     builds the real linear map phi -> (Re <phi | L_j psi>)_j on the real
     2(n-1)-dimensional orthogonal complement (phi and i phi counted as
-    distinct directions) and tests full column rank.
+    distinct directions) and tests full column rank (singular values above
+    1e-9 count).
     """
     if m.n_diffusive == 0:
         raise NoDiffusiveChannels("ellipticity check needs diffusive operators")
@@ -423,7 +426,7 @@ def check_ellipticity(
     u, s, vt = np.linalg.svd(mat)
     svals = np.zeros(required)
     svals[: s.shape[0]] = s
-    rank = int(np.count_nonzero(svals > sv_threshold))
+    rank = int(np.count_nonzero(svals > _ELLIPTIC_TOL))
     min_sv = float(svals[required - 1]) if mat.shape[0] >= 1 else 0.0
     if rank == required:
         return EllipticityReport(True, None, min_sv, rank, required)

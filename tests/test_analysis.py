@@ -8,19 +8,25 @@ from qtraj import (
     TimeGrid,
     build_model,
     empirical_invariant_measure,
+    generate_atom_model,
+    haar_random_state_vector,
     lie_rank_check,
     linear_entropy,
     quantum_variance,
     random_density_matrix,
+    standard_heterodyne,
+    standard_homodyne,
     time_average_state,
     traceless_hermitian_basis,
     variance_decomposition,
     von_neumann_entropy,
 )
-from qtraj.engine import OutputRecord
+from qtraj import analysis
+from qtraj.analysis import _brackets
+from qtraj.engine import OutputRecord, _ModelArrays
 from qtraj.errors import DimensionNotTwo, EmptyAverageWindow, NoDiffusiveChannels
 
-from conftest import SIGMA_MINUS, SIGMA_Z
+from conftest import SIGMA_MINUS, SIGMA_Z, random_complex
 
 
 def constant_trajectory(rho, t_final=1.0, dt=0.01):
@@ -182,3 +188,81 @@ class TestLieRank:
     def test_requires_diffusive(self, direct_model):
         with pytest.raises(NoDiffusiveChannels):
             lie_rank_check(direct_model, PureStateVector([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_diffusion_bracket_closed_form(self, n):
+        # b_j(x) = G_j x - (g_j . x) x, so Db_j(x) = G_j - x g_j^T - (g_j . x) I
+        rng = np.random.default_rng(10 + n)
+        arr = _ModelArrays(lie_model(rng, n, 2))
+        x = lie_point(arr, rng)[0]
+        nn = n * n
+        _, g_cols, m_cols, _ = arr.strat_cuts
+        gs = arr.strat[:, g_cols].reshape(nn, 2, nn).transpose(1, 2, 0)  # G_j on columns
+        ms = arr.strat[:, m_cols].T  # m_j(x) = g_j . x
+        b = [gs[j] @ x - (ms[j] @ x) * x for j in range(2)]
+        db = [gs[j] - np.outer(x, ms[j]) - (ms[j] @ x) * np.eye(nn) for j in range(2)]
+        want = db[1] @ b[0] - db[0] @ b[1]  # [b_1, b_2] = Db_2 b_1 - Db_1 b_2
+        got = _brackets(arr, x[None], 2)[1 * 3 + 2, 0]  # word (1, 2) of G = 3 fields
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_depth_three_brackets_exact_at_any_spacing(self, n, monkeypatch):
+        # the stencils are exact only if no bracket's degree is underestimated
+        rng = np.random.default_rng(20 + n)
+        arr = _ModelArrays(lie_model(rng, n, 2))
+        x = lie_point(arr, rng)
+        unit = _brackets(arr, x, 3)
+        monkeypatch.setattr(analysis, "_SPACING", 0.5)
+        half = _brackets(arr, x, 3)
+        assert np.abs(unit - half).max() <= 1e-12 * np.abs(unit).max()
+
+    def test_rank_battery(self):
+        # (rank, full, n_fields) as reported by the central-difference brackets
+        # this check replaced; every kept singular value is >= 0.2 and every
+        # dropped one <= 1e-15, so no decision sits near the 1e-6 threshold
+        s = 1.0 / np.sqrt(2.0)
+        points = {"0": [1.0, 0.0], "1": [0.0, 1.0], "+": [s, s]}
+        atoms = {
+            ("homodyne", "0"): (2, True, 2),
+            ("homodyne", "1"): (2, True, 14),
+            ("homodyne", "+"): (2, True, 6),
+            ("heterodyne", "0"): (2, True, 3),
+            ("heterodyne", "1"): (2, True, 39),
+            ("heterodyne", "+"): (2, True, 3),
+        }
+        specs = {"homodyne": standard_homodyne, "heterodyne": standard_heterodyne}
+        for (name, point), want in atoms.items():
+            m = generate_atom_model(specs[name](1.0, 2.0))
+            rep = lie_rank_check(m, PureStateVector(points[point]))
+            assert (rep.rank, rep.full, rep.n_fields) == want, (name, point)
+        randoms = {
+            (2, 1): (2, True, 2),
+            (2, 2): (2, True, 3),
+            (3, 1): (4, True, 14),
+            (3, 2): (4, True, 12),
+            (4, 1): (5, False, 14),
+            (4, 2): (6, True, 12),
+        }
+        for (n, n_diff), want in randoms.items():
+            rng = np.random.default_rng(100 * n + n_diff)
+            m = lie_model(rng, n, n_diff)
+            rep = lie_rank_check(m, PureStateVector(haar_random_state_vector(n, rng)))
+            assert (rep.rank, rep.full, rep.n_fields) == want, (n, n_diff)
+
+
+def lie_model(rng, n, n_diff):
+    """Random Hamiltonian and n_diff random diffusive operators."""
+    h = random_complex(rng, n)
+    return build_model(
+        {
+            "dimension": n,
+            "hamiltonian": 0.5 * (h + h.conj().T),
+            "diffusive_ops": [random_complex(rng, n) for _ in range(n_diff)],
+        }
+    )
+
+
+def lie_point(arr, rng):
+    """Coordinates (1, N) of a Haar-random pure state."""
+    psi = PureStateVector(haar_random_state_vector(arr.n, rng))
+    return arr.coords(psi.projector()[None])

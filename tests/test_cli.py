@@ -179,6 +179,15 @@ class TestMasterAndEquilibrium:
         code = main(["equilibrium", "--model", str(path), "--output", str(tmp_path)])
         assert code == 2
 
+    def test_non_finite_model_exits_1(self, het_model_file, tmp_path, capsys):
+        config = json.loads(het_model_file.read_text())
+        config["hamiltonian"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(config))  # json writes and reads NaN
+        code = main(["equilibrium", "--model", str(path), "--output", str(tmp_path)])
+        assert code == 1
+        assert "error: ValidationError" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_heterodyne_report(self, het_model_file, capsys):
@@ -203,6 +212,11 @@ class TestCheckCommand:
         assert "ellipticity_elliptic=25" in out
         assert "point0_elliptic=False" in out
         assert "point0_lie_full=True" in out
+
+    def test_zero_exceptional_point_exits_1(self, het_model_file, capsys):
+        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", "2"]
+        assert main(argv + ["--exceptional-point", "[[0, 0], [0, 0]]"]) == 1
+        assert "error: ValidationError" in capsys.readouterr().err
 
     def test_seed_required(self, het_model_file):
         assert main(["check", "--model", str(het_model_file)]) == 1

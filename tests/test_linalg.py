@@ -205,6 +205,14 @@ class TestStateTypes:
         with pytest.raises(ValidationError):
             PureStateVector([1.0, 1.0])
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError):
+            QuantumState(np.full((2, 2), np.nan))
+        with pytest.raises(ValidationError):
+            QuantumState(np.diag([1.0, np.inf]))
+        with pytest.raises(ValidationError):
+            PureStateVector([np.nan, 0.0])
+
     def test_immutable(self, mixed):
         with pytest.raises(ValueError):
             mixed.matrix[0, 0] = 9.0

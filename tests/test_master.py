@@ -14,6 +14,7 @@ from qtraj import (
     vectorized_liouvillian,
 )
 from qtraj.errors import NonUniqueEquilibrium, ValidationError
+from qtraj.linalg import coherence_basis, superoperator_matrix
 
 from conftest import SIGMA_MINUS, SIGMA_Z, random_complex, random_hermitian
 from test_model import random_model
@@ -84,15 +85,28 @@ class TestEvolveMaster:
         for a, b in zip(fast, slow):
             assert hs_norm(a.matrix - b.matrix) < 1e-9
 
+    def test_nonuniform_times_match_exponential(self, rng):
+        # gaps of 0.1, 0, 0.25, 0.55, 1.1: one propagator per gap, repeated time included
+        times = [0.0, 0.1, 0.1, 0.35, 0.9, 2.0]
+        for n in (2, 3):
+            m = random_model(rng, n)
+            rho0 = QuantumState(random_density_matrix(n, rng))
+            vec = vectorized_liouvillian(m).matrix
+            for t, eta in zip(times, evolve_master(m, rho0, times)):
+                v = scipy.linalg.expm(vec * t) @ rho0.matrix.flatten(order="F")
+                assert hs_norm(eta.matrix - v.reshape((n, n), order="F")) <= 1e-12
+
     @pytest.mark.parametrize("model", ["heterodyne_model", "direct_model"])
     def test_batched_projection_equals_per_state(self, model, excited, request):
         m = request.getfixturevalue(model)
         dt = 0.02
         got = evolve_master(m, excited, np.arange(101) * dt)
-        prop = scipy.linalg.expm(vectorized_liouvillian(m).matrix * dt)
-        v = excited.matrix.flatten(order="F")
+        basis = coherence_basis(2)
+        gen = superoperator_matrix(lambda r: apply_liouvillian(m, r), basis).real
+        prop = scipy.linalg.expm(gen * dt)
+        v = np.einsum("aij,ji->a", basis, excited.matrix).real
         for state in got:
-            want = project_to_state(v.reshape((2, 2), order="F")).matrix
+            want = project_to_state(np.einsum("ta,aij->tij", v[None], basis)[0]).matrix
             assert np.array_equal(state.matrix, want)
             v = prop @ v
 
@@ -109,9 +123,9 @@ class TestEquilibrium:
         assert np.allclose(eta.matrix, np.diag([0.0, 1.0]), atol=1e-9)
 
     def test_matches_kernel_oracle(self, heterodyne_model):
-        eta = equilibrium(heterodyne_model)
-        want = kernel_oracle(heterodyne_model)
-        assert hs_norm(eta.matrix - want) <= 1e-8
+        rng = np.random.default_rng(5)
+        for m in (heterodyne_model, random_model(rng, 3), random_model(rng, 4)):
+            assert hs_norm(equilibrium(m).matrix - kernel_oracle(m)) <= 1e-8
 
     def test_resonance_fluorescence_bloch_oracle(self, heterodyne_model):
         # Independent oracle: steady state of the optical Bloch equations.

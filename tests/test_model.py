@@ -28,6 +28,7 @@ from qtraj.errors import (
     EmptyModelWarning,
     NoDiffusiveChannels,
     NonHermitianH,
+    ValidationError,
 )
 
 from conftest import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex
@@ -77,6 +78,14 @@ class TestBuildModel:
     def test_non_hermitian_hamiltonian(self):
         with pytest.raises(NonHermitianH):
             build_model({"dimension": 2, "hamiltonian": SIGMA_X + 1j * SIGMA_Y})
+
+    def test_non_finite_input(self):
+        h = SIGMA_Z.copy()
+        h[0, 1] = h[1, 0] = np.nan
+        with pytest.raises(ValidationError):
+            build_model({"dimension": 2, "hamiltonian": h})
+        with pytest.raises(ValidationError):
+            JumpChannel("x", np.inf, (SIGMA_MINUS,))
 
     def test_empty_config_raises(self):
         with pytest.raises(EmptyModel):
