@@ -27,12 +27,10 @@ from .atom import (
 )
 from .engine import (
     EnsembleStats,
-    FlowResult,
     LinearTrajectory,
     OutputRecord,
     PosteriorTrajectory,
     TimeGrid,
-    deterministic_flow,
     run_ensemble,
     simulate_linear,
     simulate_posterior,
@@ -53,7 +51,14 @@ from .linalg import (
     spectral_decomposition,
     trace_norm,
 )
-from .master import VectorizedLiouvillian, equilibrium, evolve_master, vectorized_liouvillian
+from .master import (
+    FlowResult,
+    VectorizedLiouvillian,
+    deterministic_flow,
+    equilibrium,
+    evolve_master,
+    vectorized_liouvillian,
+)
 from .model import (
     JumpChannel,
     MeasurementModel,

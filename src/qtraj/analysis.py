@@ -304,8 +304,9 @@ def lie_rank_check(m: MeasurementModel, psi: PureStateVector, max_depth: int = 3
     if psi.dim != m.dim:
         raise DimensionMismatch("state vector dimension does not match the model")
     n = m.dim
-    if n > 4:
-        raise ValidationError("Lie-rank check supports dim <= 4")
+    if not 2 <= n <= 4:
+        # at n = 1 the pure states are one point, with no tangent directions
+        raise ValidationError("Lie-rank check supports 2 <= dim <= 4")
     if max_depth < 1:
         raise ValidationError("max_depth must be >= 1")
 

@@ -39,6 +39,13 @@ matrix product on (B, n^2) rows.  Rows are the loop state from the
 initial state to the last step; they are converted to complex matrices
 only when a public result is built.
 
+The step loop does per step only what the next step needs: the step, the
+weight-underflow reset and a finiteness check.  Each step's output rows are
+buffered, and what is recorded from them (the entropy, the collector's
+statistics and paths) is computed once per flush, a block of up to
+``_FLUSH`` row-steps ending at the latest with its noise chunk.  A single
+long trajectory therefore pays per step little more than its own products.
+
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes below compute one
 unambiguous numerical solution, which is what all outputs refer to.
@@ -59,13 +66,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
     EnsembleFailure,
     JumpChannelsPresent,
-    MultipleDiffusiveOps,
     NoDiffusiveChannels,
     NotPurePreserving,
     StepTooLarge,
@@ -84,6 +89,7 @@ RNG_ALGORITHM = "philox4x64"
 
 _BLOCK = 512          # trajectories integrated together per batch
 _CHUNK = 4096         # steps of noise drawn per generator call
+_FLUSH = 4096         # row-steps buffered per collector call
 _LAMBDA_FLOOR = 1e-12
 _WEIGHT_FLOOR = 1e-14
 _INTENSITY_CAP = 0.1  # max allowed lambda_k nu_k dt per step
@@ -193,13 +199,6 @@ class EnsembleStats:
         return i
 
 
-@dataclass
-class FlowResult:
-    times: np.ndarray
-    states: list[QuantumState]
-    limit_point: QuantumState | None
-
-
 # -- model in real coordinates ------------------------------------------------
 
 def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -297,7 +296,8 @@ class _ModelArrays:
         )
         self._kraus = {}
         n_chan = 1 + d + len(ps)
-        self.kraus_cuts = _cuts(n_chan * nn, d, 1, self.K * nn, self.K)
+        kx, m_cols, w, jx, lam = _cuts(n_chan * nn, d, 1, self.K * nn, self.K)
+        self.kraus_cuts = (kx, m_cols, w.start, jx, lam)  # w is one column
         # Stratonovich drift: A x + sum_j m_j b_j + c x, with A = L0 - C / 2,
         # C = sum_j C_j, C_j[rho] = X_j L_j rho + rho L_j* X_j, X_j = L_j + L_j*
         def c_j(r, op):
@@ -364,10 +364,10 @@ def _apply_k_b(arr: _ModelArrays, x: np.ndarray, dt: float):
     """Kraus step pieces at rows x, one product against ``arr.kraus(dt)``:
     the channel images (E0 x, (C_j x)_j, (P_jl x)_jl) as (B, c, N), m (B, d),
     the drift trace tr x + dt tr K x (B,), (J_k x)_k (B, K, N) and lambda (B, K)."""
-    nn = x.shape[1]
+    b, nn = x.shape
     y = _rows(x, arr.kraus(dt))
-    kx, m, w, jx, lam = [y[:, s] for s in arr.kraus_cuts]
-    return _channels(kx, nn), m, w[:, 0], _channels(jx, nn), lam
+    kx, m, w, jx, lam = arr.kraus_cuts
+    return y[:, kx].reshape(b, -1, nn), y[:, m], y[:, w], y[:, jx].reshape(b, -1, nn), y[:, lam]
 
 
 def _kraus_image(arr: _ModelArrays, kx: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -376,7 +376,7 @@ def _kraus_image(arr: _ModelArrays, kx: np.ndarray, xi: np.ndarray) -> np.ndarra
     img = kx[:, 0]
     if arr.n_diff:
         j, l = arr.pairs
-        coef = np.concatenate([xi, xi[:, j] * xi[:, l]], axis=1)
+        coef = np.concatenate((xi, xi.take(j, 1) * xi.take(l, 1)), axis=1)
         img = img + np.einsum("bc,bca->ba", coef, kx[:, 1:])
     return img
 
@@ -528,12 +528,22 @@ def _entropy_rows(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarra
 
 
 # -- collectors ---------------------------------------------------------------
+#
+# ``_simulate_batch`` hands its records over once per flush, as
+# collect(i, state, weights, entropy, fired, dW, m_drift, defect, alive) with
+# records i .. i + F - 1 in (B, F, ...) arrays: coordinate rows (B, F, N),
+# weights, entropy and alive (B, F), where alive is False from the record at
+# which a row failed on.  fired (B, F, K), dW and m_drift (B, F, d) and
+# defect (B, F) come from the steps that end at those records; they are None
+# at record 0, and fired without jump channels, m_drift in linear mode or
+# without diffusive channels, and defect outside the Stratonovich scheme are
+# None too.  The arrays are the driver's buffers, valid only during the call.
 
 class _PathCollector:
     """Records the full path of row 0 of every batch it is given.
 
-    Per-step records are stored as arrays and turned into the public
-    trajectory once, by ``result``.
+    Each flush is copied into per-record arrays by slice assignment, and
+    ``result`` turns them into the public trajectory once.
     """
 
     def __init__(self, arr: _ModelArrays, mode: str, grid: TimeGrid):
@@ -550,21 +560,20 @@ class _PathCollector:
         self.defect = np.zeros(grid.n_steps)
 
     def collect(self, i, state, weights, entropy, fired, dW, m_drift, defect, alive):
-        self.rows[i] = state[0]
-        self.weights[i] = weights[0]
-        self.entropy[i] = entropy[0]
-        if i > 0:
-            self.dW[i - 1] = dW[0]
-            if m_drift is not None:
-                self.m_drift[i - 1] = m_drift[0]
-            if fired is not None:
-                self.fired[i - 1] = fired[0]
-            if defect is not None:
-                self.defect[i - 1] = defect[0]
-
-    # _StatsCollector.collect records through this alias, so that perfbench,
-    # which times ``collect`` calls, still counts one call per step.
-    record = collect
+        f = state.shape[1]
+        self.rows[i:i + f] = state[0]
+        self.weights[i:i + f] = weights[0]
+        self.entropy[i:i + f] = entropy[0]
+        if dW is None:
+            return
+        steps = slice(i - 1, i - 1 + f)
+        self.dW[steps] = dW[0]
+        if m_drift is not None:
+            self.m_drift[steps] = m_drift[0]
+        if fired is not None:
+            self.fired[steps] = fired[0]
+        if defect is not None:
+            self.defect[steps] = defect[0]
 
     def result(self, underflow: bool):
         """The public trajectory, with the path converted to matrices once."""
@@ -584,12 +593,14 @@ class _PathCollector:
 
 
 class _StatsCollector:
-    """Streaming per-step mean/M2 aggregates over one batch of trajectories.
+    """Streaming per-record mean/M2 aggregates over one batch of trajectories.
 
-    Each collect converts the live rows, in one product, to the columns
+    Each flush converts its rows, in one product, to the columns
     [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
-    and keeps their mean and M2 per step.  With ``keep_path`` it also
-    records row 0's full path.
+    and stores their mean and M2 per record over the rows alive there (dead
+    rows hold finite values and are masked out, unless every row is alive).
+    It also adds the alive rows' jump counts and Wiener sums.  With
+    ``keep_path`` it also records row 0's full path.
     """
 
     def __init__(self, arr: _ModelArrays, mode, grid, observable, keep_path):
@@ -616,30 +627,39 @@ class _StatsCollector:
 
     def collect(self, i, state, weights, entropy, fired, dW, m_drift, defect, alive):
         if self.path is not None:
-            self.path.record(i, state, weights, entropy, fired, dW, m_drift, defect, alive)
-        b = state.shape[0]
+            self.path.collect(i, state, weights, entropy, fired, dW, m_drift, defect, alive)
+        b, f = alive.shape
         if self.jump_totals is None:
             self.jump_totals = np.zeros((b, self.n_jump), dtype=np.int64)
             self.entropy_max = np.zeros(b)
             self.defect_max = np.zeros(b)
-        np.maximum(self.entropy_max, entropy, out=self.entropy_max)
+        np.maximum(self.entropy_max, entropy.max(axis=1), out=self.entropy_max)
         if defect is not None:
-            np.maximum(self.defect_max, defect, out=self.defect_max)
-        cnt = int(alive.sum())
-        if cnt:
-            vals = np.column_stack(
-                (_rows(state[alive], self.to_cols), weights[alive], entropy[alive])
-            )
-            self.count[i] = cnt
-            self.mean[i] = vals.mean(axis=0)
-            self.m2[i] = ((vals - self.mean[i]) ** 2).sum(axis=0)
-        if i > 0:
-            if fired is not None and fired.size:
-                self.jump_totals[alive] += fired[alive]
-            if dW is not None and dW.shape[1] and cnt:
-                self.wiener_s1 += dW[alive].sum(axis=0)
-                self.wiener_s2 += (dW[alive] ** 2).sum(axis=0)
-                self.wiener_n += cnt
+            np.maximum(self.defect_max, defect.max(axis=1), out=self.defect_max)
+        cols = _rows(state.reshape(b * f, -1), self.to_cols).reshape(b, f, -1)
+        vals = np.concatenate((cols, weights[:, :, None], entropy[:, :, None]), axis=2)
+        live = None if alive.all() else alive[:, :, None]
+        if live is not None:
+            vals *= live
+        cnt = alive.sum(axis=0)
+        mean = vals.sum(axis=0) / np.maximum(cnt, 1)[:, None]
+        vals -= mean
+        if live is not None:
+            vals *= live
+        recs = slice(i, i + f)
+        self.count[recs] = cnt
+        self.mean[recs] = mean
+        self.m2[recs] = np.square(vals, out=vals).sum(axis=0)
+        if dW is None:
+            return
+        if live is not None:
+            fired = None if fired is None else fired * live
+            dW = dW * live
+        if fired is not None:
+            self.jump_totals += fired.sum(axis=1)
+        self.wiener_s1 += dW.sum(axis=(0, 1))
+        self.wiener_s2 += np.square(dW).sum(axis=(0, 1))
+        self.wiener_n += int(cnt.sum()) if dW.shape[2] else 0
 
 
 # -- core driver --------------------------------------------------------------
@@ -661,24 +681,55 @@ def _simulate_batch(
     substep, in chunks of min(_CHUNK, n_steps) // s steps so that a chunk
     holds no more values than at s = 1; a step's dW is the sum of its
     substep increments.  The state is a (B, n^2) array of coordinate rows
-    throughout.  Returns (alive, underflow) masks.
+    throughout.
+
+    Each step does only what the next step needs: the step kernel, the
+    weight-underflow reset (linear mode) and the finiteness check with its
+    reset.  It writes its outputs into buffers of
+    F = max(1, min(_FLUSH // B, chunk)) steps.  A flush, after F steps or at
+    the end of a noise chunk, computes the entropy of the whole (B F, N)
+    block and hands the records to ``collector.collect`` in one call.
+    Returns (alive, underflow) masks.
     """
     b = len(seeds)
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+    dt = grid.dt
+    n_steps = grid.n_steps
+    linear = mode == "linear"
+    strat = mode == "stratonovich"
+    s = arr.substeps(dt) if mode == "posterior" else 1
+    chunk = max(1, min(_CHUNK, n_steps) // s)
+    flush = max(1, min(_FLUSH // b, chunk))
 
     x = np.repeat(arr.coords(rho0_mat[None]), b, axis=0)
     weights = np.full(b, np.trace(rho0_mat).real)
-    alive = np.ones(b, dtype=bool)
     underflow = np.zeros(b, dtype=bool)
-    linear = mode == "linear"
+    failed_at = np.full(b, n_steps + 1)  # the record at which each row failed
+    # buffers of one flush; the weights change only in linear mode
+    xs = np.empty((b, flush, x.shape[1]))
+    ws = np.empty((b, flush)) if linear else np.broadcast_to(weights[:, None], (b, flush))
+    fs = np.empty((b, flush, arr.K), dtype=np.int64) if arr.K and not strat else None
+    ms = np.empty((b, flush, arr.n_diff)) if arr.n_diff and not linear else None
+    ds = np.empty((b, flush)) if strat else None
 
-    entropy = _entropy_rows(x, weights if linear else None)
-    collector.collect(0, x, weights, entropy, None, None, None, None, alive)
+    def flush_records(i, count, dW):
+        """Hand records i .. i + count - 1 from the buffers to the collector;
+        dW is None for record 0, which ends no step."""
+        rows, w = xs[:, :count], ws[:, :count]
+        entropy = _entropy_rows(rows.reshape(b * count, -1), w.reshape(-1) if linear else None)
+        entropy = entropy.reshape(b, count)
+        recs = failed_at[:, None] - np.arange(i, i + count)
+        entropy[recs == 0] = 0.0  # at the record where a row failed
+        fired, m_drift, defect = (
+            None if buf is None or dW is None else buf[:, :count] for buf in (fs, ms, ds)
+        )
+        collector.collect(i, rows, w, entropy, fired, dW, m_drift, defect, recs > 0)
 
-    dt = grid.dt
-    n_steps = grid.n_steps
-    s = arr.substeps(dt) if mode == "posterior" else 1
-    chunk = max(1, min(_CHUNK, n_steps) // s)
+    xs[:, 0] = x
+    if linear:
+        ws[:, 0] = weights
+    flush_records(0, 1, None)
+
     shape = (b, chunk) if s == 1 else (b, chunk, s)
     normals = np.empty(shape + (arr.n_diff,))
     uniforms = np.empty(shape + (arr.K,))
@@ -691,47 +742,50 @@ def _simulate_batch(
                 g.random(out=uni[:clen])
         normals[:, :clen] *= sqdt
         step_dW = normals if s == 1 else normals[:, :clen].sum(axis=2)
-        for l in range(clen):
-            dW = step_dW[:, l]
-            u = uniforms[:, l] if s == 1 else None
-            defect = None
-            if linear:
-                x, weights, fired = _step_linear(arr, x, dt, dW, u)
-                low = weights < _WEIGHT_FLOOR
-                if low.any():
-                    underflow |= low
-                    zero = weights <= 0.0
-                    if zero.any():
-                        idx = np.flatnonzero(zero)
-                        x[idx] = _WEIGHT_FLOOR * arr.mixed
-                        weights[idx] = _WEIGHT_FLOOR
-                m_drift = None
-                entropy = _entropy_rows(x, weights)
-            elif mode == "posterior":
-                sub = None if s == 1 else (normals[:, l], uniforms[:, l])
-                x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
-                entropy = _entropy_rows(x)
-            else:
-                x, defect, m_drift = _step_stratonovich(arr, x, dt, dW)
-                fired = None
-                entropy = _entropy_rows(x)
+        for f0 in range(0, clen, flush):
+            count = min(flush, clen - f0)
+            for j in range(count):
+                l = f0 + j
+                dW = step_dW[:, l]
+                u = uniforms[:, l] if s == 1 else None
+                if linear:
+                    x, weights, fired = _step_linear(arr, x, dt, dW, u)
+                    low = weights < _WEIGHT_FLOOR
+                    if low.any():
+                        underflow |= low
+                        zero = weights <= 0.0
+                        x[zero] = _WEIGHT_FLOOR * arr.mixed
+                        weights[zero] = _WEIGHT_FLOOR
+                elif strat:
+                    x, defect, m_drift = _step_stratonovich(arr, x, dt, dW)
+                else:
+                    sub = None if s == 1 else (normals[:, l], uniforms[:, l])
+                    x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
 
-            # the entropy is finite exactly when the row is (|x|^2 carries
-            # every inf and nan); in linear mode the weight is checked too
-            bad = ~np.isfinite(entropy)
-            if linear:
-                bad |= ~np.isfinite(weights)
-            if bad.any():
-                newly = bad & alive
-                alive &= ~bad
-                idx = np.flatnonzero(newly)
-                x[idx] = arr.mixed
-                weights[idx] = 1.0
-                entropy[idx] = 0.0
-            collector.collect(
-                start + l + 1, x, weights, entropy, fired, dW, m_drift, defect, alive
-            )
-    return alive, underflow
+                # A row fails when an entry of it (or, in linear mode, its
+                # weight) is not finite.  These are the rows whose entropy
+                # 1 - |x / w|^2 / 2 is not finite, the earlier test: a finite
+                # row is a state (of trace w), so |x / w| is bounded.  One sum
+                # finds any nan or inf; only then are rows checked one by one.
+                # Failed rows restart from I/n, so no later step sees nan or inf.
+                if not math.isfinite(x.sum()) or (linear and not math.isfinite(weights.sum())):
+                    bad = ~np.isfinite(x).all(axis=1)
+                    if linear:
+                        bad |= ~np.isfinite(weights)
+                        weights[bad] = 1.0
+                    failed_at[bad & (failed_at > n_steps)] = start + l + 1
+                    x[bad] = arr.mixed
+                xs[:, j] = x
+                if linear:
+                    ws[:, j] = weights
+                if strat:
+                    ds[:, j] = defect
+                if fs is not None:
+                    fs[:, j] = fired
+                if ms is not None:
+                    ms[:, j] = m_drift
+            flush_records(start + f0 + 1, count, step_dW[:, f0:f0 + count])
+    return failed_at > n_steps, underflow
 
 
 def _prepare_rho0(m: MeasurementModel, rho0: QuantumState) -> np.ndarray:
@@ -912,23 +966,13 @@ def run_ensemble(
     ent = 2 * n * n  # columns of the state entries; then tr(O* rho), weight, entropy
     se_state = se[:, :ent].reshape(-1, n, n, 2)
 
-    totals = merged.jump_totals[alive] if alive.any() else merged.jump_totals[:0]
-    if totals.shape[0] > 1:
-        jmean = totals.mean(axis=0)
-        jse = totals.std(axis=0, ddof=1) / math.sqrt(totals.shape[0])
-    elif totals.shape[0] == 1:
-        jmean = totals[0].astype(float)
-        jse = np.zeros(m.n_jump)
-    else:
-        jmean = np.zeros(m.n_jump)
-        jse = np.zeros(m.n_jump)
-
-    if merged.wiener_n > 0:
-        wmean = merged.wiener_s1 / merged.wiener_n
-        wvar = merged.wiener_s2 / merged.wiener_n - wmean**2
-    else:
-        wmean = np.zeros(m.n_diffusive)
-        wvar = np.zeros(m.n_diffusive)
+    totals = merged.jump_totals[alive].astype(float)
+    k = totals.shape[0]
+    jmean = totals.sum(axis=0) / max(k, 1)
+    jse = totals.std(axis=0, ddof=1) / math.sqrt(k) if k > 1 else np.zeros(m.n_jump)
+    wn = max(merged.wiener_n, 1)  # the sums are 0 when nothing was added
+    wmean = merged.wiener_s1 / wn
+    wvar = merged.wiener_s2 / wn - wmean**2
 
     has_obs = observable is not None
     stats = EnsembleStats(
@@ -964,59 +1008,3 @@ def run_ensemble(
         },
     )
     return stats
-
-
-def deterministic_flow(
-    m: MeasurementModel,
-    psi0: PureStateVector,
-    t_final: float,
-    sign: int = 1,
-    n_points: int = 400,
-    op_index: int | None = None,
-) -> FlowResult:
-    """Flow of the single-operator diffusion field on pure states.
-
-    Solves rho_t = |psi_t><psi_t| / ||psi_t||^2 with psi_t = exp(s L1 t)
-    psi_0 (s = +-1), stepping with one matrix exponential per grid spacing
-    and renormalizing to avoid overflow.  Reports the limit point when the
-    final two samples differ by less than 1e-9 in Hilbert-Schmidt norm.
-    """
-    if sign not in (1, -1):
-        raise ValidationError("sign must be +1 or -1")
-    if m.n_diffusive == 0:
-        raise NoDiffusiveChannels("deterministic flow needs a diffusive operator")
-    if op_index is None:
-        if m.n_diffusive != 1:
-            raise MultipleDiffusiveOps(
-                "model has several diffusive operators; designate one via op_index"
-            )
-        op_index = 0
-    if not 0 <= op_index < m.n_diffusive:
-        raise ValidationError(f"op_index {op_index} out of range")
-    if psi0.dim != m.dim:
-        raise DimensionMismatch("initial vector dimension does not match the model")
-    if not (t_final > 0 and np.isfinite(t_final)):
-        raise ValidationError("t_final must be positive and finite")
-
-    delta = t_final / n_points
-    prop = scipy.linalg.expm(sign * delta * m.diffusive_ops[op_index])
-    psi = np.array(psi0.amplitudes)
-    states = []
-    times = np.arange(n_points + 1) * delta
-
-    def _to_state(vec):
-        nrm = np.linalg.norm(vec)
-        v = vec / nrm
-        return QuantumState(np.outer(v, v.conj()))
-
-    states.append(_to_state(psi))
-    for _ in range(n_points):
-        psi = prop @ psi
-        nrm = np.linalg.norm(psi)
-        if nrm == 0.0:
-            raise ValidationError("flow annihilated the state vector")
-        psi = psi / nrm
-        states.append(_to_state(psi))
-    gap = hs_norm(states[-1].matrix - states[-2].matrix)
-    limit = states[-1] if gap < 1e-9 else None
-    return FlowResult(times=times, states=states, limit_point=limit)

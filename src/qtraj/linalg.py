@@ -156,20 +156,50 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         mat = as_complex_matrix(self.matrix)
-        n = mat.shape[0]
-        if hs_norm(mat - mat.conj().T) > 1e-12 * n:
-            raise NotHermitian("state is not Hermitian within 1e-12 * dim")
-        if float(np.linalg.eigvalsh(hermitize(mat)).min()) < -1e-10:
-            raise ValidationError("state has an eigenvalue below -1e-10")
-        if abs(complex(np.trace(mat)) - 1.0) > 1e-12:
-            raise ValidationError("state trace differs from 1 by more than 1e-12")
+        _check_states(mat[None])
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def from_stack(cls, mats) -> list[QuantumState]:
+        """The states of a (T, n, n) stack, checked in one vectorized pass.
+
+        The checks are the constructor's, applied to all T matrices at once;
+        each state then holds a read-only view of one copy of the stack,
+        wrapped without checking it again.
+        """
+        mats = np.array(mats, dtype=np.complex128)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
+            raise DimensionMismatch(f"expected a (T, n, n) stack, got shape {mats.shape}")
+        if not np.isfinite(mats).all():
+            raise ValidationError("matrix has a non-finite entry")
+        _check_states(mats)
+        mats.setflags(write=False)
+        states = []
+        for mat in mats:
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", mat)
+            states.append(state)
+        return states
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_states(mats: np.ndarray) -> None:
+    """Raise unless every matrix of a finite (T, n, n) stack is Hermitian
+    within 1e-12 n in Hilbert-Schmidt norm, has no eigenvalue below -1e-10
+    and has a trace within 1e-12 of 1."""
+    n = mats.shape[1]
+    adj = mats.conj().transpose(0, 2, 1)
+    if np.linalg.norm((mats - adj).reshape(mats.shape[0], -1), axis=1).max() > 1e-12 * n:
+        raise NotHermitian("state is not Hermitian within 1e-12 * dim")
+    if np.linalg.eigvalsh(0.5 * (mats + adj)).min() < -1e-10:
+        raise ValidationError("state has an eigenvalue below -1e-10")
+    if np.abs(np.einsum("tii->t", mats) - 1.0).max() > 1e-12:
+        raise ValidationError("state trace differs from 1 by more than 1e-12")
 
 
 @dataclass(frozen=True, eq=False)

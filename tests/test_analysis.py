@@ -24,7 +24,7 @@ from qtraj import (
 from qtraj import analysis
 from qtraj.analysis import _brackets
 from qtraj.engine import OutputRecord, _ModelArrays
-from qtraj.errors import DimensionNotTwo, EmptyAverageWindow, NoDiffusiveChannels
+from qtraj.errors import DimensionNotTwo, EmptyAverageWindow, NoDiffusiveChannels, ValidationError
 
 from conftest import SIGMA_MINUS, SIGMA_Z, random_complex
 
@@ -176,6 +176,12 @@ class TestLieRank:
         rep = lie_rank_check(m, PureStateVector([1.0, 0.0]))
         assert rep.rank == 0
         assert not rep.full
+
+    def test_dimension_one_is_a_validation_error(self):
+        # the pure states of C^1 are one point: no tangent space to span
+        m = build_model({"dimension": 1, "hamiltonian": [[1.0]], "diffusive_ops": [[[1.0]]]})
+        with pytest.raises(ValidationError):
+            lie_rank_check(m, PureStateVector([1.0]))
 
     def test_rank_bounded_by_tangent_dim(self, heterodyne_model, rng):
         from qtraj import haar_random_state_vector

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qtraj
 from qtraj import engine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -63,3 +64,29 @@ def test_kernel_cases_run():
         u = rng.random((2, model.n_jump))
         out = step(arr, rho, dw, u)
         assert np.isfinite(out[0]).all(), name
+
+
+@pytest.mark.parametrize(
+    "case, kernel",
+    [("linear", "_step_linear"), ("posterior", "_step_posterior"),
+     ("direct", "_step_posterior"), ("stratonovich", "_step_stratonovich")],
+)
+def test_driver_calls_the_timed_kernel_once_per_step(case, kernel, monkeypatch):
+    # the kernels perfbench times are the ones the driver runs, once per step
+    model, pure, _ = _load("kernels")._cases()[case]
+    counted = []
+    step = getattr(engine, kernel)
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, kernel, counting)
+    grid = qtraj.TimeGrid(t_final=0.05, dt=1e-3)
+    if pure:
+        qtraj.simulate_stratonovich_pure(model, qtraj.PureStateVector([1.0, 0.0]), grid, seed=1)
+    else:
+        mixed = qtraj.QuantumState(np.eye(2, dtype=complex) / 2)
+        simulate = qtraj.simulate_linear if case == "linear" else qtraj.simulate_posterior
+        simulate(model, mixed, grid, seed=1)
+    assert len(counted) == grid.n_steps

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from qtraj import build_model
 from qtraj.cli import main
+from qtraj.serialize import save_model
 
 
 @pytest.fixture
@@ -216,6 +218,14 @@ class TestCheckCommand:
     def test_zero_exceptional_point_exits_1(self, het_model_file, capsys):
         argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", "2"]
         assert main(argv + ["--exceptional-point", "[[0, 0], [0, 0]]"]) == 1
+        assert "error: ValidationError" in capsys.readouterr().err
+
+    def test_dimension_one_exceptional_point_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        m = build_model({"dimension": 1, "hamiltonian": [[1.0]], "diffusive_ops": [[[1.0]]]})
+        save_model(m, path)
+        argv = ["check", "--model", str(path), "--seed", "1", "--samples", "2"]
+        assert main(argv + ["--exceptional-point", "[[1, 0]]"]) == 1
         assert "error: ValidationError" in capsys.readouterr().err
 
     def test_seed_required(self, het_model_file):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -567,6 +569,8 @@ class TestBatchIndependence:
     GRID = TimeGrid(t_final=0.2, dt=1e-3)
 
     class _Record:
+        """Keeps the (B, F, N) rows of every flush."""
+
         def __init__(self):
             self.states = []
 
@@ -577,7 +581,7 @@ class TestBatchIndependence:
         rec = self._Record()
         arr = _ModelArrays(self.MODEL)
         engine._simulate_batch(arr, "posterior", np.eye(2) / 2, self.GRID, seeds, rec)
-        paths = np.stack(rec.states, axis=1)
+        paths = np.concatenate(rec.states, axis=1)
         return {s: paths[i] for i, s in enumerate(seeds)}
 
     def test_same_path_in_any_batch(self):
@@ -689,6 +693,169 @@ class TestRowCollectors:
                     got.output.compensated_wiener, want.output.compensated_wiener
                 )
                 assert got.purity_defect_max == want.purity_defect_max
+
+
+def _mixed_jump_model():
+    """A diffusive channel and a counting channel, with jumps on most paths."""
+    return build_model(
+        {
+            "dimension": 2,
+            "hamiltonian": SIGMA_X,
+            "diffusive_ops": [0.7 * SIGMA_MINUS],
+            "jump_channels": [{"label": "c", "weight": 40.0, "kraus": [SIGMA_MINUS]}],
+        }
+    )
+
+
+class TestFailedTrajectory:
+    """One row of a 200-trajectory ensemble turns NaN at one step; the
+    ensemble keeps the 199 survivors and the failed row's history up to
+    that step."""
+
+    GRID = TimeGrid(t_final=0.08, dt=1e-3)
+    N_TRAJ = 200
+    SEED = 900
+    ROW = 17
+    STEP = 30  # the step (0-based) whose output is NaN; it ends at record STEP + 1
+
+    def _poisoned(self, monkeypatch, name, row=ROW):
+        kernel = getattr(engine, name)
+        calls = []
+
+        def step(arr, x, *args):
+            out = kernel(arr, x, *args)
+            if len(calls) == self.STEP:
+                out[0][row] = np.nan
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(engine, name, step)
+
+    @pytest.mark.parametrize("mode", ["linear", "posterior"])
+    def test_failed_row_leaves_the_statistics(self, mode, monkeypatch, mixed):
+        m = _mixed_jump_model()
+        sim = simulate_linear if mode == "linear" else simulate_posterior
+        trajs = [sim(m, mixed, self.GRID, self.SEED + i) for i in range(self.N_TRAJ)]
+        self._poisoned(monkeypatch, "_step_linear" if mode == "linear" else "_step_posterior")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stats = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, mode)
+
+        assert stats.n_failed == 1
+        assert np.isnan(stats.max_entropy_per_traj[self.ROW])
+        survivors = [i for i in range(self.N_TRAJ) if i != self.ROW]
+        want_max = [trajs[i].entropy_path.max() for i in survivors]
+        assert np.array_equal(stats.max_entropy_per_traj[survivors], want_max)
+
+        # the failed row counts at records 0 .. STEP, the survivors at every record
+        fail = self.STEP + 1
+        if mode == "linear":
+            states = np.stack([t.sigma_path for t in trajs])
+            weights = np.stack([t.weight_path for t in trajs])
+        else:
+            states = np.stack([t.state_path for t in trajs])
+            weights = np.ones(states.shape[:2])
+        entropy = np.stack([t.entropy_path for t in trajs])
+        for got_mean, got_se, vals in [
+            (stats.mean_state.real, stats.se_state_re, states.real),
+            (stats.mean_state.imag, stats.se_state_im, states.imag),
+            (stats.mean_weight, stats.se_weight, weights),
+            (stats.mean_entropy, stats.se_entropy, entropy),
+        ]:
+            for recs, rows in [(slice(0, fail), slice(None)), (slice(fail, None), survivors)]:
+                v = vals[rows, recs]
+                se = v.std(axis=0, ddof=1) / np.sqrt(v.shape[0])
+                np.testing.assert_allclose(got_mean[recs], v.mean(axis=0), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got_se[recs], se, rtol=0, atol=1e-12)
+
+        # jump totals: the survivors only; Wiener sums: the failed row before step STEP
+        counts = np.array([len(trajs[i].output.jump_events) for i in survivors])
+        assert counts.sum() > 0
+        np.testing.assert_allclose(stats.jump_count_mean, [counts.mean()], rtol=1e-12)
+        dw = [t.output.wiener if mode == "linear" else t.output.compensated_wiener for t in trajs]
+        pooled = np.concatenate([dw[i] for i in survivors] + [dw[self.ROW][: self.STEP]])
+        np.testing.assert_allclose(stats.wiener_increment_mean, pooled.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(stats.wiener_increment_var, pooled.var(axis=0), rtol=1e-12)
+
+    def test_failed_row_jump_total_stops_at_failure(self, monkeypatch, mixed):
+        m = _mixed_jump_model()
+        want = simulate_posterior(m, mixed, self.GRID, self.SEED + self.ROW).output.jump_events
+        self._poisoned(monkeypatch, "_step_posterior")
+        seeds = [self.SEED + i for i in range(self.N_TRAJ)]
+        coll = engine._run_block((m, "posterior", mixed.matrix, self.GRID, seeds, None, True, True))
+        assert np.flatnonzero(~coll.alive).tolist() == [self.ROW]
+        assert coll.jump_totals[self.ROW, 0] == sum(step < self.STEP for step, _ in want)
+
+    def test_failed_path_restarts_mixed_with_entropy_zero(self, monkeypatch, mixed):
+        # trajectory 0 is recorded in full: at the failing record its state is
+        # I/2 and its entropy 0; it is finite everywhere
+        m = _mixed_jump_model()
+        want = simulate_posterior(m, mixed, self.GRID, self.SEED)
+        self._poisoned(monkeypatch, "_step_posterior", row=0)
+        got = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, "posterior").trajectory
+        fail = self.STEP + 1
+        assert np.array_equal(got.state_path[:fail], want.state_path[:fail])
+        assert np.array_equal(got.state_path[fail], mixed.matrix)
+        assert got.entropy_path[fail] == 0.0
+        assert np.array_equal(got.entropy_path[:fail], want.entropy_path[:fail])
+        assert np.isfinite(got.state_path).all() and np.isfinite(got.entropy_path).all()
+
+
+class TestFlushSize:
+    """Outputs do not depend on how many steps are buffered per collector call."""
+
+    GRID = TimeGrid(t_final=0.05, dt=1e-3)
+    N_TRAJ = 13
+
+    def _runs(self, monkeypatch, run, batch):
+        """run() with flushes of 1 and 7 steps, then with the default _FLUSH."""
+        out = []
+        for flush in (batch, 7 * batch, engine._FLUSH):
+            monkeypatch.setattr(engine, "_FLUSH", flush)
+            out.append(run())
+        return out
+
+    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
+    def test_paths_and_stats(self, mode, monkeypatch, request, mixed):
+        if mode == "stratonovich":
+            m = request.getfixturevalue("homodyne_model")
+            rho0 = QuantumState(np.diag([1.0, 0.0]).astype(complex))
+        else:
+            m, rho0 = _mixed_jump_model(), mixed
+        monkeypatch.setattr(engine, "_CHUNK", 20)  # 50 steps: chunks of 20, 20 and 10
+        runs = self._runs(
+            monkeypatch,
+            lambda: run_ensemble(m, rho0, self.GRID, self.N_TRAJ, 3, mode, observable=SIGMA_X),
+            self.N_TRAJ,
+        )
+        ref = runs[-1]
+        for got in runs[:-1]:
+            a, b = got.trajectory, ref.trajectory
+            for name in ("sigma_path", "weight_path", "state_path", "entropy_path"):
+                if hasattr(b, name):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert np.array_equal(a.output.wiener, b.output.wiener)
+            assert a.output.jump_events == b.output.jump_events
+            if mode != "linear":
+                assert np.array_equal(a.output.compensated_wiener, b.output.compensated_wiener)
+            assert (got.n_failed, got.n_underflow) == (ref.n_failed, ref.n_underflow)
+            for name, value in vars(ref).items():
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_allclose(
+                        getattr(got, name), value, rtol=1e-12, atol=1e-15, err_msg=name
+                    )
+
+    def test_substepped_path(self, monkeypatch, mixed):
+        m = TestBatchIndependence.MODEL  # 6 substeps per step: chunks of 10 steps
+        monkeypatch.setattr(engine, "_CHUNK", 60)
+        runs = self._runs(
+            monkeypatch, lambda: simulate_posterior(m, mixed, TimeGrid(t_final=0.03, dt=1e-3), 5), 1
+        )
+        for got in runs[:-1]:
+            assert np.array_equal(got.state_path, runs[-1].state_path)
+            assert np.array_equal(got.entropy_path, runs[-1].entropy_path)
+            assert np.array_equal(got.output.wiener, runs[-1].output.wiener)
+            assert got.output.jump_events == runs[-1].output.jump_events
 
 
 class TestPathwiseOracle:

@@ -216,3 +216,27 @@ class TestStateTypes:
     def test_immutable(self, mixed):
         with pytest.raises(ValueError):
             mixed.matrix[0, 0] = 9.0
+
+    def test_from_stack_matches_constructor(self, rng):
+        mats = np.stack([random_density_matrix(3, rng) for _ in range(5)])
+        states = QuantumState.from_stack(mats)
+        want = mats.copy()
+        mats[:] = 0.0  # the states hold their own copy
+        for got, ref in zip(states, want):
+            assert np.array_equal(got.matrix, ref)
+            assert np.array_equal(got.matrix, QuantumState(ref).matrix)
+        with pytest.raises(ValueError):
+            states[2].matrix[0, 0] = 9.0
+
+    def test_from_stack_rejects_any_bad_matrix(self):
+        good = np.eye(2, dtype=complex) / 2
+        for bad, error in [
+            (np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex), NotHermitian),
+            (np.diag([1.5, -0.5]).astype(complex), ValidationError),
+            (np.diag([0.7, 0.7]).astype(complex), ValidationError),
+            (np.diag([1.0, np.nan]).astype(complex), ValidationError),
+        ]:
+            with pytest.raises(error):
+                QuantumState.from_stack([good, bad, good])
+        with pytest.raises(DimensionMismatch):
+            QuantumState.from_stack(good)
