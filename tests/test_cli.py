@@ -282,3 +282,23 @@ class TestUsage:
             ]
         )
         assert code == 1
+
+    def test_non_integer_threads_exits_1(self, het_model_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QTRAJ_THREADS", "two")
+        code = main(
+            [
+                "simulate",
+                "--model",
+                str(het_model_file),
+                "--t-final",
+                "0.01",
+                "--dt",
+                "0.001",
+                "--seed",
+                "1",
+                "--output",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert "QTRAJ_THREADS" in capsys.readouterr().err

@@ -368,6 +368,44 @@ class TestRunEnsemble:
         assert np.array_equal(serial.se_state_re, parallel.se_state_re)
         assert np.array_equal(serial.mean_entropy, parallel.mean_entropy)
 
+    def test_pool_starts_no_idle_workers(self, heterodyne_model, mixed, monkeypatch):
+        sizes = []
+
+        class Recorder:
+            """Records the pool size and maps in this process; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(engine, "_BLOCK", 8)
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        # (QTRAJ_THREADS, trajectories in blocks of 8, pool sizes started)
+        cases = (("64", 16, [2]), ("2", 24, [2]), ("3", 24, [3]), ("64", 8, []))
+        for threads, n_traj, want in cases:
+            sizes.clear()
+            monkeypatch.setenv("QTRAJ_THREADS", threads)
+            run_ensemble(heterodyne_model, mixed, grid, n_traj, seed=3, mode="posterior")
+            assert sizes == want
+
+    @pytest.mark.parametrize("threads", ["two", "1.5"])
+    def test_non_integer_threads_is_a_validation_error(
+        self, heterodyne_model, mixed, monkeypatch, threads
+    ):
+        monkeypatch.setenv("QTRAJ_THREADS", threads)
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        with pytest.raises(ValidationError, match="QTRAJ_THREADS"):
+            run_ensemble(heterodyne_model, mixed, grid, 2, seed=3, mode="posterior")
+
     def test_jump_counts_recorded(self, direct_model, mixed):
         grid = TimeGrid(t_final=2.0, dt=1e-3)
         stats = run_ensemble(direct_model, mixed, grid, 64, seed=19, mode="posterior")
@@ -562,8 +600,44 @@ class TestStepsMatchReference:
             assert np.abs(m_drift[i] - m_want).max() < 1e-12
 
 
+class TestRowProducts:
+    """``engine._rows`` rounds each row on its own: a row alone, in a
+    sub-batch, in a strided view or in a reshaped block equals the matching
+    row of the full product, bit for bit, for every stack the engine uses."""
+
+    @pytest.mark.parametrize("name", ["heterodyne", "direct", "random3"])
+    def test_rows_do_not_depend_on_the_batch(self, name, request):
+        rng = np.random.default_rng(17)
+        if name == "random3":
+            m = _random_model(rng, 3, n_diff=2, n_jump=2, n_diss=1)
+        else:
+            m = request.getfixturevalue(f"{name}_model")
+        arr = _ModelArrays(m)
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        obs = random_complex(rng, m.dim)
+        to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False).to_cols
+        stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr._to, arr._from, to_cols]
+        b, f = 64, 8  # 512 rows, viewed as a (B, F, .) flush buffer
+        for mat in stacks:
+            x = rng.standard_normal((b * f, mat.shape[0]))
+            full = engine._rows(x, mat)
+            for i in range(b * f):
+                assert np.array_equal(engine._rows(x[i:i + 1], mat), full[i:i + 1])
+            for size in (2, 3, 8, 16, 32, 64, 511):
+                for off in (0, 1, 5, 100, b * f - size):
+                    rows = slice(off, off + size)
+                    assert np.array_equal(engine._rows(x[rows], mat), full[rows])
+            buf, want = x.reshape(b, f, -1), full.reshape(b, f, -1)
+            for j in range(f):
+                assert np.array_equal(engine._rows(buf[:, j], mat), want[:, j])
+            for c in (1, 3, f):
+                block = buf[:, :c].reshape(b * c, -1)
+                assert np.array_equal(engine._rows(block, mat), want[:, :c].reshape(b * c, -1))
+
+
 class TestBatchIndependence:
-    """A trajectory's path depends only on its seed (high-rate direct detection)."""
+    """A trajectory's path depends only on its seed (high-rate direct
+    detection, heterodyne and homodyne detection)."""
 
     MODEL = generate_atom_model(standard_direct(linewidth=1000.0, rabi=300.0))
     GRID = TimeGrid(t_final=0.2, dt=1e-3)
@@ -577,10 +651,10 @@ class TestBatchIndependence:
         def collect(self, i, state, *rest):
             self.states.append(state.copy())
 
-    def _paths(self, seeds):
+    def _paths(self, seeds, model=MODEL, mode="posterior", rho0=np.eye(2) / 2):
         rec = self._Record()
-        arr = _ModelArrays(self.MODEL)
-        engine._simulate_batch(arr, "posterior", np.eye(2) / 2, self.GRID, seeds, rec)
+        arr = _ModelArrays(model)
+        engine._simulate_batch(arr, mode, rho0, self.GRID, seeds, rec)
         paths = np.concatenate(rec.states, axis=1)
         return {s: paths[i] for i, s in enumerate(seeds)}
 
@@ -590,6 +664,16 @@ class TestBatchIndependence:
             mixed = self._paths(seeds)
             for s in seeds:
                 assert np.array_equal(mixed[s], alone[s])
+
+    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
+    def test_diffusive_path_same_in_the_middle_of_a_batch(self, mode, request):
+        model = request.getfixturevalue(
+            "homodyne_model" if mode == "stratonovich" else "heterodyne_model"
+        )
+        rho0 = np.diag([1.0, 0.0]).astype(complex)  # pure, as the Stratonovich scheme needs
+        alone = self._paths([5], model, mode, rho0)[5]
+        mixed = self._paths([7, 5, 6], model, mode, rho0)[5]
+        assert np.array_equal(mixed, alone)
 
     def test_same_per_trajectory_results_for_blocks_and_workers(self, monkeypatch):
         mixed = QuantumState(np.eye(2, dtype=complex) / 2)
