@@ -1,45 +1,10 @@
 """Stochastic integration of the continual-measurement dynamics.
 
-Three schemes are provided:
-
-* ``linear``       -- the unnormalized equation under the reference law,
-  jumps fired per channel with state-independent probability nu_k dt.
-* ``posterior``    -- the normalized nonlinear equation under the physical
-  law, jump replacement rho -> J_k[rho]/lambda_k fired with probability
-  min(lambda_k nu_k dt, 1), restricted to lambda_k > 1e-12.  When
-  max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per step
-  over all states, exceeds 0.1, every step of every trajectory is split
-  into the same s = ceil(bound / 0.05) substeps; s depends only on the
-  model and dt, never on the states in the batch.
-* ``stratonovich`` -- Heun (stochastic midpoint) integration of the
-  equivalent Stratonovich system on the pure-state manifold, with a
-  projection onto the dominant eigenvector after every step.
-
-The linear and posterior schemes take one completely positive Kraus step
-(Rouchon & Ralph, PRA 91, 012118, 2015; Guevara & Wiseman, PRA 102,
-052217, 2020): sigma -> M sigma M* + dt sum_h S_h sigma S_h*, with
-M = I + dt G + sum_j xi_j L_j and G = -i H - (D1 + D2 + D3)/2, or
-sigma -> sum_k J_k[sigma] over the channels that fire.  States therefore
-stay positive by construction, with no repair.  The linear scheme uses
-xi = dW and rescales the image to the Euler-Maruyama trace
-w = tr sigma + dt tr K[sigma] + sum_j m_j dW_j (+ lambda_k - tr sigma per
-fired channel), so the weight is an exact discrete martingale; a row whose
-image or w is not positive gets weight 0 and the underflow reset.  The
-posterior scheme uses the output increment xi = dW + m dt (m at the start
-of the step) and divides by the trace; -D2/2 in G and the normalization
-produce the jump compensator drift.
-
-The state is carried as coherence-vector coordinates (Alicki & Lendi,
-LNP 286): over the orthonormal Hermitian basis {I/sqrt(n), tau_a} a state
-is a real n^2-vector and every Hermiticity-preserving map is a real
-n^2 x n^2 matrix.  The Kraus pieces, the jump maps and the pieces of the
-Stratonovich fields are derived once per model from ``model.apply_*``
-and stacked side by side, so each evaluation of a step is one real
-matrix product on (B, n^2) rows.  Every such product is one BLAS gemm,
-which rounds each row on its own (a single row is padded to two), so a
-trajectory's path does not depend on the batch it is integrated in.
-Rows are the loop state from the initial state to the last step; they are
-converted to complex matrices only when a public result is built.
+The schemes and their step kernels live in ``steps``; this module drives
+them over batches of trajectories and reduces the results.  The state is a
+batch of coherence-vector coordinate rows (B, n^2) from the initial state to
+the last step; rows are converted to complex matrices only when a public
+result is built.
 
 The step loop does per step only what the next step needs: the step, the
 weight-underflow reset and a finiteness check.  Each step's output rows are
@@ -49,7 +14,7 @@ statistics and paths) is computed once per flush, a block of up to
 long trajectory therefore pays per step little more than its own products.
 
 Well-posedness of the continuous equations beyond special cases is an open
-question; at fixed step size and seed the schemes below compute one
+question; at fixed step size and seed the schemes compute one
 unambiguous numerical solution, which is what all outputs refer to.
 
 Trajectory-level randomness comes from one counter-based Philox stream
@@ -75,26 +40,33 @@ from .errors import (
     JumpChannelsPresent,
     NoDiffusiveChannels,
     NotPurePreserving,
-    StepTooLarge,
     ValidationError,
 )
-from .linalg import (
-    PureStateVector,
-    QuantumState,
-    coherence_basis,
-    hs_norm,
-    superoperator_matrix,
+from .linalg import PureStateVector, QuantumState, hs_norm
+from .model import MeasurementModel
+
+# The driver calls the kernels through this module's names, so patching
+# ``engine._step_*`` reaches it; the helpers below the kernels are imported
+# too, so that code timing or testing them finds them here as well.
+from .steps import (  # noqa: F401
+    _apply_k_b,
+    _ModelArrays,
+    _posterior_substep,
+    _posterior_substeps,
+    _project_pure_b,
+    _rows,
+    _step_linear,
+    _step_posterior,
+    _step_stratonovich,
+    _strat_a_b,
 )
-from .model import MeasurementModel, apply_jump, apply_k, apply_l0
 
 RNG_ALGORITHM = "philox4x64"
 
 _BLOCK = 512          # trajectories integrated together per batch
 _CHUNK = 4096         # steps of noise drawn per generator call
 _FLUSH = 4096         # row-steps buffered per collector call
-_LAMBDA_FLOOR = 1e-12
 _WEIGHT_FLOOR = 1e-14
-_INTENSITY_CAP = 0.1  # max allowed lambda_k nu_k dt per step
 
 MODES = ("linear", "posterior", "stratonovich")
 
@@ -199,329 +171,6 @@ class EnsembleStats:
         if not 0 <= i < self.times.shape[0]:
             raise ValidationError(f"time {t} outside the recorded grid")
         return i
-
-
-# -- model in real coordinates ------------------------------------------------
-
-def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat as one BLAS gemm for every batch size B.
-
-    gemm rounds each row on its own, so a trajectory's path does not depend
-    on the batch it is integrated in.  numpy would send a single row to
-    gemv, which rounds differently, so a single row is padded to two
-    (through ``np.dot``, whose call costs less than ``@`` on two rows).
-    """
-    if x.shape[0] == 1:
-        return np.dot(x.repeat(2, axis=0), mat)[:1]
-    return x @ mat
-
-
-def _cuts(*widths) -> list:
-    """Column slices of consecutive blocks with the given widths."""
-    ends = np.cumsum(widths).tolist()
-    return [slice(a, b) for a, b in zip([0] + ends, ends)]
-
-
-class _ModelArrays:
-    """The model's maps as real matrices on coherence-vector coordinates.
-
-    Every matrix is derived by ``superoperator_matrix`` from
-    ``model.apply_*``, from the Kraus pieces or from a Stratonovich field
-    piece, over the orthonormal Hermitian basis {I/sqrt(n), tau_a}, and
-    stored transposed so that it acts on batches of coordinate rows (B, N),
-    N = n^2.  The coordinates are sqrt(2) times the expansion coefficients,
-    which leaves every matrix unchanged and makes them (tr rho, tr sigma_a rho)
-    at n = 2, where converting to and from matrices is then exact up to one
-    rounding per entry.
-
-    Each scheme evaluates all of its maps at a point with one product
-    against a fused stack, whose column blocks are, left to right:
-
-    * ``kraus(dt)``, for the linear and posterior schemes, built once per
-      step size: the Kraus channels E0, C_1..C_d and P_jl (j <= l), the
-      functionals m_j = tr G_j[x] and tr x + dt tr K[x], the jump maps
-      J_1..J_K and lambda_k = tr J_k[x];
-    * ``strat``: the Stratonovich drift piece A, G_1..G_d, m_j and
-      c = tr C[rho] / 2.
-
-    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks.
-    """
-
-    def __init__(self, m: MeasurementModel):
-        n = m.dim
-        nn = n * n
-        d = m.n_diffusive
-        self.n = n
-        self.n_diff = d
-        self.K = m.n_jump
-        basis = coherence_basis(n)
-        # x = coords(rho) has x_a = tr(dual_a rho) and rho = sum_a x_a dual_a / 2;
-        # dual / 2 is exact, so at n = 2 every conversion entry is 0, +-1 or +-1/2
-        dual = basis * math.sqrt(2.0)
-        flat = dual.reshape(nn, nn).view(np.float64)  # (re, im) pairs per entry
-        self._to = flat.T.copy()
-        self._from = 0.5 * flat
-        trace = 0.5 * np.trace(dual, axis1=1, axis2=2).real  # tr rho = trace . x
-        self.tr0 = float(trace[0])  # tr rho = tr0 * x_0; exactly 1 at n = 2
-
-        def mat(f):
-            return superoperator_matrix(f, basis).real
-
-        def stack(mats):  # (N, c*N): column block c is mats[c].T
-            return np.concatenate([mt.T for mt in mats], axis=1) if mats else np.zeros((nn, 0))
-
-        def traces(mats):  # (N, c): column c is the functional x -> tr mats[c] x
-            return np.array([mt.T @ trace for mt in mats]).reshape(-1, nn).T
-
-        def conj_by(a, b=None):  # r -> a r a*, or r -> a r b* + b r a*
-            if b is None:
-                return lambda r: a @ r @ a.conj().T
-            return lambda r: a @ r @ b.conj().T + b @ r @ a.conj().T
-
-        ops = m.diffusive_ops
-        # linear parts G_j of the diffusion fields; m_j = tr G_j[rho]
-        gs = [mat(lambda r, op=op: op @ r + r @ op.conj().T) for op in ops]
-        # jump maps J_k; lambda_k = tr J_k[rho]
-        js = [mat(lambda r, k=k: apply_jump(m, r, k)) for k in range(self.K)]
-        # Kraus step M rho M* + dt sum_h S_h rho S_h*, M = I + dt G + sum_j xi_j L_j,
-        # expanded in dt and xi: E0 = I + dt A + dt^2 Q with A = G . + . G* +
-        # sum_h S_h . S_h* and Q = G . G*; C_j = G_j + dt X_j with
-        # X_j = G . L_j* + L_j . G*; P_jj = L_j . L_j*, P_jl = L_j . L_l* + L_l . L_j*
-        g = -1j * m.hamiltonian - 0.5 * (m.d1 + m.d2 + m.d3)
-        a = mat(lambda r: g @ r + r @ g.conj().T + sum(conj_by(s)(r) for s in m.dissipative_ops))
-        q = mat(conj_by(g))
-        xs = [mat(conj_by(g, op)) for op in ops]
-        self.pairs = np.triu_indices(d)
-        ps = [mat(conj_by(ops[j], None if j == l else ops[l])) for j, l in zip(*self.pairs)]
-        k_trace = mat(lambda r: apply_k(m, r)).T @ trace  # x -> tr K[x]
-        # the dt-free pieces of kraus(dt)
-        self._kraus_parts = (
-            a.T, q.T, stack(gs), stack(xs), stack(ps), traces(gs), trace, k_trace,
-            stack(js), traces(js),
-        )
-        self._kraus = {}
-        n_chan = 1 + d + len(ps)
-        kx, m_cols, w, jx, lam = _cuts(n_chan * nn, d, 1, self.K * nn, self.K)
-        self.kraus_cuts = (kx, m_cols, w.start, jx, lam)  # w is one column
-        # Stratonovich drift: A x + sum_j m_j b_j + c x, with A = L0 - C / 2,
-        # C = sum_j C_j, C_j[rho] = X_j L_j rho + rho L_j* X_j, X_j = L_j + L_j*
-        def c_j(r, op):
-            x = op + op.conj().T
-            return x @ op @ r + r @ op.conj().T @ x
-
-        c = sum((mat(lambda r, op=op: c_j(r, op)) for op in ops), np.zeros((nn, nn)))
-        at = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
-        self.strat = np.hstack([at, stack(gs), traces(gs), 0.5 * traces([c])])
-        self.strat_cuts = _cuts(nn, d * nn, d, 1)
-        self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
-        self.nu = np.array([ch.weight for ch in m.jump_channels])
-        self.peak_intensity = max(
-            (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
-            default=0.0,
-        )
-
-    def kraus(self, dt: float) -> np.ndarray:
-        """The Kraus stack at step dt, built on first use and kept per dt
-        (posterior substeps run at dt / s)."""
-        st = self._kraus.get(dt)
-        if st is None:
-            a, q, gs, xs, ps, ms, trace, k_trace, js, lams = self._kraus_parts
-            e0 = np.eye(a.shape[0]) + dt * a + (dt * dt) * q
-            st = self._kraus[dt] = np.hstack(
-                [e0, gs + dt * xs, ps, ms, (trace + dt * k_trace)[:, None], js, lams]
-            )
-        return st
-
-    def coords(self, mats: np.ndarray) -> np.ndarray:
-        """(B, n, n) complex -> (B, n^2) coordinates of the Hermitian part."""
-        flat = np.ascontiguousarray(mats, dtype=np.complex128).reshape(mats.shape[0], -1)
-        return _rows(flat.view(np.float64), self._to)
-
-    def matrices(self, x: np.ndarray) -> np.ndarray:
-        """(B, n^2) coordinates -> (B, n, n) complex matrices."""
-        return _rows(x, self._from).view(np.complex128).reshape(-1, self.n, self.n)
-
-    def rows(self, state: np.ndarray) -> np.ndarray:
-        """Coordinate rows of a batch: (B, n^2) rows pass, (B, n, n) matrices convert.
-
-        ``_simulate_batch`` always passes rows; accepting complex matrices
-        lets ``perfbench/kernels.py`` time the step kernels on matrix states.
-        """
-        return state if state.ndim == 2 else self.coords(state)
-
-    def substeps(self, dt: float) -> int:
-        """Fixed substep count: 1, or enough that the bound
-        max_k nu_k lambda_max(E_k) dt / s on any state's jump intensity per
-        substep is at most half the cap.  The ceil forgives relative rounding
-        of 1e-12, so a bound of 6.000000000000001 halves still gives 6."""
-        worst = self.peak_intensity * dt
-        if worst <= _INTENSITY_CAP:
-            return 1
-        return int(math.ceil(worst / (0.5 * _INTENSITY_CAP) * (1.0 - 1e-12)))
-
-
-def _channels(y: np.ndarray, nn: int) -> np.ndarray:
-    """(B, c*N) column blocks of a fused product -> (B, c, N)."""
-    return y.reshape(y.shape[0], -1, nn)
-
-
-def _apply_k_b(arr: _ModelArrays, x: np.ndarray, dt: float):
-    """Kraus step pieces at rows x, one product against ``arr.kraus(dt)``:
-    the channel images (E0 x, (C_j x)_j, (P_jl x)_jl) as (B, c, N), m (B, d),
-    the drift trace tr x + dt tr K x (B,), (J_k x)_k (B, K, N) and lambda (B, K)."""
-    b, nn = x.shape
-    y = _rows(x, arr.kraus(dt))
-    kx, m, w, jx, lam = arr.kraus_cuts
-    return y[:, kx].reshape(b, -1, nn), y[:, m], y[:, w], y[:, jx].reshape(b, -1, nn), y[:, lam]
-
-
-def _kraus_image(arr: _ModelArrays, kx: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The no-jump image E0 x + sum_j xi_j C_j x + sum_{j<=l} xi_j xi_l P_jl x,
-    which is M x M* + dt sum_h S_h x S_h* for M = I + dt G + sum_j xi_j L_j."""
-    img = kx[:, 0]
-    if arr.n_diff:
-        j, l = arr.pairs
-        coef = np.concatenate((xi, xi.take(j, 1) * xi.take(l, 1)), axis=1)
-        img = img + np.einsum("bc,bca->ba", coef, kx[:, 1:])
-    return img
-
-
-def _strat_a_b(arr: _ModelArrays, x: np.ndarray):
-    """Stratonovich fields at rows x, one product: drift a (B, N),
-    diffusion fields b_j = G_j x - m_j x (B, n_diff, N), and m (B, n_diff)."""
-    y = _rows(x, arr.strat)
-    ax, gx, m, c = [y[:, s] for s in arr.strat_cuts]
-    b = _channels(gx, x.shape[1]) - m[:, :, None] * x[:, None]
-    return ax + c * x + np.einsum("bj,bja->ba", m, b), b, m
-
-
-# -- projection onto pure states ----------------------------------------------
-#
-# At n = 2 a coordinate row is (t, r) with eigenvalues (t -+ |r|)/2, so the
-# projection is a closed-form rescaling of the Bloch radius |r|.  Larger n
-# convert to matrices for eigh.
-
-_GROUND2 = np.array([1.0, 0.0, 0.0, 1.0])  # coordinates of |0><0| at n = 2
-
-
-def _radial(x: np.ndarray):
-    """(trace, Bloch radius) of n = 2 coordinate rows."""
-    r = x[:, 1:]
-    return x[:, 0], np.sqrt(np.einsum("bi,bi->b", r, r))
-
-
-def _set_radial(x: np.ndarray, r: np.ndarray, t_new, r_new) -> np.ndarray:
-    """Rows with trace t_new and Bloch radius r_new in the direction of x.
-
-    A row whose radius does not change is multiplied by exactly 1.
-    """
-    out = x * (r_new / np.where(r > 0.0, r, 1.0))[:, None]
-    out[:, 0] = t_new
-    return out
-
-
-def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
-    """Project onto the dominant eigenvector; also return the purity defect.
-
-    The defect is the linear entropy of the trace-normalized positive part
-    before projection, a per-step measure of how far the scheme drifted
-    off the pure-state manifold.
-    """
-    if arr.n == 2:
-        t, r = _radial(rho)
-        wmc = np.maximum(0.5 * (t - r), 0.0)
-        wpc = np.maximum(0.5 * (t + r), 1e-300)
-        s = wmc + wpc
-        defect = 1.0 - (wmc**2 + wpc**2) / s**2
-        out = _set_radial(rho, r, 1.0, 1.0)
-        out[r == 0.0] = _GROUND2  # no direction: |0><0|
-        return out, defect
-    evals, evecs = np.linalg.eigh(arr.matrices(rho))
-    evals = np.clip(evals, 0.0, None)
-    s = np.clip(evals.sum(axis=1), 1e-300, None)
-    defect = 1.0 - ((evals / s[:, None]) ** 2).sum(axis=1)
-    top = evecs[:, :, -1]
-    return arr.coords(top[:, :, None] * top.conj()[:, None, :]), defect
-
-
-# -- single steps -------------------------------------------------------------
-#
-# Each step takes and returns coordinate rows (B, n^2); ``arr.rows`` also
-# accepts complex (B, n, n) matrices.
-
-def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
-    """Kraus image with xi = dW (or the fired jump images), rescaled to the
-    Euler-Maruyama trace w; rows whose image or w is not positive get w = 0."""
-    x = arr.rows(sig)
-    kx, m, w, jx, lam = _apply_k_b(arr, x, dt)
-    img = _kraus_image(arr, kx, dW)
-    if arr.n_diff:
-        w = w + np.einsum("bj,bj->b", dW, m)
-    fired = np.zeros((x.shape[0], arr.K), dtype=np.int64)
-    if arr.K:
-        fired[:] = u < arr.nu * dt
-        idx = np.flatnonzero(fired.any(axis=1))
-        if idx.size:
-            f = fired[idx]
-            img[idx] = np.einsum("bk,bka->ba", f, jx[idx])
-            w[idx] += np.einsum("bk,bk->b", f, lam[idx] - arr.tr0 * x[idx, :1])
-    tr_img = arr.tr0 * img[:, 0]
-    dead = (tr_img <= 0.0) | (w <= 0.0)
-    w = np.where(dead, 0.0, w)
-    return img * (w / np.where(dead, 1.0, tr_img))[:, None], w, fired
-
-
-def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
-    """One normalized Kraus step with xi = dW + m dt, the output increment;
-    returns (coordinates, fired, m)."""
-    kx, m_drift, _, jx, lam = _apply_k_b(arr, rho, dt)
-    img = _kraus_image(arr, kx, dW + m_drift * dt)
-    fired = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
-    if arr.K:
-        fired[:] = (u < np.minimum(lam * arr.nu * dt, 1.0)) & (lam > _LAMBDA_FLOOR)
-        idx = np.flatnonzero(fired.any(axis=1))
-        if idx.size:
-            img[idx] = np.einsum("bk,bka->ba", fired[idx], jx[idx])
-    return img / (arr.tr0 * img[:, :1]), fired, m_drift
-
-
-def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
-    """One step; at s > 1 substeps ``substep_noise`` holds their (dW, u)."""
-    s = arr.substeps(dt)
-    if s > 1 and not adaptive:
-        raise StepTooLarge(
-            f"jump intensity per step can reach {arr.peak_intensity * dt:.3g}, "
-            f"above {_INTENSITY_CAP}"
-        )
-    x = arr.rows(rho)
-    if s > 1:
-        sub_dW, sub_u = substep_noise
-        return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)
-    return _posterior_substep(arr, x, dt, dW, u)
-
-
-def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
-    """Split one step into s substeps of dt / s, driven by the substep
-    increments dW (B, s, n_diff) and uniforms u (B, s, K); m is recorded at
-    the start of the step."""
-    fired_total = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
-    m_first = None
-    for l in range(s):
-        rho, fired, m_drift = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
-        fired_total += fired
-        if m_first is None:
-            m_first = m_drift
-    return rho, fired_total, m_first
-
-
-def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):
-    x = arr.rows(rho)
-    a0, b0, m_drift = _strat_a_b(arr, x)
-    pred = x + dt * a0 + np.einsum("bj,bja->ba", dW, b0)
-    a1, b1, _ = _strat_a_b(arr, pred)
-    x_new = x + 0.5 * dt * (a0 + a1) + 0.5 * np.einsum("bj,bja->ba", dW, b0 + b1)
-    x_proj, defect = _project_pure_b(arr, x_new)
-    return x_proj, defect, m_drift
 
 
 def _entropy_rows(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
