@@ -5,12 +5,15 @@ Three schemes are provided:
 * ``linear``       -- the unnormalized equation under the reference law,
   jumps fired per channel with state-independent probability nu_k dt.
 * ``posterior``    -- the normalized nonlinear equation under the physical
-  law, jump replacement rho -> J_k[rho]/lambda_k fired with probability
-  min(lambda_k nu_k dt, 1), restricted to lambda_k > 1e-12.  When
-  max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per step
-  over all states, exceeds 0.1, every step of every trajectory is split
-  into the same s = ceil(bound / 0.05) substeps; s depends only on the
-  model and dt, never on the states in the batch.
+  law.  A model with jump channels and no diffusive operator (counting
+  only) takes an exact waiting-time step, described below.  Any other
+  model takes the jump replacement rho -> J_k[rho]/lambda_k with
+  probability min(lambda_k nu_k dt, 1), restricted to lambda_k > 1e-12.
+  When max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per
+  step over all states, exceeds 0.1, every step of every trajectory of
+  such a model with both diffusive and jump channels is split into the
+  same s = ceil(bound / 0.05) substeps; s depends only on the model and dt,
+  never on the states in the batch.
 * ``stratonovich`` -- Heun (stochastic midpoint) integration of the
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
@@ -38,6 +41,17 @@ and stacked side by side, so each evaluation of a step is one real
 matrix product on (B, n^2) rows.  Every such product is one BLAS gemm,
 which rounds each row on its own (a single row is padded to two), so a
 trajectory's path does not depend on the batch it is integrated in.
+
+The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
+Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
+of a counting-only model with no cap and no substeps.  Between counts the
+unnormalized state follows P(t) = exp(t K0), K0 = K - sum_k nu_k id, so the
+probability of no count in [0, t] is the survival tr P(t) rho.  A row jumps
+in a step iff its uniform u is >= the step survival q, which has
+probability exactly 1 - q.  The jump takes place at the first point of a
+fixed grid of ``_GRID`` points per step whose survival is <= u, so jump
+times are rounded up to that grid, by less than dt / ``_GRID``; the
+channel is drawn there with probability proportional to nu_k lambda_k.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ from .model import MeasurementModel, apply_jump, apply_k, apply_l0
 
 _LAMBDA_FLOOR = 1e-12
 _INTENSITY_CAP = 0.1  # max allowed lambda_k nu_k dt per step
+_GRID = 256  # jump-time grid points per waiting-time step
 
 
 # -- model in real coordinates ------------------------------------------------
@@ -97,7 +112,8 @@ class _ModelArrays:
     * ``strat``: the Stratonovich drift piece A, G_1..G_d, m_j and
       c = tr C[rho] / 2.
 
-    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks.
+    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks.  Counting-only
+    models (``counting``) also have the waiting-time tables ``waiting(dt)``.
     """
 
     def __init__(self, m: MeasurementModel):
@@ -146,7 +162,12 @@ class _ModelArrays:
         xs = [mat(conj_by(g, op)) for op in ops]
         self.pairs = np.triu_indices(d)
         ps = [mat(conj_by(ops[j], None if j == l else ops[l])) for j, l in zip(*self.pairs)]
-        k_trace = mat(lambda r: apply_k(m, r)).T @ trace  # x -> tr K[x]
+        k_rows = mat(lambda r: apply_k(m, r)).T
+        k_trace = k_rows @ trace  # x -> tr K[x]
+        # the generator between counts, K0 = K - sum_k nu_k id
+        self._k0 = k_rows - m.total_jump_mass * np.eye(nn)
+        self._waiting = {}
+        self.counting = d == 0 and self.K > 0
         # the dt-free pieces of kraus(dt)
         self._kraus_parts = (
             a.T, q.T, stack(gs), stack(xs), stack(ps), traces(gs), trace, k_trace,
@@ -185,6 +206,38 @@ class _ModelArrays:
             )
         return st
 
+    def waiting(self, dt: float):
+        """The waiting-time tables at step dt, built on first use and kept per dt.
+
+        With M = ``_GRID``, t_i = i dt / M and P(t) = exp(t K0) acting on rows,
+        they are (step, surv, comp, grid, jumps):
+
+        * ``grid`` (M + 1, N, N): P(t_i) for i = 0..M, one ``expm`` and
+          repeated products, and ``step`` = P(dt), its last entry;
+        * ``surv`` (N, M): column i - 1 is the survival x -> tr P(t_i) x;
+        * ``comp`` (M + 1, N, K N + K): entry i holds the one-jump composites
+          P(t_i) J_k P(dt - t_i), then the functionals x -> tr J_k P(t_i) x;
+        * ``jumps``: J_1..J_K and lambda_k = tr J_k[x], as in ``kraus``.
+        """
+        tab = self._waiting.get(dt)
+        if tab is None:
+            from scipy.linalg import expm
+
+            nn, kk, m = self._k0.shape[0], self.K, _GRID
+            js, lams = self._kraus_parts[-2:]
+            grid = [np.eye(nn)]
+            p = expm((dt / m) * self._k0)
+            for _ in range(m):
+                grid.append(grid[-1] @ p)
+            grid = np.stack(grid)
+            # P(t_i) J_k, one (N, N) block per channel, times P(t_{M - i})
+            pj = (grid @ js).reshape(m + 1, nn, kk, nn).transpose(0, 2, 1, 3)
+            comp = (pj @ grid[::-1, None]).transpose(0, 2, 1, 3).reshape(m + 1, nn, kk * nn)
+            comp = np.concatenate([comp, grid @ lams], axis=2)
+            surv = np.ascontiguousarray(self.tr0 * grid[1:, :, 0].T)
+            tab = self._waiting[dt] = (grid[m], surv, comp, grid, np.hstack([js, lams]))
+        return tab
+
     def coords(self, mats: np.ndarray) -> np.ndarray:
         """(B, n, n) complex -> (B, n^2) coordinates of the Hermitian part."""
         flat = np.ascontiguousarray(mats, dtype=np.complex128).reshape(mats.shape[0], -1)
@@ -203,12 +256,13 @@ class _ModelArrays:
         return state if state.ndim == 2 else self.coords(state)
 
     def substeps(self, dt: float) -> int:
-        """Fixed substep count: 1, or enough that the bound
+        """Fixed substep count: 1 for counting-only models, which take the
+        waiting-time step, else 1 or enough that the bound
         max_k nu_k lambda_max(E_k) dt / s on any state's jump intensity per
         substep is at most half the cap.  The ceil forgives relative rounding
         of 1e-12, so a bound of 6.000000000000001 halves still gives 6."""
         worst = self.peak_intensity * dt
-        if worst <= _INTENSITY_CAP:
+        if self.counting or worst <= _INTENSITY_CAP:
             return 1
         return int(math.ceil(worst / (0.5 * _INTENSITY_CAP) * (1.0 - 1e-12)))
 
@@ -339,14 +393,17 @@ def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
 
 
 def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
-    """One step; at s > 1 substeps ``substep_noise`` holds their (dW, u)."""
+    """One step: the waiting-time step for counting-only models, else one
+    Kraus step or, at s > 1, substeps whose (dW, u) ``substep_noise`` holds."""
+    x = arr.rows(rho)
+    if arr.counting:
+        return _step_counting(arr, x, dt, u)
     s = arr.substeps(dt)
     if s > 1 and not adaptive:
         raise StepTooLarge(
             f"jump intensity per step can reach {arr.peak_intensity * dt:.3g}, "
             f"above {_INTENSITY_CAP}"
         )
-    x = arr.rows(rho)
     if s > 1:
         sub_dW, sub_u = substep_noise
         return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)
@@ -365,6 +422,98 @@ def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
         if m_first is None:
             m_first = m_drift
     return rho, fired_total, m_first
+
+
+def _row_products(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Each row of x times its own matrix: (B, N) and (B, N, C) -> (B, C)."""
+    return np.einsum("ba,bac->bc", x, mats)
+
+
+def _crossing(s: np.ndarray, q: np.ndarray, w: np.ndarray, end):
+    """The grid point of a jump, and the uniform left over.
+
+    s (B, M) holds each row's survival s_1..s_M at t_1..t_M after its last
+    jump; s_end (dt) is set to q, the number that decided the jump, so a row
+    with w >= q crosses there at the latest.  Returns the first j with
+    s_j <= w and v = (w - s_j) / (s_{j-1} - s_j), s_0 = 1, which is again
+    U(0, 1) and independent of j."""
+    at = np.arange(w.size)
+    s[at, end - 1] = q
+    j = (s <= w[:, None]).argmax(axis=1)
+    lo = s[at, j]
+    hi = np.where(j > 0, s[at, j - 1], 1.0)
+    return j + 1, (w - lo) / (hi - lo)
+
+
+def _channel(rate: np.ndarray, v: np.ndarray):
+    """The channel k drawn with probability rate_k / sum(rate) from the
+    uniforms v, and the uniforms left over, (v sum(rate) - below_k) / rate_k,
+    where below_k is the sum of the rates before k."""
+    below = np.zeros_like(rate)
+    np.cumsum(rate[:, :-1], axis=1, out=below[:, 1:])
+    target = v * (below[:, -1] + rate[:, -1])
+    hit = (below <= target[:, None]) & (rate > 0.0)
+    k = rate.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)
+    at = np.arange(k.size)
+    return k, (target - below[at, k]) / rate[at, k]
+
+
+def _step_counting(arr: _ModelArrays, x, dt, u):
+    """The waiting-time step of a counting-only model; returns
+    (coordinates, fired, m) with m of width 0.
+
+    One product gives every row's state at dt and its survival q; a row
+    jumps iff u[:, 0] >= q.  A first jump takes one product with the
+    composites at its grid point, which gives the state at dt and the
+    survival after the jump.  A further jump in the step runs the same
+    search on the rest of the grid from the post-jump state.  Channel
+    choices and further jump tests take the next columns of u in order and,
+    after the last, the uniform left over by the previous draw.
+    """
+    step, surv, comp, grid, jumps = arr.waiting(dt)
+    kk, m, tr0 = arr.K, _GRID, arr.tr0
+    kn = kk * x.shape[1]
+    y = _rows(x, step)
+    q = tr0 * y[:, 0]
+    out = y / q[:, None]
+    fired = np.zeros((x.shape[0], kk), dtype=np.int64)
+    rows = np.flatnonzero(u[:, 0] >= q)
+    if rows.size == 0:
+        return out, fired, x[:, :0]
+    xs, uu, q = x[rows], u[rows], q[rows]
+    g, v = _crossing(_rows(xs, surv), q, uu[:, 0], m)
+    c = _row_products(xs, comp[g])  # per channel: the state at dt, lambda at t_g
+    post, used = None, 1  # post stays None until a row jumps twice
+    while True:
+        k = np.zeros(rows.size, dtype=np.int64)
+        if kk > 1:
+            k, v = _channel(c[:, kn:] * arr.nu, uu[:, used] if used < kk else v)
+            used += 1
+        at = np.arange(rows.size)
+        img = c[:, :kn].reshape(rows.size, kk, -1)[at, k]
+        if post is None:  # the first jump: img is the state at dt
+            e, q = img, tr0 * img[:, 0] / c[at, kn + k]
+        else:  # img is the state right after the jump, at t_g
+            post = img / (tr0 * img[:, :1])
+            e = _row_products(post, grid[m - g])
+            q = tr0 * e[:, 0]
+        fired[rows, k] += 1
+        out[rows] = e / (tr0 * e[:, :1])
+        w = uu[:, used] if used < kk else v
+        used += 1
+        again = (w >= q) & (g < m)
+        if not again.any():
+            return out, fired, x[:, :0]
+        rows, g, k, q, w, uu = (a[again] for a in (rows, g, k, q, w, uu))
+        if post is None:
+            img = _rows(_row_products(xs[again], grid[g]), jumps)
+            post = img[:, :kn].reshape(rows.size, kk, -1)[np.arange(rows.size), k]
+            post = post / (tr0 * post[:, :1])
+        else:
+            post = post[again]
+        j, v = _crossing(_rows(post, surv), q, w, m - g)
+        c = _rows(_row_products(post, grid[j]), jumps)  # the post-jump states, lambda
+        g = g + j
 
 
 def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):

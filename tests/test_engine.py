@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qtraj import (
     PureStateVector,
@@ -10,6 +12,7 @@ from qtraj import (
     apply_jump,
     apply_k,
     apply_l0,
+    apply_liouvillian,
     build_model,
     deterministic_flow,
     evolve_master,
@@ -22,7 +25,7 @@ from qtraj import (
     simulate_stratonovich_pure,
     standard_direct,
 )
-from qtraj import engine
+from qtraj import engine, steps
 from qtraj.engine import _ModelArrays, _strat_a_b
 from qtraj.errors import (
     JumpChannelsPresent,
@@ -41,6 +44,19 @@ def identity_jump_model(weight=1.0):
             "dimension": 2,
             "hamiltonian": np.zeros((2, 2)),
             "jump_channels": [{"label": "c", "weight": weight, "kraus": [np.eye(2)]}],
+        }
+    )
+
+
+def _with_diffusion(m, op=0.1 * SIGMA_Z):
+    """m plus one diffusive operator: same peak jump intensity, and it substeps."""
+    return build_model(
+        {
+            "dimension": m.dim,
+            "hamiltonian": m.hamiltonian,
+            "diffusive_ops": [op],
+            "jump_channels": list(m.jump_channels),
+            "dissipative_ops": list(m.dissipative_ops),
         }
     )
 
@@ -142,14 +158,127 @@ class TestSimulatePosterior:
         traj = simulate_posterior(m, mixed, grid, seed=31)
         assert np.abs(traj.state_path - mixed.matrix).max() < 1e-12
         assert len(traj.output.jump_events) > 0
+        # counting-only models take the waiting-time step; with a diffusive
+        # operator the model substeps, or refuses to without adaptive
         with pytest.raises(StepTooLarge):
-            simulate_posterior(m, mixed, grid, seed=31, adaptive=False)
+            simulate_posterior(_with_diffusion(m), mixed, grid, seed=31, adaptive=False)
 
     def test_substep_count_forgives_rounding(self):
         # peak intensity 300.00000000000006: the bound 6.000000000000001 gives 6
-        arr = _ModelArrays(generate_atom_model(standard_direct(300.0, 1000.0)))
+        arr = _ModelArrays(_with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0))))
         assert arr.substeps(1e-3) == 6
         assert arr.substeps(1e-3 * (1 + 1e-9)) == 7
+
+
+def _counting_model(weight=500.0):
+    """Three levels, two counting channels and a dissipative operator; at
+    weight 500 and dt = 1e-3 about one jump per step, often several."""
+    return _random_model(np.random.default_rng(5), 3, n_diff=0, n_jump=2, n_diss=1, jump_weight=weight)
+
+
+def _superop(f, n):
+    """The matrix of a linear map on n x n matrices, on row-major flattened matrices."""
+    units = np.eye(n * n).reshape(n * n, n, n).astype(complex)
+    return np.stack([f(e).reshape(-1) for e in units], axis=1)
+
+
+def _factorial_moments(m, rho0, t, k, order=4):
+    """E[N (N - 1) ... (N - r + 1)], r = 1..order, of channel k's count N by time t.
+
+    E[z^N] = tr exp(t L_z) rho0 with L_z = L + (z - 1) nu_k J_k.  Block (0, r)
+    of exp(t A), A block-bidiagonal with L on the diagonal and nu_k J_k above
+    it, is the r-th z-derivative of exp(t L_z) at z = 1 over r! (Van Loan,
+    IEEE TAC 23, 395, 1978)."""
+    n = m.dim
+    nn = n * n
+    gen = _superop(lambda r: apply_liouvillian(m, r), n)
+    count = _superop(lambda r: m.jump_channels[k].weight * apply_jump(m, r, k), n)
+    a = np.zeros(((order + 1) * nn, (order + 1) * nn), dtype=complex)
+    for r in range(order + 1):
+        a[r * nn:(r + 1) * nn, r * nn:(r + 1) * nn] = gen
+        if r < order:
+            a[r * nn:(r + 1) * nn, (r + 1) * nn:(r + 2) * nn] = count
+    top = scipy.linalg.expm(t * a)[:nn].reshape(nn, order + 1, nn)
+    vec = np.asarray(rho0).reshape(-1)
+    return [math.factorial(r) * np.trace((top[:, r] @ vec).reshape(n, n)).real
+            for r in range(1, order + 1)]
+
+
+def _mean_and_variance_law(f):
+    """Mean, variance and the standard deviation of one sample's squared
+    deviation (for the SE of a sample variance) from factorial moments f1..f4."""
+    f1, f2, f3, f4 = f
+    m2, m3 = f2 + f1, f3 + 3 * f2 + f1
+    m4 = f4 + 6 * f3 + 7 * f2 + f1
+    var = m2 - f1**2
+    mu4 = m4 - 4 * f1 * m3 + 6 * f1**2 * m2 - 3 * f1**4
+    return f1, var, math.sqrt(mu4 - var**2)
+
+
+class TestWaitingTime:
+    """The counting-only posterior step samples the counting process exactly:
+    its laws match the master equation, whatever the number of jumps per step."""
+
+    N_TRAJ = 2000
+
+    class _Fired:
+        """Keeps the (B, F, K) jump counts of every flush."""
+
+        def __init__(self):
+            self.fired = []
+
+        def collect(self, i, state, weights, entropy, fired, *rest):
+            if fired is not None:
+                self.fired.append(fired.copy())
+
+    def test_first_jump_time_law(self):
+        # P(first jump by t_i) = 1 - tr exp(t_i K0) rho0, K0 = L - nu J
+        m = generate_atom_model(standard_direct(300.0, 1000.0))
+        rho0 = np.eye(2, dtype=complex) / 2
+        grid = TimeGrid(t_final=0.02, dt=1e-3)
+        rec = self._Fired()
+        arr = _ModelArrays(m)
+        assert arr.counting and arr.substeps(grid.dt) == 1
+        engine._simulate_batch(arr, "posterior", rho0, grid, list(range(self.N_TRAJ)), rec)
+        counts = np.concatenate(rec.fired, axis=1).sum(axis=2)  # (B, n_steps)
+        first = np.where(counts.any(axis=1), counts.argmax(axis=1), grid.n_steps)
+        k0 = _superop(lambda r: apply_liouvillian(m, r) - apply_jump(m, r, 0), 2)
+        for i in (1, 2, 5, 10, 20):
+            p = 1.0 - np.trace(
+                (scipy.linalg.expm(i * grid.dt * k0) @ rho0.reshape(-1)).reshape(2, 2)
+            ).real
+            got = (first < i).mean()
+            assert abs(got - p) <= 4.5 * math.sqrt(p * (1 - p) / self.N_TRAJ), (i, got, p)
+
+    @pytest.mark.parametrize("name", ["direct", "counting"])
+    def test_count_mean_and_variance(self, name):
+        if name == "direct":  # the high-rate atom: about 0.14 jumps per step
+            m, t_final = generate_atom_model(standard_direct(300.0, 1000.0)), 0.2
+        else:  # two channels, several jumps in many steps
+            m, t_final = _counting_model(), 0.02
+        rho0 = np.eye(m.dim, dtype=complex) / m.dim
+        stats = run_ensemble(
+            m, QuantumState(rho0), TimeGrid(t_final, 1e-3), self.N_TRAJ, 7, "posterior"
+        )
+        for k in range(m.n_jump):
+            mean, var, sd_dev2 = _mean_and_variance_law(_factorial_moments(m, rho0, t_final, k))
+            got_mean, se = stats.jump_count_mean[k], stats.jump_count_se[k]
+            assert abs(got_mean - mean) <= 4.5 * se, (k, got_mean, mean, se)
+            got_var = se**2 * self.N_TRAJ
+            tol = 4.5 * sd_dev2 / math.sqrt(self.N_TRAJ)
+            assert abs(got_var - var) <= tol, (k, got_var, var, tol)
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
+    def test_identity_jumps_are_poisson(self, dt, mixed):
+        # 0.4 and 4 jumps per step; the count by T is Poisson(nu T)
+        m = identity_jump_model(weight=400.0)
+        stats = run_ensemble(m, mixed, TimeGrid(0.05, dt), self.N_TRAJ, 11, "posterior")
+        lam = 400.0 * 0.05
+        se = stats.jump_count_se[0]
+        assert abs(stats.jump_count_mean[0] - lam) <= 4.5 * math.sqrt(lam / self.N_TRAJ)
+        tol = 4.5 * math.sqrt((lam + 2 * lam**2) / self.N_TRAJ)
+        assert abs(se**2 * self.N_TRAJ - lam) <= tol
+        assert np.abs(stats.mean_state - mixed.matrix).max() < 1e-12
 
 
 class TestStratonovichFields:
@@ -616,7 +745,9 @@ class TestRowProducts:
         grid = TimeGrid(t_final=0.01, dt=1e-3)
         obs = random_complex(rng, m.dim)
         to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False).to_cols
+        step, surv, _, _, jumps = arr.waiting(1e-3)
         stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr._to, arr._from, to_cols]
+        stacks += [step, surv, jumps]
         b, f = 64, 8  # 512 rows, viewed as a (B, F, .) flush buffer
         for mat in stacks:
             x = rng.standard_normal((b * f, mat.shape[0]))
@@ -633,6 +764,26 @@ class TestRowProducts:
             for c in (1, 3, f):
                 block = buf[:, :c].reshape(b * c, -1)
                 assert np.array_equal(engine._rows(block, mat), want[:, :c].reshape(b * c, -1))
+
+
+    @pytest.mark.parametrize("name", ["direct", "counting"])
+    def test_per_row_products_do_not_depend_on_the_batch(self, name, request):
+        # the waiting-time step multiplies the rows that jump by the composites
+        # and the propagators at each row's own grid point
+        m = _counting_model() if name == "counting" else request.getfixturevalue("direct_model")
+        _, _, comp, grid, _ = _ModelArrays(m).waiting(1e-3)
+        rng = np.random.default_rng(19)
+        b = 300
+        x = rng.standard_normal((b, grid.shape[1]))
+        at = rng.integers(0, steps._GRID + 1, size=b)
+        for tab in (comp, grid):
+            full = steps._row_products(x, tab[at])
+            for i in range(b):
+                assert np.array_equal(steps._row_products(x[i:i + 1], tab[at[i:i + 1]]), full[i:i + 1])
+            for size in (2, 3, 8, 16, 73, b - 1):
+                for off in (0, 1, 5, b - size):
+                    rows = slice(off, off + size)
+                    assert np.array_equal(steps._row_products(x[rows], tab[at[rows]]), full[rows])
 
 
 class TestBatchIndependence:
@@ -673,6 +824,13 @@ class TestBatchIndependence:
         rho0 = np.diag([1.0, 0.0]).astype(complex)  # pure, as the Stratonovich scheme needs
         alone = self._paths([5], model, mode, rho0)[5]
         mixed = self._paths([7, 5, 6], model, mode, rho0)[5]
+        assert np.array_equal(mixed, alone)
+
+    def test_counting_path_same_in_the_middle_of_a_batch(self):
+        # two channels, several jumps in many steps, on the waiting-time step
+        m, rho0 = _counting_model(), np.eye(3, dtype=complex) / 3
+        alone = self._paths([5], m, "posterior", rho0)[5]
+        mixed = self._paths([7, 5, 6], m, "posterior", rho0)[5]
         assert np.array_equal(mixed, alone)
 
     def test_same_per_trajectory_results_for_blocks_and_workers(self, monkeypatch):
@@ -899,20 +1057,28 @@ class TestFlushSize:
             out.append(run())
         return out
 
-    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
+    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich", "counting"])
     def test_paths_and_stats(self, mode, monkeypatch, request, mixed):
+        obs = SIGMA_X
         if mode == "stratonovich":
             m = request.getfixturevalue("homodyne_model")
             rho0 = QuantumState(np.diag([1.0, 0.0]).astype(complex))
+        elif mode == "counting":  # posterior on the waiting-time step
+            m, rho0 = _counting_model(), QuantumState(np.eye(3, dtype=complex) / 3)
+            obs = np.diag([1.0, 0.0, -1.0])
         else:
             m, rho0 = _mixed_jump_model(), mixed
+        run_mode = "posterior" if mode == "counting" else mode
         monkeypatch.setattr(engine, "_CHUNK", 20)  # 50 steps: chunks of 20, 20 and 10
         runs = self._runs(
             monkeypatch,
-            lambda: run_ensemble(m, rho0, self.GRID, self.N_TRAJ, 3, mode, observable=SIGMA_X),
+            lambda: run_ensemble(m, rho0, self.GRID, self.N_TRAJ, 3, run_mode, observable=obs),
             self.N_TRAJ,
         )
         ref = runs[-1]
+        if mode == "counting":  # several jumps in one step, in the first chunk
+            jump_steps = [step for step, _ in ref.trajectory.output.jump_events]
+            assert np.bincount(jump_steps)[:20].max() >= 2
         for got in runs[:-1]:
             a, b = got.trajectory, ref.trajectory
             for name in ("sigma_path", "weight_path", "state_path", "entropy_path"):
@@ -930,7 +1096,8 @@ class TestFlushSize:
                     )
 
     def test_substepped_path(self, monkeypatch, mixed):
-        m = TestBatchIndependence.MODEL  # 6 substeps per step: chunks of 10 steps
+        # 6 substeps per step: chunks of 10 steps
+        m = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
         monkeypatch.setattr(engine, "_CHUNK", 60)
         runs = self._runs(
             monkeypatch, lambda: simulate_posterior(m, mixed, TimeGrid(t_final=0.03, dt=1e-3), 5), 1
