@@ -765,7 +765,6 @@ class TestRowProducts:
                 block = buf[:, :c].reshape(b * c, -1)
                 assert np.array_equal(engine._rows(block, mat), want[:, :c].reshape(b * c, -1))
 
-
     @pytest.mark.parametrize("name", ["direct", "counting"])
     def test_per_row_products_do_not_depend_on_the_batch(self, name, request):
         # the waiting-time step multiplies the rows that jump by the composites
