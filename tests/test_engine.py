@@ -268,12 +268,14 @@ class TestWaitingTime:
             tol = 4.5 * sd_dev2 / math.sqrt(self.N_TRAJ)
             assert abs(got_var - var) <= tol, (k, got_var, var, tol)
 
-    @pytest.mark.parametrize("dt", [1e-3, 1e-2])
-    def test_identity_jumps_are_poisson(self, dt, mixed):
-        # 0.4 and 4 jumps per step; the count by T is Poisson(nu T)
+    @pytest.mark.parametrize("dt, t_final", [(1e-3, 0.05), (1e-2, 1.0)])
+    def test_identity_jumps_are_poisson(self, dt, t_final, mixed):
+        # 0.4 and 4 jumps per step; the count by T is Poisson(nu T).  At 4
+        # jumps per step, rounding every jump time up to the grid would
+        # undercount by 4 / 512 relative, about 7 SE at T = 1
         m = identity_jump_model(weight=400.0)
-        stats = run_ensemble(m, mixed, TimeGrid(0.05, dt), self.N_TRAJ, 11, "posterior")
-        lam = 400.0 * 0.05
+        stats = run_ensemble(m, mixed, TimeGrid(t_final, dt), self.N_TRAJ, 11, "posterior")
+        lam = 400.0 * t_final
         se = stats.jump_count_se[0]
         assert abs(stats.jump_count_mean[0] - lam) <= 4.5 * math.sqrt(lam / self.N_TRAJ)
         tol = 4.5 * math.sqrt((lam + 2 * lam**2) / self.N_TRAJ)
