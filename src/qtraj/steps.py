@@ -12,8 +12,8 @@ Three schemes are provided:
   When max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per
   step over all states, exceeds 0.1, every step of every trajectory of
   such a model with both diffusive and jump channels is split into the
-  same s = ceil(bound / 0.05) substeps; s depends only on the model and dt,
-  never on the states in the batch.
+  same s = ceil(bound / 0.05) substeps.  Either way s depends only on the
+  model and dt, never on the states in the batch.
 * ``stratonovich`` -- Heun (stochastic midpoint) integration of the
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
@@ -44,15 +44,18 @@ trajectory's path does not depend on the batch it is integrated in.
 
 The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
 Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
-of a counting-only model with no cap and no substeps.  Between counts the
-unnormalized state follows P(t) = exp(t K0), K0 = K - sum_k nu_k id, so the
-probability of no count in [0, t] is the survival tr P(t) rho.  A row jumps
-in a step iff its uniform u is >= the step survival q, which has
-probability exactly 1 - q.  The jump takes place at the nearer end, in
-expectation, of the interval of a fixed grid of ``_GRID`` points per step
-in which the survival falls to u, so jump times are rounded to that grid
-without bias to first order; the channel is drawn there with probability
-proportional to nu_k lambda_k.
+of a counting-only model with no cap.  Between counts the unnormalized
+state follows P(t) = exp(t K0), K0 = K - sum_k nu_k id, so the probability
+of no count in [0, t] is the survival tr P(t) rho.  A row jumps in a step
+iff its uniform u is >= the step survival q, which has probability exactly
+1 - q.  The jump takes place at the nearer end, in expectation, of the
+interval of a fixed grid of ``_GRID`` points per step in which the survival
+falls to u, so jump times are rounded to that grid without bias to first
+order; the channel is drawn there with probability proportional to
+nu_k lambda_k.  Further jumps reuse the uniforms left over by earlier
+draws, whose bits last for about 8 jumps, so a step whose bound
+lambda_max(sum_k nu_k E_k) dt on the expected number of jumps exceeds
+``_JUMP_BOUND`` is split into the fewest substeps that keep it within.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .model import MeasurementModel, apply_jump, apply_k, apply_l0
 _LAMBDA_FLOOR = 1e-12
 _INTENSITY_CAP = 0.1  # max allowed lambda_k nu_k dt per step
 _GRID = 256  # jump-time grid points per waiting-time step
+_JUMP_BOUND = 4.0  # max expected jumps per waiting-time step
 
 
 # -- model in real coordinates ------------------------------------------------
@@ -194,6 +198,10 @@ class _ModelArrays:
             (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
             default=0.0,
         )
+        # lambda_max(sum_k nu_k E_k): the largest total jump intensity of any state
+        self.peak_total = float(np.linalg.eigvalsh(
+            sum((ch.weight * ch.effect() for ch in m.jump_channels), np.zeros((n, n)))
+        )[-1])
 
     def kraus(self, dt: float) -> np.ndarray:
         """The Kraus stack at step dt, built on first use and kept per dt
@@ -211,32 +219,22 @@ class _ModelArrays:
         """The waiting-time tables at step dt, built on first use and kept per dt.
 
         With M = ``_GRID``, t_i = i dt / M and P(t) = exp(t K0) acting on rows,
-        they are (step, surv, comp, grid, jumps):
+        they are (step, surv, grid, jumps):
 
-        * ``grid`` (M + 1, N, N): P(t_i) for i = 0..M, one ``expm`` and
+        * ``grid`` (M + 1, N, N): P(t_i) for i = 0..M, one ``_expm`` and
           repeated products, and ``step`` = P(dt), its last entry;
         * ``surv`` (N, M): column i - 1 is the survival x -> tr P(t_i) x;
-        * ``comp`` (M + 1, N, K N + K): entry i holds the one-jump composites
-          P(t_i) J_k P(dt - t_i), then the functionals x -> tr J_k P(t_i) x;
         * ``jumps``: J_1..J_K and lambda_k = tr J_k[x], as in ``kraus``.
         """
         tab = self._waiting.get(dt)
         if tab is None:
-            from scipy.linalg import expm
-
-            nn, kk, m = self._k0.shape[0], self.K, _GRID
-            js, lams = self._kraus_parts[-2:]
-            grid = [np.eye(nn)]
-            p = expm((dt / m) * self._k0)
-            for _ in range(m):
+            grid = [np.eye(self._k0.shape[0])]
+            p = _expm((dt / _GRID) * self._k0)
+            for _ in range(_GRID):
                 grid.append(grid[-1] @ p)
             grid = np.stack(grid)
-            # P(t_i) J_k, one (N, N) block per channel, times P(t_{M - i})
-            pj = (grid @ js).reshape(m + 1, nn, kk, nn).transpose(0, 2, 1, 3)
-            comp = (pj @ grid[::-1, None]).transpose(0, 2, 1, 3).reshape(m + 1, nn, kk * nn)
-            comp = np.concatenate([comp, grid @ lams], axis=2)
             surv = np.ascontiguousarray(self.tr0 * grid[1:, :, 0].T)
-            tab = self._waiting[dt] = (grid[m], surv, comp, grid, np.hstack([js, lams]))
+            tab = self._waiting[dt] = (grid[-1], surv, grid, np.hstack(self._kraus_parts[-2:]))
         return tab
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
@@ -257,15 +255,40 @@ class _ModelArrays:
         return state if state.ndim == 2 else self.coords(state)
 
     def substeps(self, dt: float) -> int:
-        """Fixed substep count: 1 for counting-only models, which take the
-        waiting-time step, else 1 or enough that the bound
+        """Fixed substep count.  A counting-only model takes the fewest
+        waiting-time substeps in which the bound peak_total dt / s on any
+        state's expected number of jumps is at most ``_JUMP_BOUND``.  Any
+        other model takes 1, or enough that the bound
         max_k nu_k lambda_max(E_k) dt / s on any state's jump intensity per
         substep is at most half the cap.  The ceil forgives relative rounding
         of 1e-12, so a bound of 6.000000000000001 halves still gives 6."""
+        if self.counting:
+            return max(1, int(math.ceil(self.peak_total * dt / _JUMP_BOUND * (1.0 - 1e-12))))
         worst = self.peak_intensity * dt
-        if self.counting or worst <= _INTENSITY_CAP:
+        if worst <= _INTENSITY_CAP:
             return 1
         return int(math.ceil(worst / (0.5 * _INTENSITY_CAP) * (1.0 - 1e-12)))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring of the degree-16 Taylor polynomial.
+
+    a is scaled by 2^-j so that its infinity norm is at most 1/2, where the
+    truncation error is below 1e-19 relative.  The waiting-time tables need
+    the exponential of a step of dt / ``_GRID`` only, where j is mostly 0.
+    Computed in numpy, it spares each forked worker the 1.6 MB of resident
+    memory that the first ``scipy.linalg.expm`` call maps.
+    """
+    norm = float(np.abs(a).sum(axis=1).max())
+    j = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
+    a = a / 2.0**j
+    term = out = np.eye(a.shape[0])
+    for k in range(1, 17):
+        term = term @ a / k
+        out = out + term
+    for _ in range(j):
+        out = out @ out
+    return out
 
 
 def _channels(y: np.ndarray, nn: int) -> np.ndarray:
@@ -395,19 +418,20 @@ def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
 
 def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
     """One step: the waiting-time step for counting-only models, else one
-    Kraus step or, at s > 1, substeps whose (dW, u) ``substep_noise`` holds."""
+    Kraus step; or, at s > 1, substeps whose (dW, u) ``substep_noise`` holds."""
     x = arr.rows(rho)
-    if arr.counting:
-        return _step_counting(arr, x, dt, u)
     s = arr.substeps(dt)
     if s > 1 and not adaptive:
-        raise StepTooLarge(
-            f"jump intensity per step can reach {arr.peak_intensity * dt:.3g}, "
-            f"above {_INTENSITY_CAP}"
-        )
+        if arr.counting:
+            what, worst, cap = "expected jumps", arr.peak_total * dt, _JUMP_BOUND
+        else:
+            what, worst, cap = "jump intensity", arr.peak_intensity * dt, _INTENSITY_CAP
+        raise StepTooLarge(f"{what} per step can reach {worst:.3g}, above {cap}")
     if s > 1:
         sub_dW, sub_u = substep_noise
         return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)
+    if arr.counting:
+        return _step_counting(arr, x, dt, u)
     return _posterior_substep(arr, x, dt, dW, u)
 
 
@@ -418,7 +442,10 @@ def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
     fired_total = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
     m_first = None
     for l in range(s):
-        rho, fired, m_drift = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
+        if arr.counting:
+            rho, fired, m_drift = _step_counting(arr, rho, dt / s, u[:, l])
+        else:
+            rho, fired, m_drift = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
         fired_total += fired
         if m_first is None:
             m_first = m_drift
@@ -470,17 +497,17 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
     (coordinates, fired, m) with m of width 0.
 
     One product gives every row's state at dt and its survival q; a row
-    jumps iff u[:, 0] >= q.  A first jump takes one product with the
-    composites at its grid point, which gives the state at dt and the
-    survival after the jump.  A further jump in the step runs the same
-    search on the rest of the grid from the post-jump state.  Channel
-    choices and further jump tests take the next columns of u in order and,
-    after the last, the uniform left over by the previous draw.  Each jump
-    uses about log2(M / (rate dt)) + 1 of a uniform's 53 bits, so the law
-    holds while a step has up to about 8 jumps; at rates far above 8 / dt
-    the counts fall short.
+    jumps iff u[:, 0] >= q.  Each jump searches the survival table of the
+    state after the previous jump (or at the step start) for its grid point
+    g, applies the chosen channel to the state propagated there and
+    propagates the result to dt, which also gives the survival deciding a
+    further jump.  Channel choices and further jump tests take the next
+    columns of u in order and, after the last, the uniform left over by the
+    previous draw.  Each jump uses about log2(M / (rate dt)) + 1 of a
+    uniform's 53 bits, so the law holds while a step has up to about 8
+    jumps; ``substeps`` keeps the expected number within ``_JUMP_BOUND``.
     """
-    step, surv, comp, grid, jumps = arr.waiting(dt)
+    step, surv, grid, jumps = arr.waiting(dt)
     kk, m, tr0 = arr.K, _GRID, arr.tr0
     kn = kk * x.shape[1]
     y = _rows(x, step)
@@ -490,40 +517,28 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
     rows = np.flatnonzero(u[:, 0] >= q)
     if rows.size == 0:
         return out, fired, x[:, :0]
-    xs, uu, q = x[rows], u[rows], q[rows]
-    g, v = _crossing(_rows(xs, surv), q, uu[:, 0], m)
-    c = _row_products(xs, comp[g])  # per channel: the state at dt, lambda at t_g
-    post, used = None, 1  # post stays None until a row jumps twice
+    post, uu, q = x[rows], u[rows], q[rows]
+    w, g, used = uu[:, 0], np.zeros(rows.size, dtype=np.int64), 1
     while True:
+        j, v = _crossing(_rows(post, surv), q, w, m - g)
+        c = _rows(_row_products(post, grid[j]), jumps)  # J_k x and lambda_k at the jump
+        g = g + j
         k = np.zeros(rows.size, dtype=np.int64)
         if kk > 1:
             k, v = _channel(c[:, kn:] * arr.nu, uu[:, used] if used < kk else v)
             used += 1
-        at = np.arange(rows.size)
-        img = c[:, :kn].reshape(rows.size, kk, -1)[at, k]
-        if post is None:  # the first jump: img is the state at dt
-            e, q = img, tr0 * img[:, 0] / c[at, kn + k]
-        else:  # img is the state right after the jump, at t_g
-            post = img / (tr0 * img[:, :1])
-            e = _row_products(post, grid[m - g])
-            q = tr0 * e[:, 0]
+        img = c[:, :kn].reshape(rows.size, kk, -1)[np.arange(rows.size), k]
+        post = img / (tr0 * img[:, :1])
+        e = _row_products(post, grid[m - g])  # the state at dt
+        q = tr0 * e[:, 0]
         fired[rows, k] += 1
-        out[rows] = e / (tr0 * e[:, :1])
+        out[rows] = e / q[:, None]
         w = uu[:, used] if used < kk else v
         used += 1
         again = (w >= q) & (g < m)
         if not again.any():
             return out, fired, x[:, :0]
-        rows, g, k, q, w, uu = (a[again] for a in (rows, g, k, q, w, uu))
-        if post is None:
-            img = _rows(_row_products(xs[again], grid[g]), jumps)
-            post = img[:, :kn].reshape(rows.size, kk, -1)[np.arange(rows.size), k]
-            post = post / (tr0 * post[:, :1])
-        else:
-            post = post[again]
-        j, v = _crossing(_rows(post, surv), q, w, m - g)
-        c = _rows(_row_products(post, grid[j]), jumps)  # the post-jump states, lambda
-        g = g + j
+        rows, post, g, q, w, uu = (a[again] for a in (rows, post, g, q, w, uu))
 
 
 def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):

@@ -217,7 +217,8 @@ def _mean_and_variance_law(f):
 
 class TestWaitingTime:
     """The counting-only posterior step samples the counting process exactly:
-    its laws match the master equation, whatever the number of jumps per step."""
+    its laws match the master equation, and a step whose bound on the
+    expected number of jumps exceeds ``steps._JUMP_BOUND`` is substepped."""
 
     N_TRAJ = 2000
 
@@ -281,6 +282,35 @@ class TestWaitingTime:
         tol = 4.5 * math.sqrt((lam + 2 * lam**2) / self.N_TRAJ)
         assert abs(se**2 * self.N_TRAJ - lam) <= tol
         assert np.abs(stats.mean_state - mixed.matrix).max() < 1e-12
+
+    def test_many_jumps_per_step_are_substepped(self, mixed):
+        # 40 jumps per step: 10 waiting-time substeps of 4.  One step's
+        # uniforms alone run out of bits after about 8 jumps, which read
+        # -1.4 % (z = -27) here without substeps
+        m = identity_jump_model(weight=4000.0)
+        grid = TimeGrid(t_final=0.1, dt=1e-2)
+        assert _ModelArrays(m).substeps(grid.dt) == 10
+        stats = run_ensemble(m, mixed, grid, self.N_TRAJ, 13, "posterior")
+        lam = 4000.0 * grid.t_final
+        assert abs(stats.jump_count_mean[0] - lam) <= 4.5 * math.sqrt(lam / self.N_TRAJ)
+        tol = 4.5 * math.sqrt((lam + 2 * lam**2) / self.N_TRAJ)
+        assert abs(stats.jump_count_se[0] ** 2 * self.N_TRAJ - lam) <= tol
+        with pytest.raises(StepTooLarge, match="expected jumps per step can reach 40"):
+            simulate_posterior(m, mixed, grid, seed=13, adaptive=False)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.3, 5.0, 40.0])
+    def test_expm_matches_scipy(self, scale):
+        a = scale * np.random.default_rng(23).standard_normal((9, 9))
+        want = scipy.linalg.expm(a)
+        np.testing.assert_allclose(steps._expm(a), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_substep_count_bounds_total_jumps(self):
+        # two channels of peak 1368 each, 2350 together: the total sets s
+        arr = _ModelArrays(_counting_model())
+        assert arr.peak_total < 2 * arr.peak_intensity
+        assert arr.substeps(1e-3) == 1
+        assert arr.substeps(1e-2) == math.ceil(arr.peak_total * 1e-2 / steps._JUMP_BOUND) == 6
+        assert _ModelArrays(identity_jump_model(weight=400.0)).substeps(1e-2) == 1  # exactly 4
 
 
 class TestStratonovichFields:
@@ -747,7 +777,7 @@ class TestRowProducts:
         grid = TimeGrid(t_final=0.01, dt=1e-3)
         obs = random_complex(rng, m.dim)
         to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False).to_cols
-        step, surv, _, _, jumps = arr.waiting(1e-3)
+        step, surv, _, jumps = arr.waiting(1e-3)
         stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr._to, arr._from, to_cols]
         stacks += [step, surv, jumps]
         b, f = 64, 8  # 512 rows, viewed as a (B, F, .) flush buffer
@@ -769,22 +799,21 @@ class TestRowProducts:
 
     @pytest.mark.parametrize("name", ["direct", "counting"])
     def test_per_row_products_do_not_depend_on_the_batch(self, name, request):
-        # the waiting-time step multiplies the rows that jump by the composites
-        # and the propagators at each row's own grid point
+        # the waiting-time step multiplies the rows that jump by the
+        # propagators at each row's own grid point
         m = _counting_model() if name == "counting" else request.getfixturevalue("direct_model")
-        _, _, comp, grid, _ = _ModelArrays(m).waiting(1e-3)
+        _, _, grid, _ = _ModelArrays(m).waiting(1e-3)
         rng = np.random.default_rng(19)
         b = 300
         x = rng.standard_normal((b, grid.shape[1]))
         at = rng.integers(0, steps._GRID + 1, size=b)
-        for tab in (comp, grid):
-            full = steps._row_products(x, tab[at])
-            for i in range(b):
-                assert np.array_equal(steps._row_products(x[i:i + 1], tab[at[i:i + 1]]), full[i:i + 1])
-            for size in (2, 3, 8, 16, 73, b - 1):
-                for off in (0, 1, 5, b - size):
-                    rows = slice(off, off + size)
-                    assert np.array_equal(steps._row_products(x[rows], tab[at[rows]]), full[rows])
+        full = steps._row_products(x, grid[at])
+        for i in range(b):
+            assert np.array_equal(steps._row_products(x[i:i + 1], grid[at[i:i + 1]]), full[i:i + 1])
+        for size in (2, 3, 8, 16, 73, b - 1):
+            for off in (0, 1, 5, b - size):
+                rows = slice(off, off + size)
+                assert np.array_equal(steps._row_products(x[rows], grid[at[rows]]), full[rows])
 
 
 class TestBatchIndependence:
@@ -827,9 +856,11 @@ class TestBatchIndependence:
         mixed = self._paths([7, 5, 6], model, mode, rho0)[5]
         assert np.array_equal(mixed, alone)
 
-    def test_counting_path_same_in_the_middle_of_a_batch(self):
-        # two channels, several jumps in many steps, on the waiting-time step
-        m, rho0 = _counting_model(), np.eye(3, dtype=complex) / 3
+    @pytest.mark.parametrize("weight", [500.0, 3000.0])
+    def test_counting_path_same_in_the_middle_of_a_batch(self, weight):
+        # two channels, several jumps in many steps, on the waiting-time
+        # step; at weight 3000 in 4 substeps
+        m, rho0 = _counting_model(weight), np.eye(3, dtype=complex) / 3
         alone = self._paths([5], m, "posterior", rho0)[5]
         mixed = self._paths([7, 5, 6], m, "posterior", rho0)[5]
         assert np.array_equal(mixed, alone)
@@ -1096,13 +1127,19 @@ class TestFlushSize:
                         getattr(got, name), value, rtol=1e-12, atol=1e-15, err_msg=name
                     )
 
-    def test_substepped_path(self, monkeypatch, mixed):
-        # 6 substeps per step: chunks of 10 steps
-        m = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
+    @pytest.mark.parametrize("name", ["mixed", "counting"])
+    def test_substepped_path(self, name, monkeypatch, mixed):
+        # 6 substeps per step, chunks of 10 steps; or 4 waiting-time
+        # substeps of a counting-only model, chunks of 15 steps
+        if name == "mixed":
+            m, rho0, s = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0))), mixed, 6
+        else:
+            m, rho0, s = _counting_model(weight=3000.0), QuantumState(np.eye(3) / 3), 4
+        grid = TimeGrid(t_final=0.03, dt=1e-3)
+        assert _ModelArrays(m).substeps(grid.dt) == s
         monkeypatch.setattr(engine, "_CHUNK", 60)
-        runs = self._runs(
-            monkeypatch, lambda: simulate_posterior(m, mixed, TimeGrid(t_final=0.03, dt=1e-3), 5), 1
-        )
+        runs = self._runs(monkeypatch, lambda: simulate_posterior(m, rho0, grid, 5), 1)
+        assert len(runs[-1].output.jump_events) > 0
         for got in runs[:-1]:
             assert np.array_equal(got.state_path, runs[-1].state_path)
             assert np.array_equal(got.entropy_path, runs[-1].entropy_path)
