@@ -200,8 +200,8 @@ class _ModelArrays:
         )
         # lambda_max(sum_k nu_k E_k): the largest total jump intensity of any state
         self.peak_total = float(np.linalg.eigvalsh(
-            sum((ch.weight * ch.effect() for ch in m.jump_channels), np.zeros((n, n)))
-        )[-1])
+            sum(ch.weight * ch.effect() for ch in m.jump_channels)
+        )[-1]) if self.K else 0.0
 
     def kraus(self, dt: float) -> np.ndarray:
         """The Kraus stack at step dt, built on first use and kept per dt
