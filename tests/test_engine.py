@@ -1127,14 +1127,16 @@ class TestFlushSize:
                         getattr(got, name), value, rtol=1e-12, atol=1e-15, err_msg=name
                     )
 
-    @pytest.mark.parametrize("name", ["mixed", "counting"])
-    def test_substepped_path(self, name, monkeypatch, mixed):
-        # 6 substeps per step, chunks of 10 steps; or 4 waiting-time
-        # substeps of a counting-only model, chunks of 15 steps
-        if name == "mixed":
-            m, rho0, s = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0))), mixed, 6
-        else:
-            m, rho0, s = _counting_model(weight=3000.0), QuantumState(np.eye(3) / 3), 4
+    def test_substepped_path(self, monkeypatch, mixed):
+        # 6 substeps per step: chunks of 10 steps
+        m = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
+        self._check_substepped(monkeypatch, m, mixed, 6)
+
+    def test_substepped_counting_path(self, monkeypatch):
+        # 4 waiting-time substeps of a counting-only model: chunks of 15 steps
+        self._check_substepped(monkeypatch, _counting_model(weight=3000.0), QuantumState(np.eye(3) / 3), 4)
+
+    def _check_substepped(self, monkeypatch, m, rho0, s):
         grid = TimeGrid(t_final=0.03, dt=1e-3)
         assert _ModelArrays(m).substeps(grid.dt) == s
         monkeypatch.setattr(engine, "_CHUNK", 60)
