@@ -7,7 +7,6 @@ from .analysis import (
     ErgodicReport,
     LieRankReport,
     VarianceDecomposition,
-    bloch_vector,
     build_ergodic_report,
     empirical_invariant_measure,
     lie_rank_check,
@@ -16,7 +15,6 @@ from .analysis import (
     time_average_state,
     traceless_hermitian_basis,
     variance_decomposition,
-    von_neumann_entropy,
 )
 from .atom import (
     TwoLevelAtomSpec,
@@ -41,14 +39,10 @@ from .linalg import (
     QuantumState,
     haar_random_state_vector,
     hermitize,
-    hs_inner,
     hs_norm,
-    matrix_exp_action,
-    operator_norm,
     project_to_simplex,
     project_to_state,
     random_density_matrix,
-    spectral_decomposition,
     trace_norm,
 )
 from .master import (
@@ -73,6 +67,4 @@ from .model import (
     check_ellipticity,
     check_pure_preserving,
     check_purification_obstruction_dim2,
-    jump_rate,
-    output_drift,
 )

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .engine import PosteriorTrajectory, _ModelArrays, _strat_a_b
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
 from .linalg import (  # traceless_hermitian_basis is re-exported
     PureStateVector,
     QuantumState,
+    _complement,
     as_complex_matrix,
     project_to_state,
     traceless_hermitian_basis,
@@ -43,13 +43,6 @@ def linear_entropy(rho: QuantumState) -> float:
     mat = rho.matrix
     val = 1.0 - float(np.einsum("ij,ji->", mat, mat).real)
     return max(val, 0.0)
-
-
-def von_neumann_entropy(rho: QuantumState) -> float:
-    """-tr rho ln rho with the 0 ln 0 = 0 convention below 1e-14."""
-    evals = np.linalg.eigvalsh(rho.matrix)
-    evals = evals[evals > 1e-14]
-    return max(float(-(evals * np.log(evals)).sum()), 0.0)
 
 
 def _window(traj: PosteriorTrajectory, burn_in: float):
@@ -160,17 +153,6 @@ class BlochHistogram:
     def occupancy(self) -> float:
         """Fraction of bins with nonzero dwell time."""
         return float((self.counts > 0).mean())
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch components (x, y, z) of a 2x2 density matrix."""
-    return np.array(
-        [
-            float(np.trace(PAULI_X @ rho).real),
-            float(np.trace(PAULI_Y @ rho).real),
-            float(np.trace(PAULI_Z @ rho).real),
-        ]
-    )
 
 
 def _axis_triad(polar_axis: np.ndarray):
@@ -315,7 +297,7 @@ def lie_rank_check(m: MeasurementModel, psi: PureStateVector, max_depth: int = 3
 
     # tangent space of the pure-state manifold at psi, in coordinates
     amp = psi.amplitudes
-    comp = scipy.linalg.null_space(amp.conj()[None, :])
+    comp = _complement(amp)
     tangent = []
     for v in comp.T:
         outer = np.outer(amp, v.conj())

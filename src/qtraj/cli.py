@@ -80,7 +80,7 @@ def _parse_complex_vector(text: str) -> np.ndarray:
     try:
         pairs = json.loads(text)
         return np.array([complex(p[0], p[1]) for p in pairs], dtype=np.complex128)
-    except (json.JSONDecodeError, TypeError, IndexError) as exc:
+    except (json.JSONDecodeError, TypeError, IndexError, KeyError) as exc:
         raise ValidationError(
             f"cannot parse complex vector {text!r}; expected JSON [[re, im], ...]"
         ) from exc
@@ -90,7 +90,7 @@ def _parse_complex(text: str) -> complex:
     try:
         pair = json.loads(text)
         return complex(pair[0], pair[1])
-    except (json.JSONDecodeError, TypeError, IndexError) as exc:
+    except (json.JSONDecodeError, TypeError, IndexError, KeyError) as exc:
         raise ValidationError(
             f"cannot parse complex number {text!r}; expected JSON [re, im]"
         ) from exc

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -29,6 +28,7 @@ from .errors import (
 from .linalg import (
     PureStateVector,
     QuantumState,
+    _expm,
     _nearest_states,
     as_complex_matrix,
     coherence_basis,
@@ -87,7 +87,7 @@ def evolve_master(
     built = np.inf
     for i, gap in enumerate(np.diff(times, prepend=0.0).tolist()):
         if abs(gap - built) > 1e-12:
-            prop, built = scipy.linalg.expm(gen * gap), gap
+            prop, built = _expm(gen * gap), gap
         x = prop @ x
         rows[i] = x
     drift = np.abs(rows[:, 0] * np.sqrt(m.dim) - 1.0)
@@ -167,7 +167,7 @@ def deterministic_flow(
         raise ValidationError("t_final must be positive and finite")
 
     delta = t_final / n_points
-    prop = scipy.linalg.expm(sign * delta * m.diffusive_ops[op_index])
+    prop = _expm(sign * delta * m.diffusive_ops[op_index])
     times = np.arange(n_points + 1) * delta
     vecs = np.empty((n_points + 1, m.dim), dtype=np.complex128)
     vecs[0] = psi0.amplitudes / np.linalg.norm(psi0.amplitudes)

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadChannelIndex,
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .linalg import (
     PureStateVector,
-    QuantumState,
+    _complement,
     as_complex_matrix,
     haar_random_state_vector,
     hermitize,
@@ -286,22 +285,6 @@ def apply_jump(m: MeasurementModel, rho: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def jump_rate(m: MeasurementModel, rho: QuantumState, k: int) -> float:
-    """Jump intensity lambda_k = tr J_k[rho] >= 0."""
-    out = apply_jump(m, rho.matrix, k)
-    val = complex(np.trace(out))
-    return max(float(val.real), 0.0)
-
-
-def output_drift(m: MeasurementModel, rho: QuantumState, j: int) -> float:
-    """Diffusive output drift m_j = tr{(L_j + L_j*) rho}."""
-    if not 0 <= j < len(m.diffusive_ops):
-        raise BadChannelIndex(f"diffusive operator index {j} out of range")
-    op = m.diffusive_ops[j]
-    val = complex(np.trace((op + op.conj().T) @ rho.matrix))
-    return float(val.real)
-
-
 # -- structural checks -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -416,7 +399,7 @@ def check_ellipticity(m: MeasurementModel, psi: PureStateVector) -> EllipticityR
     n = m.dim
     if n == 1:
         return EllipticityReport(True, None, np.inf, 0, 0)
-    comp = scipy.linalg.null_space(psi.amplitudes.conj()[None, :])  # (n, n-1)
+    comp = _complement(psi.amplitudes)  # (n, n-1)
     cols = []
     for j, op in enumerate(m.diffusive_ops):
         c = comp.conj().T @ (op @ psi.amplitudes)  # (n-1,) entries <v_i | L_j psi>

@@ -38,9 +38,13 @@ is a real n^2-vector and every Hermiticity-preserving map is a real
 n^2 x n^2 matrix.  The Kraus pieces, the jump maps and the pieces of the
 Stratonovich fields are derived once per model from ``model.apply_*``
 and stacked side by side, so each evaluation of a step is one real
-matrix product on (B, n^2) rows.  Every such product is one BLAS gemm,
-which rounds each row on its own (a single row is padded to two), so a
-trajectory's path does not depend on the batch it is integrated in.
+matrix product on (B, n^2) rows.  Every such product is one BLAS gemm (a
+single row is padded to two).  gemm rounds each row on its own for the
+stacks that ``TestRowProducts`` in ``tests/test_engine.py`` pins: those of
+its three models, at most 77 columns, on scipy-openblas 0.3.31.  There a
+trajectory's path does not depend on the batch it is integrated in.  A
+wider model (for example a 16 x 99 Kraus stack) can round differently per
+batch until that test covers its stacks.
 
 The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
 Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
@@ -65,7 +69,7 @@ import math
 import numpy as np
 
 from .errors import StepTooLarge
-from .linalg import coherence_basis, superoperator_matrix
+from .linalg import _expm, coherence_basis, superoperator_matrix
 from .model import MeasurementModel, apply_jump, apply_k, apply_l0
 
 _LAMBDA_FLOOR = 1e-12
@@ -79,10 +83,13 @@ _JUMP_BOUND = 4.0  # max expected jumps per waiting-time step
 def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """x @ mat as one BLAS gemm for every batch size B.
 
-    gemm rounds each row on its own, so a trajectory's path does not depend
-    on the batch it is integrated in.  numpy would send a single row to
-    gemv, which rounds differently, so a single row is padded to two
-    (through ``np.dot``, whose call costs less than ``@`` on two rows).
+    numpy would send a single row to gemv, which rounds differently, so a
+    single row is padded to two (through ``np.dot``, whose call costs less
+    than ``@`` on two rows).  gemm then rounds each row on its own, and a
+    path does not depend on its batch, for the stacks ``TestRowProducts``
+    pins (its three models, at most 77 columns, on scipy-openblas 0.3.31).
+    A wider stack, such as the 16 x 99 Kraus stack of a 4-level model with
+    two diffusive operators, can round per batch until that test covers it.
     """
     if x.shape[0] == 1:
         return np.dot(x.repeat(2, axis=0), mat)[:1]
@@ -268,27 +275,6 @@ class _ModelArrays:
         if worst <= _INTENSITY_CAP:
             return 1
         return int(math.ceil(worst / (0.5 * _INTENSITY_CAP) * (1.0 - 1e-12)))
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring of the degree-16 Taylor polynomial.
-
-    a is scaled by 2^-j so that its infinity norm is at most 1/2, where the
-    truncation error is below 1e-19 relative.  The waiting-time tables need
-    the exponential of a step of dt / ``_GRID`` only, where j is mostly 0.
-    Computed in numpy, it spares each forked worker the 1.6 MB of resident
-    memory that the first ``scipy.linalg.expm`` call maps.
-    """
-    norm = float(np.abs(a).sum(axis=1).max())
-    j = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
-    a = a / 2.0**j
-    term = out = np.eye(a.shape[0])
-    for k in range(1, 17):
-        term = term @ a / k
-        out = out + term
-    for _ in range(j):
-        out = out @ out
-    return out
 
 
 def _channels(y: np.ndarray, nn: int) -> np.ndarray:

@@ -19,7 +19,6 @@ from qtraj import (
     time_average_state,
     traceless_hermitian_basis,
     variance_decomposition,
-    von_neumann_entropy,
 )
 from qtraj import analysis
 from qtraj.analysis import _brackets
@@ -57,14 +56,6 @@ class TestEntropies:
             for _ in range(10):
                 rho = QuantumState(random_density_matrix(n, rng))
                 assert 0.0 <= linear_entropy(rho) < 1.0
-
-    def test_von_neumann_pure(self, ground):
-        assert von_neumann_entropy(ground) == 0.0
-
-    def test_von_neumann_maximally_mixed(self):
-        for n in (2, 3, 5):
-            rho = QuantumState(np.eye(n, dtype=complex) / n)
-            assert von_neumann_entropy(rho) == pytest.approx(np.log(n), abs=1e-12)
 
 
 class TestTimeAverage:

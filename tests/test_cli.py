@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtraj
 from qtraj import build_model
 from qtraj.cli import main
 from qtraj.serialize import save_model
@@ -69,6 +74,12 @@ class TestAtomCommand:
             ]
         )
         assert code == 1
+
+    def test_lambda_inner_object_exits_1(self, tmp_path, capsys):
+        argv = ["atom", "--detection", "heterodyne", "--alpha", "[[1.0, 0.0]]"]
+        argv += ["--lambda-inner", '{"a": 1}', "--output", str(tmp_path / "x.json")]
+        assert main(argv) == 1
+        assert "error: ValidationError" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -220,6 +231,11 @@ class TestCheckCommand:
         assert main(argv + ["--exceptional-point", "[[0, 0], [0, 0]]"]) == 1
         assert "error: ValidationError" in capsys.readouterr().err
 
+    def test_exceptional_point_of_objects_exits_1(self, het_model_file, capsys):
+        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", "2"]
+        assert main(argv + ["--exceptional-point", '[{"a": 1}]']) == 1
+        assert "error: ValidationError" in capsys.readouterr().err
+
     def test_dimension_one_exceptional_point_exits_1(self, tmp_path, capsys):
         path = tmp_path / "one.json"
         m = build_model({"dimension": 1, "hamiltonian": [[1.0]], "diffusive_ops": [[[1.0]]]})
@@ -302,3 +318,31 @@ class TestUsage:
         )
         assert code == 1
         assert "QTRAJ_THREADS" in capsys.readouterr().err
+
+
+COLD_START = """
+import sys
+
+import qtraj
+from qtraj.cli import main
+
+model, out = sys.argv[1:]
+assert main(["master", "--model", model, "--t-final", "1", "--dt", "0.1", "--output", out]) == 0
+argv = ["check", "--model", model, "--seed", "1", "--samples", "5"]
+assert main(argv + ["--exceptional-point", "[[0, 0], [1, 0]]"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestColdStart:
+    def test_master_and_check_never_import_scipy(self, het_model_file, tmp_path):
+        # a fresh interpreter: this one has scipy loaded by other tests
+        env = dict(os.environ)
+        src = str(Path(qtraj.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(het_model_file), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"

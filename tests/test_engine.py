@@ -18,14 +18,13 @@ from qtraj import (
     evolve_master,
     generate_atom_model,
     hs_norm,
-    matrix_exp_action,
     run_ensemble,
     simulate_linear,
     simulate_posterior,
     simulate_stratonovich_pure,
     standard_direct,
 )
-from qtraj import engine, steps
+from qtraj import engine, linalg, master, steps
 from qtraj.engine import _ModelArrays, _strat_a_b
 from qtraj.errors import (
     JumpChannelsPresent,
@@ -298,11 +297,27 @@ class TestWaitingTime:
         with pytest.raises(StepTooLarge, match="expected jumps per step can reach 40"):
             simulate_posterior(m, mixed, grid, seed=13, adaptive=False)
 
-    @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.3, 5.0, 40.0])
+    @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.3, 5.0, 40.0, "complex", "nilpotent", "master"])
     def test_expm_matches_scipy(self, scale):
-        a = scale * np.random.default_rng(23).standard_normal((9, 9))
-        want = scipy.linalg.expm(a)
-        np.testing.assert_allclose(steps._expm(a), want, rtol=0, atol=1e-12 * np.abs(want).max())
+        # real 9 x 9 matrices at five scales; a complex 3 x 3 matrix, as the
+        # pure-state flow exponentiates; sigma_-, whose exponential I + sigma_-
+        # is exact; and the direct atom's master generator over a gap of 10
+        # (infinity norm 1.6e4), as evolve_master exponentiates
+        rng = np.random.default_rng(23)
+        if scale == "complex":
+            a = 10.0 * random_complex(rng, 3)
+        elif scale == "nilpotent":
+            a = SIGMA_MINUS
+        elif scale == "master":
+            atom = generate_atom_model(standard_direct(linewidth=300.0, rabi=1000.0))
+            a = 10.0 * master._generator(atom)[0]
+            assert np.abs(a).sum(axis=1).max() == pytest.approx(1.6e4)
+        else:
+            a = scale * rng.standard_normal((9, 9))
+        got, want = linalg._expm(a), scipy.linalg.expm(a)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        if scale == "nilpotent":
+            assert np.array_equal(got, np.eye(2) + SIGMA_MINUS)
 
     def test_substep_count_bounds_total_jumps(self):
         # two channels of peak 1368 each, 2350 together: the total sets s
@@ -390,8 +405,8 @@ class TestDeterministicFlow:
         )
         psi0 = PureStateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         res = deterministic_flow(m, psi0, t_final=30.0)
-        # oracle: normalized exp(L t) psi0 via matrix_exp_action
-        vec = matrix_exp_action(m.diffusive_ops[0], 30.0, psi0.amplitudes)
+        # oracle: normalized exp(L t) psi0
+        vec = scipy.linalg.expm(30.0 * m.diffusive_ops[0]) @ psi0.amplitudes
         vec = vec / np.linalg.norm(vec)
         want = np.outer(vec, vec.conj())
         assert hs_norm(res.states[-1].matrix - want) < 1e-9

@@ -5,19 +5,15 @@ import scipy.optimize
 from qtraj import (
     PureStateVector,
     QuantumState,
-    hs_inner,
     hs_norm,
-    matrix_exp_action,
-    operator_norm,
     project_to_simplex,
     project_to_state,
     random_density_matrix,
-    spectral_decomposition,
     trace_norm,
 )
 from qtraj.errors import DimensionMismatch, NotHermitian, ValidationError, ZeroTrace
 
-from conftest import SIGMA_MINUS, SIGMA_X, SIGMA_Z, random_complex, random_hermitian
+from conftest import SIGMA_Z, random_complex
 
 
 def svd_trace_norm(a):
@@ -70,66 +66,7 @@ class TestNormOrdering:
     def test_infty_le_hs_le_trace(self, rng):
         for _ in range(50):
             a = random_complex(rng, rng.integers(2, 6))
-            assert operator_norm(a) <= hs_norm(a) + 1e-12
             assert hs_norm(a) <= trace_norm(a) + 1e-12
-
-
-class TestHsInner:
-    def test_identity_with_state(self, rng):
-        rho = random_density_matrix(3, rng)
-        assert hs_inner(np.eye(3), rho) == pytest.approx(1.0, abs=1e-12)
-
-    def test_traceless(self):
-        assert hs_inner(SIGMA_Z, np.eye(2) / 2) == pytest.approx(0.0, abs=1e-14)
-
-    def test_sigma_x_with_itself(self):
-        assert hs_inner(SIGMA_X, SIGMA_X) == pytest.approx(2.0, abs=1e-14)
-
-    def test_conjugate_symmetry_and_linearity(self, rng):
-        a, b, c = (random_complex(rng, 3) for _ in range(3))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)), abs=1e-12)
-        z = 0.7 - 0.3j
-        assert hs_inner(a, z * b + c) == pytest.approx(
-            z * hs_inner(a, b) + hs_inner(a, c), abs=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hs_inner(np.eye(2), np.eye(3))
-
-
-class TestSpectralDecomposition:
-    def test_sigma_z(self):
-        pairs = spectral_decomposition(SIGMA_Z)
-        assert pairs[0][0] == pytest.approx(1.0)
-        assert pairs[1][0] == pytest.approx(-1.0)
-        assert abs(pairs[0][1][0]) == pytest.approx(1.0)
-        assert abs(pairs[1][1][1]) == pytest.approx(1.0)
-
-    def test_degenerate_identity(self):
-        pairs = spectral_decomposition(np.eye(2) / 2)
-        assert [w for w, _ in pairs] == pytest.approx([0.5, 0.5])
-        u, v = pairs[0][1], pairs[1][1]
-        assert abs(np.vdot(u, v)) < 1e-10
-
-    def test_diagonal(self):
-        pairs = spectral_decomposition(np.diag([0.75, 0.25]).astype(complex))
-        assert [w for w, _ in pairs] == pytest.approx([0.75, 0.25])
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            a = random_hermitian(rng, n)
-            pairs = spectral_decomposition(a)
-            recon = sum(w * np.outer(v, v.conj()) for w, v in pairs)
-            assert hs_norm(a - recon) <= 1e-10 * n
-            vecs = np.array([v for _, v in pairs])
-            gram = vecs.conj() @ vecs.T
-            assert np.abs(gram - np.eye(n)).max() <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            spectral_decomposition(SIGMA_MINUS)
 
 
 class TestProjectToSimplex:
@@ -169,26 +106,6 @@ class TestProjectToState:
     def test_zero_trace_error(self):
         with pytest.raises(ZeroTrace):
             project_to_state(np.diag([-2.0, -3.0]).astype(complex))
-
-
-class TestMatrixExpAction:
-    def test_zero_matrix(self, rng):
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        out = matrix_exp_action(np.zeros((3, 3)), 2.7, v)
-        assert out == pytest.approx(v, abs=1e-14)
-
-    def test_nilpotent(self):
-        t = 1.7
-        out = matrix_exp_action(SIGMA_MINUS, t, np.array([0.6, 0.8]))
-        assert out == pytest.approx([0.6, 0.8 + 0.6 * t], abs=1e-12)
-
-    def test_diagonal(self):
-        out = matrix_exp_action(np.diag([1.0, -1.0]).astype(complex), 1.0, np.array([1.0, 1.0]))
-        assert out == pytest.approx([np.e, 1.0 / np.e], rel=1e-9)
-
-    def test_rejects_nonfinite_time(self):
-        with pytest.raises(ValidationError):
-            matrix_exp_action(SIGMA_Z, np.inf, np.array([1.0, 0.0]))
 
 
 class TestStateTypes:

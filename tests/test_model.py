@@ -4,7 +4,6 @@ import pytest
 from qtraj import (
     JumpChannel,
     PureStateVector,
-    QuantumState,
     apply_jump,
     apply_k,
     apply_l1,
@@ -16,8 +15,6 @@ from qtraj import (
     check_purification_obstruction_dim2,
     haar_random_state_vector,
     hs_norm,
-    jump_rate,
-    output_drift,
     random_density_matrix,
 )
 from qtraj.errors import (
@@ -240,52 +237,6 @@ class TestJumpOps:
     def test_bad_index(self, decay_model, mixed):
         with pytest.raises(BadChannelIndex):
             apply_jump(decay_model, mixed.matrix, 0)
-
-
-class TestRatesAndDrifts:
-    @pytest.fixture
-    def counting_model(self):
-        return build_model(
-            {
-                "dimension": 2,
-                "hamiltonian": np.zeros((2, 2)),
-                "jump_channels": [{"label": "c", "weight": 1.0, "kraus": [SIGMA_MINUS]}],
-            }
-        )
-
-    def test_jump_rates(self, counting_model, excited, ground, mixed):
-        assert jump_rate(counting_model, excited, 0) == pytest.approx(1.0)
-        assert jump_rate(counting_model, ground, 0) == pytest.approx(0.0, abs=1e-14)
-        assert jump_rate(counting_model, mixed, 0) == pytest.approx(0.5)
-
-    def test_output_drifts(self, excited, mixed):
-        mz = build_model(
-            {"dimension": 2, "hamiltonian": np.zeros((2, 2)), "diffusive_ops": [SIGMA_Z]}
-        )
-        assert output_drift(mz, excited, 0) == pytest.approx(2.0)
-        mdec = build_model(
-            {
-                "dimension": 2,
-                "hamiltonian": np.zeros((2, 2)),
-                "diffusive_ops": [SIGMA_MINUS],
-            }
-        )
-        assert output_drift(mdec, mixed, 0) == pytest.approx(0.0, abs=1e-14)
-        plus = QuantumState(0.5 * np.ones((2, 2), dtype=complex))
-        assert output_drift(mdec, plus, 0) == pytest.approx(1.0)
-
-    def test_bad_index(self, decay_model, mixed):
-        with pytest.raises(BadChannelIndex):
-            output_drift(decay_model, mixed, 5)
-
-    def test_real_valued_on_random_states(self, rng):
-        m = random_model(rng)
-        for _ in range(10):
-            rho = QuantumState(random_density_matrix(2, rng))
-            for k in range(len(m.jump_channels)):
-                assert jump_rate(m, rho, k) >= 0.0
-            for j in range(len(m.diffusive_ops)):
-                output_drift(m, rho, j)  # raises if badly complex
 
 
 class TestPurePreserving:
