@@ -199,12 +199,7 @@ def empirical_invariant_measure(
     vecs[:, 0] = np.einsum("ij,tji->t", PAULI_X, states).real
     vecs[:, 1] = np.einsum("ij,tji->t", PAULI_Y, states).real
     vecs[:, 2] = np.einsum("ij,tji->t", PAULI_Z, states).real
-    if mixed.any():
-        # direction of the dominant eigenvector = direction of the Bloch vector
-        idx = np.flatnonzero(mixed)
-        norms = np.linalg.norm(vecs[idx], axis=1)
-        norms[norms == 0] = 1.0
-        vecs[idx] /= norms[:, None]
+    # the direction of the Bloch vector is that of the dominant eigenvector
     nrm = np.linalg.norm(vecs, axis=1)
     nrm[nrm == 0] = 1.0
     unit = vecs / nrm[:, None]

@@ -31,7 +31,7 @@ from .engine import (
     simulate_posterior,
 )
 from .errors import NumericalError, ValidationError
-from .linalg import PureStateVector, QuantumState, haar_random_state_vector
+from .linalg import PureStateVector, QuantumState, _philox, haar_random_state_vector
 from .master import equilibrium, evolve_master
 from .model import (
     check_ellipticity,
@@ -164,7 +164,7 @@ def cmd_check(args) -> int:
             pure.verdict and not obst.obstruction_exists
         )
     if model.n_diffusive:
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        rng = _philox(args.seed)
         n_elliptic = 0
         for _ in range(args.samples):
             psi = PureStateVector(haar_random_state_vector(model.dim, rng))

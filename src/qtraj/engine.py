@@ -7,7 +7,9 @@ the last step; rows are converted to complex matrices only when a public
 result is built.
 
 The step loop does per step only what the next step needs: the step, the
-weight-underflow reset and a finiteness check.  Each step's output rows are
+weight-underflow reset and a finiteness check.  A row's trace is its
+trajectory's weight (always 1 outside linear mode), so no weight is carried
+beside the rows.  Each step's output rows are
 buffered, and what is recorded from them (the entropy, the collector's
 statistics and paths) is computed once per flush, a block of up to
 ``_FLUSH`` row-steps ending at the latest with its noise chunk.  A single
@@ -42,7 +44,7 @@ from .errors import (
     NotPurePreserving,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, hs_norm
+from .linalg import PureStateVector, QuantumState, _philox, hs_norm
 from .model import MeasurementModel
 
 # The driver calls the kernels through this module's names, so patching
@@ -51,6 +53,7 @@ from .model import MeasurementModel
 from .steps import (  # noqa: F401
     _apply_k_b,
     _ModelArrays,
+    _pad8,
     _posterior_substep,
     _posterior_substeps,
     _project_pure_b,
@@ -93,13 +96,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
-
-    def index_of_time(self, t: float) -> int:
-        """Grid index closest to t."""
-        i = int(round(t / self.dt))
-        if not 0 <= i <= self.n_steps:
-            raise ValidationError(f"time {t} outside the grid")
-        return i
 
 
 @dataclass
@@ -167,27 +163,26 @@ class EnsembleStats:
 
     def index_of_time(self, t: float) -> int:
         dt = float(self.times[1] - self.times[0])
-        i = int(round(t / dt))
+        i = int(round(t / dt)) if math.isfinite(t) else -1
         if not 0 <= i < self.times.shape[0]:
             raise ValidationError(f"time {t} outside the recorded grid")
         return i
 
 
-def _entropy_rows(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Linear entropy 1 - tr rho^2 = 1 - |x|^2 / 2; with weights w > 0
-    (linear mode), that of the normalized state, 1 - |x / w|^2 / 2."""
-    if weights is not None:
-        x = x / weights[:, None]
+def _entropy_rows(x: np.ndarray, tr0: float) -> np.ndarray:
+    """Linear entropy of the normalized state, 1 - |x / w|^2 / 2, where
+    w = tr0 x_0 > 0 is the row's trace."""
+    x = x / (tr0 * x[:, :1])
     return 1.0 - 0.5 * np.einsum("bi,bi->b", x, x)
 
 
 # -- collectors ---------------------------------------------------------------
 #
 # ``_simulate_batch`` hands its records over once per flush, as
-# collect(i, state, weights, entropy, fired, dW, m_drift, defect, alive) with
-# records i .. i + F - 1 in (B, F, ...) arrays: coordinate rows (B, F, N),
-# weights, entropy and alive (B, F), where alive is False from the record at
-# which a row failed on.  fired (B, F, K), dW and m_drift (B, F, d) and
+# collect(i, state, entropy, fired, dW, m_drift, defect, alive) with records
+# i .. i + F - 1 in (B, F, ...) arrays: coordinate rows (B, F, N), whose
+# trace tr0 x_0 is the weight, entropy and alive (B, F), where alive is False
+# from the record at which a row failed on.  fired (B, F, K), dW and m_drift (B, F, d) and
 # defect (B, F) come from the steps that end at those records; they are None
 # at record 0, and fired without jump channels, m_drift in linear mode or
 # without diffusive channels, and defect outside the Stratonovich scheme are
@@ -206,17 +201,15 @@ class _PathCollector:
         self.mode = mode
         self.grid = grid
         self.rows = np.zeros((n_rec, arr.n * arr.n))
-        self.weights = np.ones(n_rec)
         self.entropy = np.zeros(n_rec)
         self.dW = np.zeros((grid.n_steps, arr.n_diff))
         self.m_drift = np.zeros((grid.n_steps, arr.n_diff))
         self.fired = np.zeros((grid.n_steps, arr.K), dtype=np.int64)
         self.defect = np.zeros(grid.n_steps)
 
-    def collect(self, i, state, weights, entropy, fired, dW, m_drift, defect, alive):
+    def collect(self, i, state, entropy, fired, dW, m_drift, defect, alive):
         f = state.shape[1]
         self.rows[i:i + f] = state[0]
-        self.weights[i:i + f] = weights[0]
         self.entropy[i:i + f] = entropy[0]
         if dW is None:
             return
@@ -237,9 +230,8 @@ class _PathCollector:
         jumps = list(zip(np.repeat(steps, counts).tolist(), np.repeat(ks, counts).tolist()))
         if self.mode == "linear":
             output = OutputRecord(self.dW, jumps, None)
-            return LinearTrajectory(
-                self.grid, states, self.weights, output, self.entropy, underflow
-            )
+            weights = self.arr.tr0 * self.rows[:, 0]
+            return LinearTrajectory(self.grid, states, weights, output, self.entropy, underflow)
         # output increments dW = dW~ + m dt under the physical law
         output = OutputRecord(self.dW + self.m_drift * self.grid.dt, jumps, self.dW)
         defect = float(np.fmax.reduce(self.defect, initial=0.0))
@@ -250,7 +242,8 @@ class _StatsCollector:
     """Streaming per-record mean/M2 aggregates over one batch of trajectories.
 
     Each flush converts its rows, in one product, to the columns
-    [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
+    [re, im of the state's entries | re, im of tr(O* rho) | weight = tr rho]
+    (padded to ``_pad8`` width; the padding is dropped), appends the entropy
     and stores their mean and M2 per record over the rows alive there (dead
     rows hold finite values and are masked out, unless every row is alive).
     It also adds the alive rows' jump counts and Wiener sums.  With
@@ -264,9 +257,11 @@ class _StatsCollector:
             unit = arr.matrices(np.eye(arr.n * arr.n))  # the matrix of each unit row
             obs = np.einsum("ij,aji->a", observable.conj().T, unit)
             to_cols = np.hstack([to_cols, np.stack([obs.real, obs.imag], axis=1)])
-        self.to_cols = to_cols
+        to_cols = np.hstack([to_cols, arr.tr0 * np.eye(arr.n * arr.n)[:, :1]])  # weight
+        self.width = to_cols.shape[1]
+        self.to_cols = _pad8(to_cols)
         self.count = np.zeros(n_rec, dtype=np.int64)
-        self.mean = np.zeros((n_rec, to_cols.shape[1] + 2))
+        self.mean = np.zeros((n_rec, self.width + 1))
         self.m2 = np.zeros_like(self.mean)
         self.path = _PathCollector(arr, mode, grid) if keep_path else None
         self.jump_totals = None  # (B, K), set lazily
@@ -279,9 +274,9 @@ class _StatsCollector:
         self.alive = None
         self.underflow = None
 
-    def collect(self, i, state, weights, entropy, fired, dW, m_drift, defect, alive):
+    def collect(self, i, state, entropy, fired, dW, m_drift, defect, alive):
         if self.path is not None:
-            self.path.collect(i, state, weights, entropy, fired, dW, m_drift, defect, alive)
+            self.path.collect(i, state, entropy, fired, dW, m_drift, defect, alive)
         b, f = alive.shape
         if self.jump_totals is None:
             self.jump_totals = np.zeros((b, self.n_jump), dtype=np.int64)
@@ -291,7 +286,7 @@ class _StatsCollector:
         if defect is not None:
             np.maximum(self.defect_max, defect.max(axis=1), out=self.defect_max)
         cols = _rows(state.reshape(b * f, -1), self.to_cols).reshape(b, f, -1)
-        vals = np.concatenate((cols, weights[:, :, None], entropy[:, :, None]), axis=2)
+        vals = np.concatenate((cols[:, :, :self.width], entropy[:, :, None]), axis=2)
         live = None if alive.all() else alive[:, :, None]
         if live is not None:
             vals *= live
@@ -342,11 +337,12 @@ def _simulate_batch(
     reset.  It writes its outputs into buffers of
     F = max(1, min(_FLUSH // B, chunk)) steps.  A flush, after F steps or at
     the end of a noise chunk, computes the entropy of the whole (B F, N)
-    block and hands the records to ``collector.collect`` in one call.
+    block and hands the records to ``collector.collect`` in one call.  The
+    weight is the rows' trace, so neither the loop nor the flush holds it.
     Returns (alive, underflow) masks.
     """
     b = len(seeds)
-    gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+    gens = [_philox(s) for s in seeds]
     dt = grid.dt
     n_steps = grid.n_steps
     linear = mode == "linear"
@@ -356,12 +352,10 @@ def _simulate_batch(
     flush = max(1, min(_FLUSH // b, chunk))
 
     x = np.repeat(arr.coords(rho0_mat[None]), b, axis=0)
-    weights = np.full(b, np.trace(rho0_mat).real)
     underflow = np.zeros(b, dtype=bool)
     failed_at = np.full(b, n_steps + 1)  # the record at which each row failed
-    # buffers of one flush; the weights change only in linear mode
+    # buffers of one flush
     xs = np.empty((b, flush, x.shape[1]))
-    ws = np.empty((b, flush)) if linear else np.broadcast_to(weights[:, None], (b, flush))
     fs = np.empty((b, flush, arr.K), dtype=np.int64) if arr.K and not strat else None
     ms = np.empty((b, flush, arr.n_diff)) if arr.n_diff and not linear else None
     ds = np.empty((b, flush)) if strat else None
@@ -369,19 +363,16 @@ def _simulate_batch(
     def flush_records(i, count, dW):
         """Hand records i .. i + count - 1 from the buffers to the collector;
         dW is None for record 0, which ends no step."""
-        rows, w = xs[:, :count], ws[:, :count]
-        entropy = _entropy_rows(rows.reshape(b * count, -1), w.reshape(-1) if linear else None)
-        entropy = entropy.reshape(b, count)
+        rows = xs[:, :count]
+        entropy = _entropy_rows(rows.reshape(b * count, -1), arr.tr0).reshape(b, count)
         recs = failed_at[:, None] - np.arange(i, i + count)
         entropy[recs == 0] = 0.0  # at the record where a row failed
         fired, m_drift, defect = (
             None if buf is None or dW is None else buf[:, :count] for buf in (fs, ms, ds)
         )
-        collector.collect(i, rows, w, entropy, fired, dW, m_drift, defect, recs > 0)
+        collector.collect(i, rows, entropy, fired, dW, m_drift, defect, recs > 0)
 
     xs[:, 0] = x
-    if linear:
-        ws[:, 0] = weights
     flush_records(0, 1, None)
 
     shape = (b, chunk) if s == 1 else (b, chunk, s)
@@ -403,35 +394,28 @@ def _simulate_batch(
                 dW = step_dW[:, l]
                 u = uniforms[:, l] if s == 1 else None
                 if linear:
-                    x, weights, fired = _step_linear(arr, x, dt, dW, u)
-                    low = weights < _WEIGHT_FLOOR
+                    x, w, fired = _step_linear(arr, x, dt, dW, u)
+                    low = w < _WEIGHT_FLOOR
                     if low.any():
                         underflow |= low
-                        zero = weights <= 0.0
-                        x[zero] = _WEIGHT_FLOOR * arr.mixed
-                        weights[zero] = _WEIGHT_FLOOR
+                        x[w <= 0.0] = _WEIGHT_FLOOR * arr.mixed
                 elif strat:
                     x, defect, m_drift = _step_stratonovich(arr, x, dt, dW)
                 else:
                     sub = None if s == 1 else (normals[:, l], uniforms[:, l])
                     x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
 
-                # A row fails when an entry of it (or, in linear mode, its
-                # weight) is not finite.  These are the rows whose entropy
-                # 1 - |x / w|^2 / 2 is not finite, the earlier test: a finite
-                # row is a state (of trace w), so |x / w| is bounded.  One sum
+                # A row fails when an entry of it is not finite; in linear
+                # mode that includes a non-finite weight, as the row is the
+                # image scaled to its weight.  A finite row is a state (of
+                # trace w > 0), so its entropy is then finite too.  One sum
                 # finds any nan or inf; only then are rows checked one by one.
                 # Failed rows restart from I/n, so no later step sees nan or inf.
-                if not math.isfinite(x.sum()) or (linear and not math.isfinite(weights.sum())):
+                if not math.isfinite(x.sum()):
                     bad = ~np.isfinite(x).all(axis=1)
-                    if linear:
-                        bad |= ~np.isfinite(weights)
-                        weights[bad] = 1.0
                     failed_at[bad & (failed_at > n_steps)] = start + l + 1
                     x[bad] = arr.mixed
                 xs[:, j] = x
-                if linear:
-                    ws[:, j] = weights
                 if strat:
                     ds[:, j] = defect
                 if fs is not None:
@@ -593,6 +577,8 @@ def run_ensemble(
         observable = np.asarray(observable, dtype=np.complex128)
         if observable.shape != (m.dim, m.dim):
             raise DimensionMismatch("observable dimension does not match the model")
+        if not np.isfinite(observable).all():
+            raise ValidationError("observable must be finite")
 
     blocks = []
     for start in range(0, n_traj, _BLOCK):

@@ -244,6 +244,14 @@ def project_to_state(a: np.ndarray) -> QuantumState:
     return QuantumState(_nearest_states(as_complex_matrix(a)[None])[0])
 
 
+def _philox(key) -> np.random.Generator:
+    """The Philox4x64 stream of every seeded draw; keys lie in [0, 2^128)."""
+    key = int(key)
+    if not 0 <= key < 2**128:
+        raise ValidationError(f"seed {key} is outside [0, 2**128)")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def haar_random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector: normalized iid standard complex Gaussians."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -69,7 +69,7 @@ def evolve_master(
     m: MeasurementModel, rho0: QuantumState, times) -> list[QuantumState]:
     """Solve d eta/dt = L[eta] at the requested times.
 
-    Times must be nonnegative and ascending.  The coordinates are advanced
+    Times must be finite, nonnegative and ascending.  The coordinates are advanced
     from each time to the next by exp(L gap), recomputed only when the gap
     differs by more than 1e-12 from the one the propagator was built for,
     so a uniform grid costs two exponentials.  Each output is re-validated
@@ -79,6 +79,8 @@ def evolve_master(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] == 0:
         raise ValidationError("times must be a nonempty 1-D sequence")
+    if not np.isfinite(times).all():
+        raise ValidationError("times must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValidationError("times must be nonnegative and ascending")
     gen, basis = _generator(m)
@@ -165,6 +167,8 @@ def deterministic_flow(
         raise DimensionMismatch("initial vector dimension does not match the model")
     if not (t_final > 0 and np.isfinite(t_final)):
         raise ValidationError("t_final must be positive and finite")
+    if n_points < 1:
+        raise ValidationError("n_points must be >= 1")
 
     delta = t_final / n_points
     prop = _expm(sign * delta * m.diffusive_ops[op_index])

@@ -39,6 +39,7 @@ from .errors import (
 from .linalg import (
     PureStateVector,
     _complement,
+    _philox,
     as_complex_matrix,
     haar_random_state_vector,
     hermitize,
@@ -309,7 +310,7 @@ def check_pure_preserving(
         raise ValidationError("n_samples must be >= 1")
     dissipative_nonzero = any(hs_norm(op) > 1e-14 for op in m.dissipative_ops)
     witnesses: list[tuple[np.ndarray, int]] = []
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
+    rng = _philox(rng_seed)
     for _ in range(n_samples):
         psi = haar_random_state_vector(m.dim, rng)
         proj = np.outer(psi, psi.conj())

@@ -38,13 +38,12 @@ is a real n^2-vector and every Hermiticity-preserving map is a real
 n^2 x n^2 matrix.  The Kraus pieces, the jump maps and the pieces of the
 Stratonovich fields are derived once per model from ``model.apply_*``
 and stacked side by side, so each evaluation of a step is one real
-matrix product on (B, n^2) rows.  Every such product is one BLAS gemm (a
-single row is padded to two).  gemm rounds each row on its own for the
-stacks that ``TestRowProducts`` in ``tests/test_engine.py`` pins: those of
-its three models, at most 77 columns, on scipy-openblas 0.3.31.  There a
-trajectory's path does not depend on the batch it is integrated in.  A
-wider model (for example a 16 x 99 Kraus stack) can round differently per
-batch until that test covers its stacks.
+matrix product on (B, n^2) rows: one BLAS gemm (a single row is padded to
+two) on a stack padded with zero columns to a multiple of 8 (``_pad8``).
+gemm then rounds each row on its own for the stacks of the four models
+that ``TestRowProducts`` in ``tests/test_engine.py`` pins, up to n = 4, on
+scipy-openblas 0.3.31, and a trajectory's path does not depend on its
+batch.  Unpadded, the 16 x 99 Kraus stack of its n = 4 model does.
 
 The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
 Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
@@ -85,15 +84,17 @@ def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
     numpy would send a single row to gemv, which rounds differently, so a
     single row is padded to two (through ``np.dot``, whose call costs less
-    than ``@`` on two rows).  gemm then rounds each row on its own, and a
-    path does not depend on its batch, for the stacks ``TestRowProducts``
-    pins (its three models, at most 77 columns, on scipy-openblas 0.3.31).
-    A wider stack, such as the 16 x 99 Kraus stack of a 4-level model with
-    two diffusive operators, can round per batch until that test covers it.
+    than ``@`` on two rows).  gemm then rounds each row on its own for the
+    ``_pad8`` stacks ``TestRowProducts`` pins (see the module docstring).
     """
     if x.shape[0] == 1:
         return np.dot(x.repeat(2, axis=0), mat)[:1]
     return x @ mat
+
+
+def _pad8(mat: np.ndarray) -> np.ndarray:
+    """mat with zero columns up to a multiple of 8; readers slice them off."""
+    return np.pad(mat, ((0, 0), (0, -mat.shape[1] % 8)))
 
 
 def _cuts(*widths) -> list:
@@ -124,8 +125,9 @@ class _ModelArrays:
     * ``strat``: the Stratonovich drift piece A, G_1..G_d, m_j and
       c = tr C[rho] / 2.
 
-    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks.  Counting-only
-    models (``counting``) also have the waiting-time tables ``waiting(dt)``.
+    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks, dropping the
+    ``_pad8`` columns.  Counting-only models (``counting``) also have the
+    waiting-time tables ``waiting(dt)``.
     """
 
     def __init__(self, m: MeasurementModel):
@@ -197,7 +199,7 @@ class _ModelArrays:
 
         c = sum((mat(lambda r, op=op: c_j(r, op)) for op in ops), np.zeros((nn, nn)))
         at = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
-        self.strat = np.hstack([at, stack(gs), traces(gs), 0.5 * traces([c])])
+        self.strat = _pad8(np.hstack([at, stack(gs), traces(gs), 0.5 * traces([c])]))
         self.strat_cuts = _cuts(nn, d * nn, d, 1)
         self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
         self.nu = np.array([ch.weight for ch in m.jump_channels])
@@ -217,9 +219,9 @@ class _ModelArrays:
         if st is None:
             a, q, gs, xs, ps, ms, trace, k_trace, js, lams = self._kraus_parts
             e0 = np.eye(a.shape[0]) + dt * a + (dt * dt) * q
-            st = self._kraus[dt] = np.hstack(
+            st = self._kraus[dt] = _pad8(np.hstack(
                 [e0, gs + dt * xs, ps, ms, (trace + dt * k_trace)[:, None], js, lams]
-            )
+            ))
         return st
 
     def waiting(self, dt: float):

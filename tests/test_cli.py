@@ -279,6 +279,25 @@ class TestInvariantCommand:
         assert "sigma_z_residual=" in report
 
 
+class TestSeeds:
+    """A seed outside the Philox keys [0, 2^128) is a typed input error."""
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "check"])
+    def test_negative_seed_exits_1(self, command, het_model_file, tmp_path, capsys):
+        argv = [command, "--model", str(het_model_file), "--seed", "-1"]
+        if command != "check":
+            argv += ["--t-final", "0.01", "--dt", "0.001", "--output", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "error: ValidationError" in capsys.readouterr().err
+
+    def test_last_key_beyond_range_exits_1(self, het_model_file, tmp_path, capsys):
+        argv = ["simulate", "--model", str(het_model_file), "--seed", str(2**128 - 1),
+                "--t-final", "0.01", "--dt", "0.001", "--output", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert main(argv + ["--trajectories", "2"]) == 1
+        assert "error: ValidationError" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_flag_exits_1(self):
         assert main(["simulate", "--bogus"]) == 1

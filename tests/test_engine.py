@@ -227,7 +227,7 @@ class TestWaitingTime:
         def __init__(self):
             self.fired = []
 
-        def collect(self, i, state, weights, entropy, fired, *rest):
+        def collect(self, i, state, entropy, fired, *rest):
             if fired is not None:
                 self.fired.append(fired.copy())
 
@@ -425,6 +425,11 @@ class TestDeterministicFlow:
         res = deterministic_flow(m, psi0, t_final=30.0, sign=-1)
         assert hs_norm(res.states[-1].matrix - np.diag([0.0, 1.0])) < 1e-9
 
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_rejects_no_points(self, decay_model, n_points):
+        with pytest.raises(ValidationError, match="n_points"):
+            deterministic_flow(decay_model, PureStateVector([1.0, 0.0]), 1.0, n_points=n_points)
+
     def test_requires_single_op(self, heterodyne_model):
         with pytest.raises(MultipleDiffusiveOps):
             deterministic_flow(heterodyne_model, PureStateVector([1.0, 0.0]), 1.0)
@@ -533,6 +538,28 @@ class TestRunEnsemble:
         grid = TimeGrid(t_final=0.1, dt=1e-3)
         with pytest.raises(ValidationError):
             run_ensemble(heterodyne_model, mixed, grid, 2, seed=1, mode="euler")
+
+    def test_non_finite_observable(self, heterodyne_model, mixed):
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        obs = SIGMA_Z.copy()
+        obs[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="observable"):
+            run_ensemble(heterodyne_model, mixed, grid, 2, 1, "posterior", observable=obs)
+
+    def test_seed_outside_philox_keys(self, heterodyne_model, mixed):
+        # trajectory i takes key seed + i, so every key must be in [0, 2**128)
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        with pytest.raises(ValidationError, match="seed"):
+            run_ensemble(heterodyne_model, mixed, grid, 1, -1, "posterior")
+        run_ensemble(heterodyne_model, mixed, grid, 2, 2**128 - 2, "posterior")
+        with pytest.raises(ValidationError, match="seed"):
+            run_ensemble(heterodyne_model, mixed, grid, 3, 2**128 - 2, "posterior")
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 1.5])
+    def test_index_of_time_rejects(self, heterodyne_model, mixed, t):
+        stats = run_ensemble(heterodyne_model, mixed, TimeGrid(1.0, 0.1), 1, 1, "posterior")
+        with pytest.raises(ValidationError):
+            stats.index_of_time(t)
 
     def test_parallel_matches_serial(self, heterodyne_model, mixed, monkeypatch):
         grid = TimeGrid(t_final=0.1, dt=1e-3)
@@ -779,13 +806,17 @@ class TestStepsMatchReference:
 class TestRowProducts:
     """``engine._rows`` rounds each row on its own: a row alone, in a
     sub-batch, in a strided view or in a reshaped block equals the matching
-    row of the full product, bit for bit, for every stack the engine uses."""
+    row of the full product, bit for bit, for every stack the engine uses.
+    The 4-level model's Kraus stack (16 x 99) and column stack (16 x 35)
+    round per batch unless padded to a multiple of 8 columns."""
 
-    @pytest.mark.parametrize("name", ["heterodyne", "direct", "random3"])
+    @pytest.mark.parametrize("name", ["heterodyne", "direct", "random3", "random4"])
     def test_rows_do_not_depend_on_the_batch(self, name, request):
         rng = np.random.default_rng(17)
         if name == "random3":
             m = _random_model(rng, 3, n_diff=2, n_jump=2, n_diss=1)
+        elif name == "random4":
+            m = _random_model(rng, 4, n_diff=2, n_jump=0)
         else:
             m = request.getfixturevalue(f"{name}_model")
         arr = _ModelArrays(m)

@@ -116,6 +116,12 @@ class TestEvolveMaster:
         with pytest.raises(ValidationError):
             evolve_master(decay_model, mixed, [-1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, decay_model, mixed, bad):
+        # a nan gap once reused the previous propagator, and inf overflowed
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_master(decay_model, mixed, [0.0, bad])
+
 
 class TestEquilibrium:
     def test_decay_ground_state(self, decay_model):
