@@ -242,10 +242,11 @@ class _StatsCollector:
     """Streaming per-record mean/M2 aggregates over one batch of trajectories.
 
     Each flush converts its rows, in one product, to the columns
-    [re, im of the state's entries | re, im of tr(O* rho) | weight = tr rho]
-    (padded to ``_pad8`` width; the padding is dropped), appends the entropy
-    and stores their mean and M2 per record over the rows alive there (dead
-    rows hold finite values and are masked out, unless every row is alive).
+    [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
+    (the entropy goes into a zero column of the product, so nothing is
+    copied; the ``_pad8`` columns ride along as zeros) and stores their
+    mean and M2 per record over the rows alive there (dead rows hold
+    finite values and are masked out, unless every row is alive).
     It also adds the alive rows' jump counts and Wiener sums.  With
     ``keep_path`` it also records row 0's full path.
     """
@@ -257,11 +258,12 @@ class _StatsCollector:
             unit = arr.matrices(np.eye(arr.n * arr.n))  # the matrix of each unit row
             obs = np.einsum("ij,aji->a", observable.conj().T, unit)
             to_cols = np.hstack([to_cols, np.stack([obs.real, obs.imag], axis=1)])
-        to_cols = np.hstack([to_cols, arr.tr0 * np.eye(arr.n * arr.n)[:, :1]])  # weight
+        e0 = np.eye(arr.n * arr.n)[:, :1]  # the weight tr0 x_0, then the entropy's slot
+        to_cols = np.hstack([to_cols, arr.tr0 * e0, 0.0 * e0])
         self.width = to_cols.shape[1]
         self.to_cols = _pad8(to_cols)
         self.count = np.zeros(n_rec, dtype=np.int64)
-        self.mean = np.zeros((n_rec, self.width + 1))
+        self.mean = np.zeros((n_rec, self.to_cols.shape[1]))
         self.m2 = np.zeros_like(self.mean)
         self.path = _PathCollector(arr, mode, grid) if keep_path else None
         self.jump_totals = None  # (B, K), set lazily
@@ -285,8 +287,8 @@ class _StatsCollector:
         np.maximum(self.entropy_max, entropy.max(axis=1), out=self.entropy_max)
         if defect is not None:
             np.maximum(self.defect_max, defect.max(axis=1), out=self.defect_max)
-        cols = _rows(state.reshape(b * f, -1), self.to_cols).reshape(b, f, -1)
-        vals = np.concatenate((cols[:, :, :self.width], entropy[:, :, None]), axis=2)
+        vals = _rows(state.reshape(b * f, -1), self.to_cols).reshape(b, f, -1)
+        vals[:, :, self.width - 1] = entropy
         live = None if alive.all() else alive[:, :, None]
         if live is not None:
             vals *= live
@@ -610,8 +612,8 @@ def run_ensemble(
 
     cnt = merged.count
     denom = np.where(cnt > 1, cnt * np.maximum(cnt - 1, 1), 1).astype(float)
-    se = np.sqrt(merged.m2 / denom[:, None]) * (cnt > 1)[:, None]
-    mean = merged.mean
+    se = (np.sqrt(merged.m2 / denom[:, None]) * (cnt > 1)[:, None])[:, :merged.width]
+    mean = merged.mean[:, :merged.width]
     n = m.dim
     ent = 2 * n * n  # columns of the state entries; then tr(O* rho), weight, entropy
     se_state = se[:, :ent].reshape(-1, n, n, 2)

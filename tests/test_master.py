@@ -118,7 +118,7 @@ class TestEvolveMaster:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_times(self, decay_model, mixed, bad):
-        # a nan gap once reused the previous propagator, and inf overflowed
+        # a nan gap would reuse the last propagator, and an inf one overflow it
         with pytest.raises(ValidationError, match="finite"):
             evolve_master(decay_model, mixed, [0.0, bad])
 
