@@ -9,10 +9,10 @@ result is built.
 The step loop does per step only what the next step needs: the step, the
 weight-underflow reset and a finiteness check.  A row's trace is its
 trajectory's weight (always 1 outside linear mode), so no weight is carried
-beside the rows.  Each step's output rows are
-buffered, and what is recorded from them (the entropy, the collector's
-statistics and paths) is computed once per flush, a block of up to
-``_FLUSH`` row-steps ending at the latest with its noise chunk.  A single
+beside the rows.  Each step's output rows are buffered, and what is recorded
+from them (the entropy, the collector's statistics and paths) is computed
+once per flush, a block of up to ``_FLUSH`` row-steps ending at the latest
+with its noise chunk.  A single
 long trajectory therefore pays per step little more than its own products.
 
 Well-posedness of the continuous equations beyond special cases is an open
@@ -182,11 +182,11 @@ def _entropy_rows(x: np.ndarray, tr0: float) -> np.ndarray:
 # collect(i, state, entropy, fired, dW, m_drift, defect, alive) with records
 # i .. i + F - 1 in (B, F, ...) arrays: coordinate rows (B, F, N), whose
 # trace tr0 x_0 is the weight, entropy and alive (B, F), where alive is False
-# from the record at which a row failed on.  fired (B, F, K), dW and m_drift (B, F, d) and
-# defect (B, F) come from the steps that end at those records; they are None
-# at record 0, and fired without jump channels, m_drift in linear mode or
-# without diffusive channels, and defect outside the Stratonovich scheme are
-# None too.  The arrays are the driver's buffers, valid only during the call.
+# from the record at which a row failed on.  fired (B, F, K), dW and m_drift
+# (B, F, d) and defect (B, F) come from the steps that end at those records;
+# they are None at record 0, and fired without jump channels, m_drift in
+# linear mode or without diffusive channels, and defect outside the
+# Stratonovich scheme are None too.  The arrays are the driver's buffers, valid only during the call.
 
 class _PathCollector:
     """Records the full path of row 0 of every batch it is given.
