@@ -37,6 +37,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
+_PURITY_GATE = 0.05  # linear entropy above which a Bloch sample counts as mixed
+
 
 def linear_entropy(rho: QuantumState) -> float:
     """tr rho(1 - rho); zero exactly on pure states, always in [0, 1)."""
@@ -45,10 +47,15 @@ def linear_entropy(rho: QuantumState) -> float:
     return max(val, 0.0)
 
 
+def _check_burn_in(burn_in: float, t_final: float) -> None:
+    """Reject a burn-in that leaves no averaging window, NaN included."""
+    if not burn_in < t_final:
+        raise EmptyAverageWindow(f"burn_in {burn_in} must be smaller than t_final {t_final}")
+
+
 def _window(traj: PosteriorTrajectory, burn_in: float):
     times = traj.grid.times
-    if burn_in >= traj.grid.t_final:
-        raise EmptyAverageWindow("burn_in must be smaller than t_final")
+    _check_burn_in(burn_in, traj.grid.t_final)
     mask = times >= burn_in
     if mask.sum() < 2:
         raise EmptyAverageWindow("averaging window holds fewer than two samples")
@@ -175,14 +182,13 @@ def empirical_invariant_measure(
     grid: tuple[int, int] = (12, 24),
     burn_in: float = 0.0,
     polar_axis=(0.0, 0.0, 1.0),
-    purity_gate: float = 0.05,
 ) -> BlochHistogram:
     """Dwell-time histogram of a dim-2 trajectory over the Bloch sphere.
 
-    Samples with linear entropy above ``purity_gate`` are binned by their
-    dominant eigenvector and counted in ``mixed_samples``.  ``polar_axis``
-    picks the axis the polar angle is measured from, so that structures
-    like great circles can be aligned with one angular band.
+    Samples with linear entropy above ``_PURITY_GATE`` (0.05) are binned by
+    their dominant eigenvector and counted in ``mixed_samples``.
+    ``polar_axis`` picks the axis the polar angle is measured from, so that
+    structures like great circles can be aligned with one angular band.
     """
     if traj.state_path.shape[1] != 2:
         raise DimensionNotTwo("Bloch binning is defined for dim 2 only")
@@ -194,7 +200,7 @@ def empirical_invariant_measure(
 
     tr2 = np.einsum("tij,tji->t", states, states).real
     entropy = 1.0 - tr2
-    mixed = entropy > purity_gate
+    mixed = entropy > _PURITY_GATE
     vecs = np.empty((states.shape[0], 3))
     vecs[:, 0] = np.einsum("ij,tji->t", PAULI_X, states).real
     vecs[:, 1] = np.einsum("ij,tji->t", PAULI_Y, states).real

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     PAULI_Z,
+    _check_burn_in,
     build_ergodic_report,
     empirical_invariant_measure,
     lie_rank_check,
@@ -204,6 +205,7 @@ _AXES = {
 def cmd_invariant(args) -> int:
     model, mhash = load_model(args.model)
     grid = TimeGrid(t_final=args.t_final, dt=args.dt)
+    _check_burn_in(args.burn_in, grid.t_final)  # before integrating
     rho0 = _initial_state(args.initial, model.dim)
     traj = simulate_posterior(model, rho0, grid, seed=args.seed)
     out = _out_dir(args)

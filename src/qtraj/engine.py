@@ -8,12 +8,13 @@ result is built.
 
 The step loop does per step only what the next step needs: the step, the
 weight-underflow reset and a finiteness check.  A row's trace is its
-trajectory's weight (always 1 outside linear mode), so no weight is carried
+trajectory's weight (always 1 outside linear mode), and the output drift of
+a step is a functional of the row it starts from, so neither is carried
 beside the rows.  Each step's output rows are buffered, and what is recorded
 from them (the entropy, the collector's statistics and paths) is computed
 once per flush, a block of up to ``_FLUSH`` row-steps ending at the latest
-with its noise chunk.  A single
-long trajectory therefore pays per step little more than its own products.
+with its noise chunk.  A single long trajectory therefore pays per step
+little more than its own products.
 
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes compute one
@@ -179,14 +180,15 @@ def _entropy_rows(x: np.ndarray, tr0: float) -> np.ndarray:
 # -- collectors ---------------------------------------------------------------
 #
 # ``_simulate_batch`` hands its records over once per flush, as
-# collect(i, state, entropy, fired, dW, m_drift, defect, alive) with records
+# collect(i, state, entropy, fired, dW, defect, alive) with records
 # i .. i + F - 1 in (B, F, ...) arrays: coordinate rows (B, F, N), whose
 # trace tr0 x_0 is the weight, entropy and alive (B, F), where alive is False
-# from the record at which a row failed on.  fired (B, F, K), dW and m_drift
-# (B, F, d) and defect (B, F) come from the steps that end at those records;
-# they are None at record 0, and fired without jump channels, m_drift in
-# linear mode or without diffusive channels, and defect outside the
-# Stratonovich scheme are None too.  The arrays are the driver's buffers, valid only during the call.
+# from the record at which a row failed on.  fired (B, F, K), dW (B, F, d)
+# and defect (B, F) come from the steps that end at those records; they are
+# None at record 0, and fired without jump channels and defect outside the
+# Stratonovich scheme are None too.  A step's output drift is ``arr.drift``
+# of the record before it.  The arrays are the driver's buffers, valid only
+# during the call.
 
 class _PathCollector:
     """Records the full path of row 0 of every batch it is given.
@@ -203,11 +205,10 @@ class _PathCollector:
         self.rows = np.zeros((n_rec, arr.n * arr.n))
         self.entropy = np.zeros(n_rec)
         self.dW = np.zeros((grid.n_steps, arr.n_diff))
-        self.m_drift = np.zeros((grid.n_steps, arr.n_diff))
         self.fired = np.zeros((grid.n_steps, arr.K), dtype=np.int64)
         self.defect = np.zeros(grid.n_steps)
 
-    def collect(self, i, state, entropy, fired, dW, m_drift, defect, alive):
+    def collect(self, i, state, entropy, fired, dW, defect, alive):
         f = state.shape[1]
         self.rows[i:i + f] = state[0]
         self.entropy[i:i + f] = entropy[0]
@@ -215,8 +216,6 @@ class _PathCollector:
             return
         steps = slice(i - 1, i - 1 + f)
         self.dW[steps] = dW[0]
-        if m_drift is not None:
-            self.m_drift[steps] = m_drift[0]
         if fired is not None:
             self.fired[steps] = fired[0]
         if defect is not None:
@@ -232,8 +231,9 @@ class _PathCollector:
             output = OutputRecord(self.dW, jumps, None)
             weights = self.arr.tr0 * self.rows[:, 0]
             return LinearTrajectory(self.grid, states, weights, output, self.entropy, underflow)
-        # output increments dW = dW~ + m dt under the physical law
-        output = OutputRecord(self.dW + self.m_drift * self.grid.dt, jumps, self.dW)
+        # output increments dW = dW~ + m dt, m at the row each step starts from
+        m_drift = _rows(self.rows[:-1], self.arr.drift)[:, :self.arr.n_diff]
+        output = OutputRecord(self.dW + m_drift * self.grid.dt, jumps, self.dW)
         defect = float(np.fmax.reduce(self.defect, initial=0.0))
         return PosteriorTrajectory(self.grid, states, output, self.entropy, defect)
 
@@ -276,9 +276,9 @@ class _StatsCollector:
         self.alive = None
         self.underflow = None
 
-    def collect(self, i, state, entropy, fired, dW, m_drift, defect, alive):
+    def collect(self, i, state, entropy, fired, dW, defect, alive):
         if self.path is not None:
-            self.path.collect(i, state, entropy, fired, dW, m_drift, defect, alive)
+            self.path.collect(i, state, entropy, fired, dW, defect, alive)
         b, f = alive.shape
         if self.jump_totals is None:
             self.jump_totals = np.zeros((b, self.n_jump), dtype=np.int64)
@@ -335,12 +335,11 @@ def _simulate_batch(
     throughout.
 
     Each step does only what the next step needs: the step kernel, the
-    weight-underflow reset (linear mode) and the finiteness check with its
-    reset.  It writes its outputs into buffers of
+    weight-underflow reset (linear mode, on the rows' trace) and the
+    finiteness check with its reset.  It writes its outputs into buffers of
     F = max(1, min(_FLUSH // B, chunk)) steps.  A flush, after F steps or at
     the end of a noise chunk, computes the entropy of the whole (B F, N)
-    block and hands the records to ``collector.collect`` in one call.  The
-    weight is the rows' trace, so neither the loop nor the flush holds it.
+    block and hands the records to ``collector.collect`` in one call.
     Returns (alive, underflow) masks.
     """
     b = len(seeds)
@@ -359,7 +358,6 @@ def _simulate_batch(
     # buffers of one flush
     xs = np.empty((b, flush, x.shape[1]))
     fs = np.empty((b, flush, arr.K), dtype=np.int64) if arr.K and not strat else None
-    ms = np.empty((b, flush, arr.n_diff)) if arr.n_diff and not linear else None
     ds = np.empty((b, flush)) if strat else None
 
     def flush_records(i, count, dW):
@@ -369,10 +367,8 @@ def _simulate_batch(
         entropy = _entropy_rows(rows.reshape(b * count, -1), arr.tr0).reshape(b, count)
         recs = failed_at[:, None] - np.arange(i, i + count)
         entropy[recs == 0] = 0.0  # at the record where a row failed
-        fired, m_drift, defect = (
-            None if buf is None or dW is None else buf[:, :count] for buf in (fs, ms, ds)
-        )
-        collector.collect(i, rows, entropy, fired, dW, m_drift, defect, recs > 0)
+        fired, defect = (None if buf is None or dW is None else buf[:, :count] for buf in (fs, ds))
+        collector.collect(i, rows, entropy, fired, dW, defect, recs > 0)
 
     xs[:, 0] = x
     flush_records(0, 1, None)
@@ -396,23 +392,22 @@ def _simulate_batch(
                 dW = step_dW[:, l]
                 u = uniforms[:, l] if s == 1 else None
                 if linear:
-                    x, w, fired = _step_linear(arr, x, dt, dW, u)
+                    x, fired = _step_linear(arr, x, dt, dW, u)
+                    w = arr.tr0 * x[:, 0]
                     low = w < _WEIGHT_FLOOR
                     if low.any():
                         underflow |= low
                         x[w <= 0.0] = _WEIGHT_FLOOR * arr.mixed
                 elif strat:
-                    x, defect, m_drift = _step_stratonovich(arr, x, dt, dW)
+                    x, defect = _step_stratonovich(arr, x, dt, dW)
                 else:
                     sub = None if s == 1 else (normals[:, l], uniforms[:, l])
-                    x, fired, m_drift = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
+                    x, fired = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
 
-                # A row fails when an entry of it is not finite; in linear
-                # mode that includes a non-finite weight, as the row is the
-                # image scaled to its weight.  A finite row is a state (of
-                # trace w > 0), so its entropy is then finite too.  One sum
-                # finds any nan or inf; only then are rows checked one by one.
-                # Failed rows restart from I/n, so no later step sees nan or inf.
+                # A row fails when an entry of it (and so its weight) is not
+                # finite; a finite row is a state of trace w > 0, with a finite
+                # entropy.  One sum finds any nan or inf; only then are rows
+                # checked one by one.  Failed rows restart from I/n.
                 if not math.isfinite(x.sum()):
                     bad = ~np.isfinite(x).all(axis=1)
                     failed_at[bad & (failed_at > n_steps)] = start + l + 1
@@ -422,8 +417,6 @@ def _simulate_batch(
                     ds[:, j] = defect
                 if fs is not None:
                     fs[:, j] = fired
-                if ms is not None:
-                    ms[:, j] = m_drift
             flush_records(start + f0 + 1, count, step_dW[:, f0:f0 + count])
     return failed_at > n_steps, underflow
 

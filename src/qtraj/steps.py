@@ -9,11 +9,8 @@ Three schemes are provided:
   only) takes an exact waiting-time step, described below.  Any other
   model takes the jump replacement rho -> J_k[rho]/lambda_k with
   probability min(lambda_k nu_k dt, 1), restricted to lambda_k > 1e-12.
-  When max_k nu_k lambda_max(E_k) dt, a bound on the jump intensity per
-  step over all states, exceeds 0.1, every step of every trajectory of
-  such a model with both diffusive and jump channels is split into the
-  same s = ceil(bound / 0.05) substeps.  Either way s depends only on the
-  model and dt, never on the states in the batch.
+  Either way a step is split into a number of substeps that depends only
+  on the model and dt (``_ModelArrays.substeps``).
 * ``stratonovich`` -- Heun (stochastic midpoint) integration of the
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
@@ -40,10 +37,11 @@ Stratonovich fields are derived once per model from ``model.apply_*``
 and stacked side by side, so each evaluation of a step is one real
 matrix product on (B, n^2) rows: one BLAS gemm (a single row is padded to
 two) on a stack padded with zero columns to a multiple of 8 (``_pad8``).
-gemm then rounds each row on its own for the stacks of the four models
-that ``TestRowProducts`` in ``tests/test_engine.py`` pins, up to n = 4, on
+gemm then rounds each row on its own for the stacks of the five models
+that ``TestRowProducts`` in ``tests/test_engine.py`` pins, up to n = 5, on
 scipy-openblas 0.3.31, and a trajectory's path does not depend on its
-batch.  Unpadded, the 16 x 99 Kraus stack of its n = 4 model does.
+batch.  Unpadded, the 16 x 99 Kraus stack of its n = 4 model does, and so
+does the 25 x 25 waiting-time propagator P(dt) of its n = 5 model.
 
 The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
 Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
@@ -126,8 +124,9 @@ class _ModelArrays:
       c = tr C[rho] / 2.
 
     ``kraus_cuts`` and ``strat_cuts`` slice out the blocks, dropping the
-    ``_pad8`` columns.  Counting-only models (``counting``) also have the
-    waiting-time tables ``waiting(dt)``.
+    ``_pad8`` columns; ``drift`` is the m_j block alone, padded alike.
+    Counting-only models (``counting``) also have the waiting-time tables
+    ``waiting(dt)``.
     """
 
     def __init__(self, m: MeasurementModel):
@@ -162,8 +161,9 @@ class _ModelArrays:
             return lambda r: a @ r @ b.conj().T + b @ r @ a.conj().T
 
         ops = m.diffusive_ops
-        # linear parts G_j of the diffusion fields; m_j = tr G_j[rho]
+        # linear parts G_j of the diffusion fields; the output drift m_j = tr G_j[rho]
         gs = [mat(lambda r, op=op: op @ r + r @ op.conj().T) for op in ops]
+        drift = traces(gs)
         # jump maps J_k; lambda_k = tr J_k[rho]
         js = [mat(lambda r, k=k: apply_jump(m, r, k)) for k in range(self.K)]
         # Kraus step M rho M* + dt sum_h S_h rho S_h*, M = I + dt G + sum_j xi_j L_j,
@@ -184,7 +184,7 @@ class _ModelArrays:
         self.counting = d == 0 and self.K > 0
         # the dt-free pieces of kraus(dt)
         self._kraus_parts = (
-            a.T, q.T, stack(gs), stack(xs), stack(ps), traces(gs), trace, k_trace,
+            a.T, q.T, stack(gs), stack(xs), stack(ps), drift, trace, k_trace,
             stack(js), traces(js),
         )
         self._kraus = {}
@@ -199,7 +199,8 @@ class _ModelArrays:
 
         c = sum((mat(lambda r, op=op: c_j(r, op)) for op in ops), np.zeros((nn, nn)))
         at = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
-        self.strat = _pad8(np.hstack([at, stack(gs), traces(gs), 0.5 * traces([c])]))
+        self.strat = _pad8(np.hstack([at, stack(gs), drift, 0.5 * traces([c])]))
+        self.drift = _pad8(drift)
         self.strat_cuts = _cuts(nn, d * nn, d, 1)
         self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
         self.nu = np.array([ch.weight for ch in m.jump_channels])
@@ -231,7 +232,8 @@ class _ModelArrays:
         they are (step, surv, grid, jumps):
 
         * ``grid`` (M + 1, N, N): P(t_i) for i = 0..M, one ``_expm`` and
-          repeated products, and ``step`` = P(dt), its last entry;
+          repeated products, and ``step`` = P(dt), its last entry, padded
+          by ``_pad8``;
         * ``surv`` (N, M): column i - 1 is the survival x -> tr P(t_i) x;
         * ``jumps``: J_1..J_K and lambda_k = tr J_k[x], as in ``kraus``.
         """
@@ -243,7 +245,8 @@ class _ModelArrays:
                 grid.append(grid[-1] @ p)
             grid = np.stack(grid)
             surv = np.ascontiguousarray(self.tr0 * grid[1:, :, 0].T)
-            tab = self._waiting[dt] = (grid[-1], surv, grid, np.hstack(self._kraus_parts[-2:]))
+            jumps = np.hstack(self._kraus_parts[-2:])
+            tab = self._waiting[dt] = (_pad8(grid[-1]), surv, grid, jumps)
         return tab
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
@@ -256,11 +259,8 @@ class _ModelArrays:
         return _rows(x, self._from).view(np.complex128).reshape(-1, self.n, self.n)
 
     def rows(self, state: np.ndarray) -> np.ndarray:
-        """Coordinate rows of a batch: (B, n^2) rows pass, (B, n, n) matrices convert.
-
-        ``_simulate_batch`` always passes rows; accepting complex matrices
-        lets ``perfbench/kernels.py`` time the step kernels on matrix states.
-        """
+        """Coordinate rows of a batch: (B, n^2) rows pass, (B, n, n) matrices
+        convert, so that the step kernels can also be timed on matrix states."""
         return state if state.ndim == 2 else self.coords(state)
 
     def substeps(self, dt: float) -> int:
@@ -365,12 +365,15 @@ def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
 
 # -- single steps -------------------------------------------------------------
 #
-# Each step takes and returns coordinate rows (B, n^2); ``arr.rows`` also
-# accepts complex (B, n, n) matrices.
+# Each step takes coordinate rows (B, n^2), or complex (B, n, n) matrices
+# through ``arr.rows``, and returns the new rows with only what they cannot
+# tell: the jumps fired, or the Stratonovich purity defect.  A row's weight
+# is its trace, and a step's output drift is ``drift`` of the row it starts from.
 
 def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
     """Kraus image with xi = dW (or the fired jump images), rescaled to the
-    Euler-Maruyama trace w; rows whose image or w is not positive get w = 0."""
+    Euler-Maruyama trace w, its weight; rows whose image or w is not
+    positive get w = 0."""
     x = arr.rows(sig)
     kx, m, w, jx, lam = _apply_k_b(arr, x, dt)
     img = _kraus_image(arr, kx, dW)
@@ -387,12 +390,11 @@ def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
     tr_img = arr.tr0 * img[:, 0]
     dead = (tr_img <= 0.0) | (w <= 0.0)
     w = np.where(dead, 0.0, w)
-    return img * (w / np.where(dead, 1.0, tr_img))[:, None], w, fired
+    return img * (w / np.where(dead, 1.0, tr_img))[:, None], fired
 
 
 def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
-    """One normalized Kraus step with xi = dW + m dt, the output increment;
-    returns (coordinates, fired, m)."""
+    """One normalized Kraus step with xi = dW + m dt, the output increment."""
     kx, m_drift, _, jx, lam = _apply_k_b(arr, rho, dt)
     img = _kraus_image(arr, kx, dW + m_drift * dt)
     fired = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
@@ -401,7 +403,7 @@ def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
         idx = np.flatnonzero(fired.any(axis=1))
         if idx.size:
             img[idx] = np.einsum("bk,bka->ba", fired[idx], jx[idx])
-    return img / (arr.tr0 * img[:, :1]), fired, m_drift
+    return img / (arr.tr0 * img[:, :1]), fired
 
 
 def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
@@ -425,19 +427,15 @@ def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
 
 def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
     """Split one step into s substeps of dt / s, driven by the substep
-    increments dW (B, s, n_diff) and uniforms u (B, s, K); m is recorded at
-    the start of the step."""
+    increments dW (B, s, n_diff) and uniforms u (B, s, K)."""
     fired_total = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
-    m_first = None
     for l in range(s):
         if arr.counting:
-            rho, fired, m_drift = _step_counting(arr, rho, dt / s, u[:, l])
+            rho, fired = _step_counting(arr, rho, dt / s, u[:, l])
         else:
-            rho, fired, m_drift = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
+            rho, fired = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
         fired_total += fired
-        if m_first is None:
-            m_first = m_drift
-    return rho, fired_total, m_first
+    return rho, fired_total
 
 
 def _row_products(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -481,8 +479,7 @@ def _channel(rate: np.ndarray, v: np.ndarray):
 
 
 def _step_counting(arr: _ModelArrays, x, dt, u):
-    """The waiting-time step of a counting-only model; returns
-    (coordinates, fired, m) with m of width 0.
+    """The waiting-time step of a counting-only model.
 
     One product gives every row's state at dt and its survival q; a row
     jumps iff u[:, 0] >= q.  Each jump searches the survival table of the
@@ -498,13 +495,13 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
     step, surv, grid, jumps = arr.waiting(dt)
     kk, m, tr0 = arr.K, _GRID, arr.tr0
     kn = kk * x.shape[1]
-    y = _rows(x, step)
+    y = _rows(x, step)[:, :x.shape[1]]
     q = tr0 * y[:, 0]
     out = y / q[:, None]
     fired = np.zeros((x.shape[0], kk), dtype=np.int64)
     rows = np.flatnonzero(u[:, 0] >= q)
     if rows.size == 0:
-        return out, fired, x[:, :0]
+        return out, fired
     post, uu, q = x[rows], u[rows], q[rows]
     w, g, used = uu[:, 0], np.zeros(rows.size, dtype=np.int64), 1
     while True:
@@ -525,15 +522,16 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
         used += 1
         again = (w >= q) & (g < m)
         if not again.any():
-            return out, fired, x[:, :0]
+            return out, fired
         rows, post, g, q, w, uu = (a[again] for a in (rows, post, g, q, w, uu))
 
 
 def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):
+    """One Heun step, projected onto the pure states (see ``_project_pure_b``)."""
     x = arr.rows(rho)
-    a0, b0, m_drift = _strat_a_b(arr, x)
+    a0, b0, _ = _strat_a_b(arr, x)
     pred = x + dt * a0 + np.einsum("bj,bja->ba", dW, b0)
     a1, b1, _ = _strat_a_b(arr, pred)
     x_new = x + 0.5 * dt * (a0 + a1) + 0.5 * np.einsum("bj,bja->ba", dW, b0 + b1)
     x_proj, defect = _project_pure_b(arr, x_new)
-    return x_proj, defect, m_drift
+    return x_proj, defect

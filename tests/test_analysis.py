@@ -70,6 +70,11 @@ class TestTimeAverage:
         with pytest.raises(EmptyAverageWindow):
             time_average_state(traj, burn_in=1.0)
 
+    def test_nan_burn_in_errors(self, mixed):
+        traj = constant_trajectory(mixed)
+        with pytest.raises(EmptyAverageWindow, match="burn_in nan"):
+            time_average_state(traj, burn_in=float("nan"))
+
 
 class TestQuantumVariance:
     def test_identity(self, rng):

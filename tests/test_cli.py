@@ -278,6 +278,21 @@ class TestInvariantCommand:
         assert "distance_to_equilibrium=" in report
         assert "sigma_z_residual=" in report
 
+    @pytest.mark.parametrize("burn_in", ["30", "20", "nan"])
+    def test_bad_burn_in_exits_1_before_integrating(
+        self, burn_in, het_model_file, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated despite a bad burn-in")
+
+        monkeypatch.setattr(qtraj.cli, "simulate_posterior", never)
+        argv = ["invariant", "--model", str(het_model_file), "--t-final", "20", "--dt", "0.01",
+                "--seed", "13", "--burn-in", burn_in, "--output", str(tmp_path / "inv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: EmptyAverageWindow" in err
+        assert f"burn_in {float(burn_in)}" in err
+
 
 class TestSeeds:
     """A seed outside the Philox keys [0, 2^128) is a typed input error."""

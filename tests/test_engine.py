@@ -143,13 +143,24 @@ class TestSimulatePosterior:
         herm = traj.state_path - traj.state_path.conj().transpose(0, 2, 1)
         assert np.abs(herm).max() < 1e-12
 
-    def test_wiener_reconstruction(self, heterodyne_model, mixed):
-        # increments of W are the drawn standard increments plus m dt
+    def test_wiener_reconstruction(self, heterodyne_model, homodyne_model, mixed):
+        # increments of W are the drawn standard increments plus m dt, with
+        # m_j = tr (L_j + L_j*) rho at the start of the step: posterior
+        # heterodyne, Stratonovich homodyne, and a model in 6 substeps
         grid = TimeGrid(t_final=0.1, dt=1e-3)
-        traj = simulate_posterior(heterodyne_model, mixed, grid, seed=29)
-        diff = traj.output.wiener - traj.output.compensated_wiener
-        assert diff.shape == (grid.n_steps, 2)
-        assert np.abs(diff).max() <= 2.0 * grid.dt + 1e-12  # |m_j| <= 2||L_j||
+        substepped = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
+        assert _ModelArrays(substepped).substeps(grid.dt) == 6
+        psi0 = PureStateVector([1.0, 0.0])
+        for m, traj in (
+            (heterodyne_model, simulate_posterior(heterodyne_model, mixed, grid, seed=29)),
+            (homodyne_model, simulate_stratonovich_pure(homodyne_model, psi0, grid, seed=29)),
+            (substepped, simulate_posterior(substepped, mixed, grid, seed=29)),
+        ):
+            diff = traj.output.wiener - traj.output.compensated_wiener
+            assert diff.shape == (grid.n_steps, m.n_diffusive)
+            starts = traj.state_path[:-1]
+            want = [np.einsum("ij,tji->t", op + op.conj().T, starts).real for op in m.diffusive_ops]
+            assert np.abs(diff / grid.dt - np.stack(want, axis=1)).max() < 1e-12
 
     def test_adaptive_substepping_high_rate(self, mixed):
         m = identity_jump_model(weight=400.0)  # nu dt = 0.4 > cap
@@ -456,7 +467,8 @@ class TestLinearStepPositivity:
             sig = 1.2 * _random_states(rng, self.B, n, pure)
             dW = rng.standard_normal((self.B, m.n_diffusive)) * np.sqrt(self.DT)
             u = np.where(np.arange(self.B)[:, None] % 3 == 0, 0.0, 1.0) * np.ones((1, m.n_jump))
-            out, w, fired = engine._step_linear(arr, sig, self.DT, dW, u)
+            out, fired = engine._step_linear(arr, sig, self.DT, dW, u)
+            w = arr.tr0 * out[:, 0]
             out = arr.matrices(out)
             for i in range(self.B):
                 assert np.linalg.eigvalsh(out[i]).min() >= -1e-14
@@ -746,7 +758,8 @@ class TestStepsMatchReference:
         sig = 1.3 * _random_states(rng, self.B, n)
         dW, u = self._noise(rng, m)
         arr = _ModelArrays(m)
-        out, w, fired = engine._step_linear(arr, sig, self.DT, dW, u)
+        out, fired = engine._step_linear(arr, sig, self.DT, dW, u)
+        w = arr.tr0 * out[:, 0]
         out = arr.matrices(out)
         assert fired.sum() > 0
         for i in range(self.B):
@@ -776,7 +789,8 @@ class TestStepsMatchReference:
         dW, u = self._noise(rng, m)
         arr = _ModelArrays(m)
         assert arr.substeps(self.DT) == 1
-        out, fired, m_drift = engine._step_posterior(arr, rho, self.DT, dW, u, False, None)
+        out, fired = engine._step_posterior(arr, rho, self.DT, dW, u, False, None)
+        m_drift = engine._apply_k_b(arr, arr.rows(rho), self.DT)[1]  # m at the step start
         out = arr.matrices(out)
         if n_jump:
             assert fired[:, 0].sum() > 0 and fired[:, 1].sum() > 0
@@ -794,7 +808,8 @@ class TestStepsMatchReference:
         rho = _random_states(rng, self.B, n, pure=True)
         dW, _ = self._noise(rng, m)
         arr = _ModelArrays(m)
-        out, defect, m_drift = engine._step_stratonovich(arr, rho, self.DT, dW)
+        out, defect = engine._step_stratonovich(arr, rho, self.DT, dW)
+        m_drift = _strat_a_b(arr, arr.rows(rho))[2]
         out = arr.matrices(out)
         for i in range(self.B):
             want, d_want, m_want = _stratonovich_ref(m, rho[i], self.DT, dW[i])
@@ -807,16 +822,19 @@ class TestRowProducts:
     """``engine._rows`` rounds each row on its own: a row alone, in a
     sub-batch, in a strided view or in a reshaped block equals the matching
     row of the full product, bit for bit, for every stack the engine uses.
-    The 4-level model's Kraus stack (16 x 99) and column stack (16 x 35)
-    round per batch unless padded to a multiple of 8 columns."""
+    The 4-level model's Kraus stack (16 x 99) and column stack (16 x 35),
+    and the 5-level waiting-time propagator (25 x 25), round per batch
+    unless padded to a multiple of 8 columns."""
 
-    @pytest.mark.parametrize("name", ["heterodyne", "direct", "random3", "random4"])
+    @pytest.mark.parametrize("name", ["heterodyne", "direct", "random3", "random4", "counting5"])
     def test_rows_do_not_depend_on_the_batch(self, name, request):
         rng = np.random.default_rng(17)
         if name == "random3":
             m = _random_model(rng, 3, n_diff=2, n_jump=2, n_diss=1)
         elif name == "random4":
             m = _random_model(rng, 4, n_diff=2, n_jump=0)
+        elif name == "counting5":
+            m = _random_model(rng, 5, n_diff=0, n_jump=2, n_diss=1)
         else:
             m = request.getfixturevalue(f"{name}_model")
         arr = _ModelArrays(m)
@@ -824,8 +842,8 @@ class TestRowProducts:
         obs = random_complex(rng, m.dim)
         to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False).to_cols
         step, surv, _, jumps = arr.waiting(1e-3)
-        stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr._to, arr._from, to_cols]
-        stacks += [step, surv, jumps]
+        stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr.drift, arr._to, arr._from]
+        stacks += [to_cols, step, surv, jumps]
         b, f = 64, 8  # 512 rows, viewed as a (B, F, .) flush buffer
         for mat in stacks:
             x = rng.standard_normal((b * f, mat.shape[0]))
@@ -842,6 +860,26 @@ class TestRowProducts:
             for c in (1, 3, f):
                 block = buf[:, :c].reshape(b * c, -1)
                 assert np.array_equal(engine._rows(block, mat), want[:, :c].reshape(b * c, -1))
+
+    @pytest.mark.parametrize("name", ["heterodyne", "homodyne", "random3", "random4", "random5"])
+    def test_drift_equals_the_m_columns_of_both_stacks(self, name, request):
+        # the path collector takes m off the rows with ``drift``; the steps
+        # took it from their fused stacks
+        rng = np.random.default_rng(23)
+        if name.startswith("random"):
+            m = _random_model(rng, int(name[-1]), n_diff=2, n_jump=1, n_diss=1)
+        else:
+            m = request.getfixturevalue(f"{name}_model")
+        arr = _ModelArrays(m)
+        d = arr.n_diff
+        kraus, m_kraus, m_strat = arr.kraus(1e-3), arr.kraus_cuts[1], arr.strat_cuts[2]
+        assert np.array_equal(arr.drift[:, :d], kraus[:, m_kraus])
+        assert np.array_equal(arr.drift[:, :d], arr.strat[:, m_strat])
+        for b in (1, 2, 7, 512):
+            x = rng.standard_normal((b, arr.drift.shape[0]))
+            m_drift = engine._rows(x, arr.drift)[:, :d]
+            assert np.array_equal(m_drift, engine._rows(x, kraus)[:, m_kraus])
+            assert np.array_equal(m_drift, engine._rows(x, arr.strat)[:, m_strat])
 
     @pytest.mark.parametrize("name", ["direct", "counting"])
     def test_per_row_products_do_not_depend_on_the_batch(self, name, request):
@@ -1227,9 +1265,9 @@ class TestPathwiseOracle:
             x = y = arr.coords(np.repeat(self.RHO0[None], self.PATHS, axis=0))
             out_y = np.zeros(self.PATHS)
             for i in range(n):
-                x, _, _ = engine._step_linear(arr, x, 1.0 / n, dW[:, i : i + 1], u)
-                y, _, m_drift = engine._posterior_substep(arr, y, 1.0 / n, dW[:, i : i + 1], u)
-                out_y += dW[:, i] + m_drift[:, 0] / n
+                x, _ = engine._step_linear(arr, x, 1.0 / n, dW[:, i : i + 1], u)
+                out_y += dW[:, i] + engine._rows(y, arr.drift)[:, 0] / n
+                y, _ = engine._posterior_substep(arr, y, 1.0 / n, dW[:, i : i + 1], u)
             sig, rho = self._exact(dW.sum(axis=1))
             sig_h = arr.matrices(x)
             rho_h = sig_h / np.einsum("pii->p", sig_h).real[:, None, None]
