@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PosteriorTrajectory, _ModelArrays, _strat_a_b
+from .engine import PosteriorTrajectory
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -28,10 +28,10 @@ from .linalg import (  # traceless_hermitian_basis is re-exported
     QuantumState,
     _complement,
     as_complex_matrix,
-    project_to_state,
     traceless_hermitian_basis,
 )
 from .model import MeasurementModel
+from .steps import _ModelArrays, _strat_a_b
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -54,19 +54,21 @@ def _check_burn_in(burn_in: float, t_final: float) -> None:
 
 
 def _window(traj: PosteriorTrajectory, burn_in: float):
+    """Times, states and entropies from the first time >= burn_in on: a
+    suffix of the ascending grid, as views of the trajectory's paths."""
     times = traj.grid.times
     _check_burn_in(burn_in, traj.grid.t_final)
-    mask = times >= burn_in
-    if mask.sum() < 2:
+    start = int(np.searchsorted(times, burn_in))
+    if times.shape[0] - start < 2:
         raise EmptyAverageWindow("averaging window holds fewer than two samples")
-    return times[mask], traj.state_path[mask]
+    return times[start:], traj.state_path[start:], traj.entropy_path[start:]
 
 
 def time_average_state(traj: PosteriorTrajectory, burn_in: float = 0.0) -> QuantumState:
-    """Trapezoidal time average of the state path after burn_in."""
-    times, states = _window(traj, burn_in)
-    avg = np.trapezoid(states, times, axis=0) / (times[-1] - times[0])
-    return project_to_state(avg)
+    """Trapezoidal time average of the state path after burn_in: a convex
+    combination of states, returned unprojected (the constructor validates it)."""
+    times, states, _ = _window(traj, burn_in)
+    return QuantumState(np.trapezoid(states, times, axis=0) / (times[-1] - times[0]))
 
 
 def quantum_variance(a: np.ndarray, rho: QuantumState) -> float:
@@ -104,7 +106,7 @@ def variance_decomposition(
     their sum converges to D^2(a; eta_eq) as the horizon grows.
     """
     a = as_complex_matrix(a, dim=eta_eq.dim)
-    times, states = _window(traj, burn_in)
+    times, states, _ = _window(traj, burn_in)
     span = times[-1] - times[0]
     adag = a.conj().T
     second = np.einsum("ij,tji->t", adag @ a, states).real
@@ -185,8 +187,9 @@ def empirical_invariant_measure(
 ) -> BlochHistogram:
     """Dwell-time histogram of a dim-2 trajectory over the Bloch sphere.
 
-    Samples with linear entropy above ``_PURITY_GATE`` (0.05) are binned by
-    their dominant eigenvector and counted in ``mixed_samples``.
+    Samples whose linear entropy (read from ``entropy_path``) is above
+    ``_PURITY_GATE`` (0.05) are binned by their dominant eigenvector and
+    counted in ``mixed_samples``.
     ``polar_axis`` picks the axis the polar angle is measured from, so that
     structures like great circles can be aligned with one angular band.
     """
@@ -195,11 +198,9 @@ def empirical_invariant_measure(
     n_polar, n_azimuth = int(grid[0]), int(grid[1])
     if n_polar < 1 or n_azimuth < 1:
         raise ValidationError("histogram grid must be at least 1x1")
-    times, states = _window(traj, burn_in)
+    _, states, entropy = _window(traj, burn_in)
     dt = traj.grid.dt
 
-    tr2 = np.einsum("tij,tji->t", states, states).real
-    entropy = 1.0 - tr2
     mixed = entropy > _PURITY_GATE
     vecs = np.empty((states.shape[0], 3))
     vecs[:, 0] = np.einsum("ij,tji->t", PAULI_X, states).real

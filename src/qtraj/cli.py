@@ -24,8 +24,9 @@ from .analysis import (
     lie_rank_check,
     linear_entropy,
 )
-from .atom import TwoLevelAtomSpec, generate_atom_model
+from .atom import DETECTIONS, TwoLevelAtomSpec, generate_atom_model
 from .engine import (
+    MODES,
     RNG_ALGORITHM,
     TimeGrid,
     run_ensemble,
@@ -61,20 +62,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _pure(vec: np.ndarray) -> np.ndarray:
+    return np.outer(vec, vec.conj())
+
+
+# initial density matrices by name, in the order --initial lists them
+_INITIAL = {
+    "mixed": lambda dim: np.eye(dim) / dim,
+    "ground": lambda dim: _pure(np.eye(dim)[-1]),
+    "excited": lambda dim: _pure(np.eye(dim)[0]),
+    "plus": lambda dim: _pure(np.ones(dim) / np.sqrt(dim)),
+}
+
+
 def _initial_state(name: str, dim: int) -> QuantumState:
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    if name == "mixed":
-        mat = np.eye(dim, dtype=np.complex128) / dim
-    elif name == "excited":
-        mat[0, 0] = 1.0
-    elif name == "ground":
-        mat[dim - 1, dim - 1] = 1.0
-    elif name == "plus":
-        vec = np.ones(dim, dtype=np.complex128) / np.sqrt(dim)
-        mat = np.outer(vec, vec.conj())
-    else:
-        raise ValidationError(f"unknown initial state '{name}'")
-    return QuantumState(mat)
+    """The named initial state; argparse admits only the table's names."""
+    return QuantumState(_INITIAL[name](dim))
 
 
 def _parse_complex_vector(text: str) -> np.ndarray:
@@ -264,14 +267,12 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="integrate trajectories and aggregate them")
     sim.add_argument("--model", required=True)
-    sim.add_argument("--mode", choices=("linear", "posterior", "stratonovich"),
-                     default="posterior")
+    sim.add_argument("--mode", choices=MODES, default="posterior")
     sim.add_argument("--t-final", type=float, required=True, dest="t_final")
     sim.add_argument("--dt", type=float, required=True)
     sim.add_argument("--trajectories", type=int, default=1)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--initial", default="mixed",
-                     choices=("mixed", "ground", "excited", "plus"))
+    sim.add_argument("--initial", default="mixed", choices=_INITIAL)
     sim.add_argument("--output", default=".")
     sim.set_defaults(func=cmd_simulate)
 
@@ -279,8 +280,7 @@ def _build_parser() -> _Parser:
     mas.add_argument("--model", required=True)
     mas.add_argument("--t-final", type=float, required=True, dest="t_final")
     mas.add_argument("--dt", type=float, required=True)
-    mas.add_argument("--initial", default="mixed",
-                     choices=("mixed", "ground", "excited", "plus"))
+    mas.add_argument("--initial", default="mixed", choices=_INITIAL)
     mas.add_argument("--output", default=".")
     mas.set_defaults(func=cmd_master)
 
@@ -307,16 +307,13 @@ def _build_parser() -> _Parser:
     inv.add_argument("--burn-in", type=float, default=0.0, dest="burn_in")
     inv.add_argument("--bins-polar", type=int, default=12, dest="bins_polar")
     inv.add_argument("--bins-azimuth", type=int, default=24, dest="bins_azimuth")
-    inv.add_argument("--initial", default="ground",
-                     choices=("mixed", "ground", "excited", "plus"))
-    inv.add_argument("--polar-axis", choices=("x", "y", "z"), default="z",
-                     dest="polar_axis")
+    inv.add_argument("--initial", default="ground", choices=_INITIAL)
+    inv.add_argument("--polar-axis", choices=_AXES, default="z", dest="polar_axis")
     inv.add_argument("--output", default=".")
     inv.set_defaults(func=cmd_invariant)
 
     atom = sub.add_parser("atom", help="write a two-level-atom model file")
-    atom.add_argument("--detection", required=True,
-                      choices=("homodyne", "heterodyne", "direct"))
+    atom.add_argument("--detection", required=True, choices=DETECTIONS)
     atom.add_argument("--delta-omega", type=float, default=0.0, dest="delta_omega")
     atom.add_argument("--alpha", required=True,
                       help="JSON [[re, im], ...] components of alpha")

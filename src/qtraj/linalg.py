@@ -3,8 +3,8 @@
 At finite dimension the bounded, Hilbert-Schmidt and trace-class operators
 all reduce to n x n complex matrices; this module supplies the norms, the
 operator bases, the matrix exponential, the orthogonal complement of a
-state vector and the state-space repairs everything else is built on.  All
-functions are pure and safe to call concurrently.
+state vector and the nearest-state projection everything else is built on.
+All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -220,28 +220,17 @@ class PureStateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def _nearest_states(a: np.ndarray) -> np.ndarray:
-    """Nearest density matrices of a stack (T, n, n), as a (T, n, n) array.
-
-    Each matrix is Hermitized; the eigenbasis of (a + a*)/2 is kept and the
-    eigenvalue vector is replaced by its Euclidean projection onto the
-    probability simplex.  One batched eigendecomposition serves the stack.
-    """
-    herm = 0.5 * (a + a.conj().transpose(0, 2, 1))
-    evals, evecs = np.linalg.eigh(herm)
-    if np.any(evals.max(axis=1) <= -1.0):
-        raise ZeroTrace("all eigenvalues are <= -1; no meaningful state nearby")
-    mats = (evecs * project_to_simplex(evals)[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-    return 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-
-
 def project_to_state(a: np.ndarray) -> QuantumState:
-    """Nearest density matrix: Hermitize, then project the spectrum onto
-    the probability simplex (``_nearest_states`` of one matrix).
+    """Nearest density matrix: Hermitize, keep the eigenbasis of (a + a*)/2
+    and replace its eigenvalue vector by the Euclidean projection onto the
+    probability simplex.
 
     Idempotent on valid states.
     """
-    return QuantumState(_nearest_states(as_complex_matrix(a)[None])[0])
+    evals, evecs = np.linalg.eigh(hermitize(as_complex_matrix(a)))
+    if evals.max() <= -1.0:
+        raise ZeroTrace("all eigenvalues are <= -1; no meaningful state nearby")
+    return QuantumState(hermitize((evecs * project_to_simplex(evals)) @ evecs.conj().T))
 
 
 def _philox(key) -> np.random.Generator:

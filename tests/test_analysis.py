@@ -14,6 +14,7 @@ from qtraj import (
     linear_entropy,
     quantum_variance,
     random_density_matrix,
+    simulate_posterior,
     standard_heterodyne,
     standard_homodyne,
     time_average_state,
@@ -65,6 +66,21 @@ class TestTimeAverage:
         avg = time_average_state(traj, burn_in=0.2)
         assert np.abs(avg.matrix - rho.matrix).max() < 1e-12
 
+    def test_returns_the_trapezoid_average_itself(self, mixed):
+        # an average of states is a state up to rounding: nothing is projected
+        model = generate_atom_model(standard_heterodyne(linewidth=2.0, rabi=1.0))
+        traj = simulate_posterior(model, mixed, TimeGrid(t_final=2.0, dt=1e-3), seed=4)
+        times, path = traj.grid.times[300:], traj.state_path[300:]
+        want = np.trapezoid(path, times, axis=0) / (times[-1] - times[0])
+        assert np.array_equal(time_average_state(traj, burn_in=0.2995).matrix, want)
+
+    def test_window_is_a_view_of_the_paths(self, mixed):
+        traj = constant_trajectory(mixed)
+        times, states, entropy = analysis._window(traj, burn_in=0.245)
+        assert times[0] == pytest.approx(0.25) and times.shape[0] == 76
+        assert np.shares_memory(states, traj.state_path)
+        assert np.shares_memory(entropy, traj.entropy_path)
+
     def test_burn_in_at_end_errors(self, mixed):
         traj = constant_trajectory(mixed)
         with pytest.raises(EmptyAverageWindow):
@@ -111,6 +127,12 @@ class TestVarianceDecomposition:
 
 
 class TestBlochHistogram:
+    def test_mixed_samples_read_the_entropy_path(self, excited):
+        # the gate reads the trajectory's entropies; it does not recompute them
+        traj = constant_trajectory(excited)
+        traj.entropy_path[60:] = 0.06
+        assert empirical_invariant_measure(traj, burn_in=0.5).mixed_samples == 41
+
     def test_constant_trajectory_single_bin(self, excited):
         traj = constant_trajectory(excited)
         hist = empirical_invariant_measure(traj, grid=(12, 24))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qtraj
-from qtraj import engine
+from qtraj import analysis, engine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,6 +43,12 @@ def test_every_role_resolves(tracer):
     patches = tracer._Patches()
     for role, targets in tracer.ROLES.items():
         assert any(patches.resolve(t) is not None for t in targets), role
+
+
+def test_lie_rank_fields_are_the_traced_object():
+    # analysis takes the fields from steps; the tracer wraps every namespace
+    # holding engine._strat_a_b, so lie_rank_check stays under engine.generator
+    assert analysis._strat_a_b is engine._strat_a_b
 
 
 def test_traced_signatures(tracer):

@@ -9,12 +9,12 @@ from qtraj import (
     equilibrium,
     evolve_master,
     hs_norm,
-    project_to_state,
     random_density_matrix,
     vectorized_liouvillian,
 )
 from qtraj.errors import NonUniqueEquilibrium, ValidationError
-from qtraj.linalg import _expm, coherence_basis, superoperator_matrix
+from qtraj.linalg import _expm
+from qtraj.master import _generator
 
 from conftest import SIGMA_MINUS, SIGMA_Z, random_complex, random_hermitian
 from test_model import random_model
@@ -97,18 +97,32 @@ class TestEvolveMaster:
                 assert hs_norm(eta.matrix - v.reshape((n, n), order="F")) <= 1e-12
 
     @pytest.mark.parametrize("model", ["heterodyne_model", "direct_model"])
-    def test_batched_projection_equals_per_state(self, model, excited, request):
+    def test_outputs_are_the_plain_conversion(self, model, excited, request):
+        # no repair: the states are the matrices of the propagated coordinates
         m = request.getfixturevalue(model)
         dt = 0.02
         got = evolve_master(m, excited, np.arange(101) * dt)
-        basis = coherence_basis(2)
-        gen = superoperator_matrix(lambda r: apply_liouvillian(m, r), basis).real
+        gen, basis = _generator(m)
         prop = _expm(gen * dt)  # the propagator evolve_master builds, bit for bit
-        v = np.einsum("aij,ji->a", basis, excited.matrix).real
-        for state in got:
-            want = project_to_state(np.einsum("ta,aij->tij", v[None], basis)[0]).matrix
-            assert np.array_equal(state.matrix, want)
-            v = prop @ v
+        rows = [np.einsum("aij,ji->a", basis, excited.matrix).real]
+        for _ in got[1:]:
+            rows.append(prop @ rows[-1])
+        want = np.einsum("ta,aij->tij", np.array(rows), basis)
+        assert np.array_equal(np.array([state.matrix for state in got]), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trace_row_is_exactly_zero(self, n):
+        # the generator preserves the trace, so its row 0 is stored as exact
+        # zeros, and every propagator copies x_0 = tr rho / sqrt(n) bit for bit
+        rng = np.random.default_rng(60 + n)
+        gen, basis = _generator(random_model(rng, n))
+        assert not gen[0].any()
+        prop = _expm(gen * 0.01)
+        assert np.array_equal(prop[0], np.eye(n * n)[0])
+        x = y = np.einsum("aij,ji->a", basis, random_density_matrix(n, rng)).real
+        for _ in range(10_000):
+            y = prop @ y
+        assert y[0] == x[0]
 
     def test_rejects_bad_times(self, decay_model, mixed):
         with pytest.raises(ValidationError):
