@@ -342,3 +342,7 @@ def main(argv) -> int:
 
 def console_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_entry()

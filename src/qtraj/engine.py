@@ -466,13 +466,11 @@ def simulate_posterior(
     """One trajectory of the nonlinear equation under the physical law.
 
     Every state on the path is a valid state.  A model with jump channels
-    and no diffusive operator takes the exact waiting-time step.
-    Substepping depends only on the model and dt: when the largest number
-    of jumps any state can expect in a step, lambda_max(sum_k nu_k E_k) dt,
-    exceeds 4 for such a model, or when max_k nu_k lambda_max(E_k) dt, the
-    largest jump intensity per step any state can reach, exceeds 0.1 for a
-    model with both diffusive and jump channels, every step is split into
-    the same number of substeps (``adaptive=True``, the default), or
+    takes the exact waiting-time step, after the Kraus step of its
+    diffusive part if it has diffusive operators (see ``steps``).  When the
+    largest number of jumps any state can expect in a step,
+    lambda_max(sum_k nu_k E_k) dt, exceeds 4, every step is split into the
+    same number of substeps (``adaptive=True``, the default), or
     StepTooLarge is raised at the first step (``adaptive=False``).
     """
     return _simulate_path(m, "posterior", _prepare_rho0(m, rho0), grid, seed, adaptive)
@@ -553,7 +551,7 @@ def run_ensemble(
     of the worker count (``QTRAJ_THREADS``).  The full path of trajectory 0,
     recorded in the same pass, is returned as ``trajectory``.  ``adaptive``
     is as in ``simulate_posterior``: it concerns only posterior-mode models
-    with jump channels.
+    whose bound on the expected jumps per step exceeds 4.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import BlochHistogram
-from .engine import EnsembleStats, LinearTrajectory, PosteriorTrajectory, RNG_ALGORITHM
+from .engine import EnsembleStats, LinearTrajectory, PosteriorTrajectory
 from .errors import ConfigError
 from .linalg import QuantumState
 from .model import MeasurementModel, build_model

@@ -5,29 +5,29 @@ Three schemes are provided:
 * ``linear``       -- the unnormalized equation under the reference law,
   jumps fired per channel with state-independent probability nu_k dt.
 * ``posterior``    -- the normalized nonlinear equation under the physical
-  law.  A model with jump channels and no diffusive operator (counting
-  only) takes an exact waiting-time step, described below.  Any other
-  model takes the jump replacement rho -> J_k[rho]/lambda_k with
-  probability min(lambda_k nu_k dt, 1), restricted to lambda_k > 1e-12.
-  Either way a step is split into a number of substeps that depends only
-  on the model and dt (``_ModelArrays.substeps``).
+  law.  A model without jump channels takes one normalized Kraus step.  A
+  model with jump channels takes the exact waiting-time step described
+  below, after the normalized Kraus step of its diffusive part alone if it
+  has diffusive operators.  A step is split into a number of substeps that
+  depends only on the model and dt (``_ModelArrays.substeps``).
 * ``stratonovich`` -- Heun (stochastic midpoint) integration of the
   equivalent Stratonovich system on the pure-state manifold, with a
   projection onto the dominant eigenvector after every step.
 
-The linear and posterior schemes take one completely positive Kraus step
-(Rouchon & Ralph, PRA 91, 012118, 2015; Guevara & Wiseman, PRA 102,
-052217, 2020): sigma -> M sigma M* + dt sum_h S_h sigma S_h*, with
-M = I + dt G + sum_j xi_j L_j and G = -i H - (D1 + D2 + D3)/2, or
-sigma -> sum_k J_k[sigma] over the channels that fire.  States therefore
-stay positive by construction, with no repair.  The linear scheme uses
+The linear scheme and the posterior scheme of a model without jump
+channels take one completely positive Kraus step (Rouchon & Ralph, PRA 91,
+012118, 2015; Guevara & Wiseman, PRA 102, 052217, 2020):
+sigma -> M sigma M* + dt sum_h S_h sigma S_h*, with
+M = I + dt G + sum_j xi_j L_j and G = -i H - (D1 + D2 + D3)/2; the linear
+scheme takes sigma -> sum_k J_k[sigma] over the channels that fire
+instead.  States therefore stay positive by construction, with no repair,
+and so they do under the waiting-time step.  The linear scheme uses
 xi = dW and rescales the image to the Euler-Maruyama trace
 w = tr sigma + dt tr K[sigma] + sum_j m_j dW_j (+ lambda_k - tr sigma per
 fired channel), so the weight is an exact discrete martingale; a row whose
 image or w is not positive gets weight 0 and the underflow reset.  The
 posterior scheme uses the output increment xi = dW + m dt (m at the start
-of the step) and divides by the trace; -D2/2 in G and the normalization
-produce the jump compensator drift.
+of the step) and divides by the trace.
 
 The state is carried as coherence-vector coordinates (Alicki & Lendi,
 LNP 286): over the orthonormal Hermitian basis {I/sqrt(n), tau_a} a state
@@ -45,18 +45,27 @@ does the 25 x 25 waiting-time propagator P(dt) of its n = 5 model.
 
 The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
 Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
-of a counting-only model with no cap.  Between counts the unnormalized
-state follows P(t) = exp(t K0), K0 = K - sum_k nu_k id, so the probability
-of no count in [0, t] is the survival tr P(t) rho.  A row jumps in a step
-iff its uniform u is >= the step survival q, which has probability exactly
-1 - q.  The jump takes place at the nearer end, in expectation, of the
-interval of a fixed grid of ``_GRID`` points per step in which the survival
-falls to u, so jump times are rounded to that grid without bias to first
-order; the channel is drawn there with probability proportional to
-nu_k lambda_k.  Further jumps reuse the uniforms left over by earlier
-draws, whose bits last for about 8 jumps, so a step whose bound
+with no cap.  Between counts the unnormalized state follows
+P(t) = exp(t K0), K0 = K - L1 - sum_k nu_k id, so the probability of no
+count in [0, t] is the survival tr P(t) rho.  A row jumps in a step iff its
+uniform u is >= the step survival q, which has probability exactly 1 - q.
+The jump takes place at the nearer end, in expectation, of the interval of
+a fixed grid of ``_GRID`` points per step in which the survival falls to u,
+so jump times are rounded to that grid without bias to first order; the
+channel is drawn there with probability proportional to nu_k lambda_k.
+Further jumps reuse the uniforms left over by earlier draws, whose bits
+last for about 8 jumps, so a step whose bound
 lambda_max(sum_k nu_k E_k) dt on the expected number of jumps exceeds
 ``_JUMP_BOUND`` is split into the fewest substeps that keep it within.
+
+A model with both diffusive operators and jump channels takes one
+Lie-Trotter split step: first the normalized Kraus step of its diffusive
+part L1 alone, with M = I - dt D1/2 + sum_j xi_j L_j and xi = dW + m dt (m
+at the start of the step), then the waiting-time step, in which H, the S_h
+and the no-count damping of K0 are exact.  The split is first order in dt:
+L1 does not commute with the rest of the generator, and each step is off
+by O(dt^2).  Without diffusive operators L1 = 0, and the step is exact up
+to the jump-time grid.
 """
 
 from __future__ import annotations
@@ -67,10 +76,8 @@ import numpy as np
 
 from .errors import StepTooLarge
 from .linalg import _expm, coherence_basis, superoperator_matrix
-from .model import MeasurementModel, apply_jump, apply_k, apply_l0
+from .model import MeasurementModel, apply_jump, apply_k, apply_l0, apply_l1, build_model
 
-_LAMBDA_FLOOR = 1e-12
-_INTENSITY_CAP = 0.1  # max allowed lambda_k nu_k dt per step
 _GRID = 256  # jump-time grid points per waiting-time step
 _JUMP_BOUND = 4.0  # max expected jumps per waiting-time step
 
@@ -125,8 +132,9 @@ class _ModelArrays:
 
     ``kraus_cuts`` and ``strat_cuts`` slice out the blocks, dropping the
     ``_pad8`` columns; ``drift`` is the m_j block alone, padded alike.
-    Counting-only models (``counting``) also have the waiting-time tables
-    ``waiting(dt)``.
+    Models with jump channels also have the waiting-time tables
+    ``waiting(dt)``, and those with diffusive operators as well the arrays
+    ``diffusive`` of their diffusive part.
     """
 
     def __init__(self, m: MeasurementModel):
@@ -178,10 +186,12 @@ class _ModelArrays:
         ps = [mat(conj_by(ops[j], None if j == l else ops[l])) for j, l in zip(*self.pairs)]
         k_rows = mat(lambda r: apply_k(m, r)).T
         k_trace = k_rows @ trace  # x -> tr K[x]
-        # the generator between counts, K0 = K - sum_k nu_k id
-        self._k0 = k_rows - m.total_jump_mass * np.eye(nn)
+        # the generator between counts, K0 = K - L1 - sum_k nu_k id
+        self._k0 = k_rows - mat(lambda r: apply_l1(m, r)).T - m.total_jump_mass * np.eye(nn)
         self._waiting = {}
-        self.counting = d == 0 and self.K > 0
+        self.diffusive = (
+            _ModelArrays(build_model({"dimension": n, "diffusive_ops": ops})) if d and self.K else None
+        )
         # the dt-free pieces of kraus(dt)
         self._kraus_parts = (
             a.T, q.T, stack(gs), stack(xs), stack(ps), drift, trace, k_trace,
@@ -204,10 +214,6 @@ class _ModelArrays:
         self.strat_cuts = _cuts(nn, d * nn, d, 1)
         self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
         self.nu = np.array([ch.weight for ch in m.jump_channels])
-        self.peak_intensity = max(
-            (ch.weight * float(np.linalg.eigvalsh(ch.effect())[-1]) for ch in m.jump_channels),
-            default=0.0,
-        )
         # lambda_max(sum_k nu_k E_k): the largest total jump intensity of any state
         self.peak_total = float(np.linalg.eigvalsh(
             sum(ch.weight * ch.effect() for ch in m.jump_channels)
@@ -264,19 +270,12 @@ class _ModelArrays:
         return state if state.ndim == 2 else self.coords(state)
 
     def substeps(self, dt: float) -> int:
-        """Fixed substep count.  A counting-only model takes the fewest
-        waiting-time substeps in which the bound peak_total dt / s on any
-        state's expected number of jumps is at most ``_JUMP_BOUND``.  Any
-        other model takes 1, or enough that the bound
-        max_k nu_k lambda_max(E_k) dt / s on any state's jump intensity per
-        substep is at most half the cap.  The ceil forgives relative rounding
-        of 1e-12, so a bound of 6.000000000000001 halves still gives 6."""
-        if self.counting:
-            return max(1, int(math.ceil(self.peak_total * dt / _JUMP_BOUND * (1.0 - 1e-12))))
-        worst = self.peak_intensity * dt
-        if worst <= _INTENSITY_CAP:
-            return 1
-        return int(math.ceil(worst / (0.5 * _INTENSITY_CAP) * (1.0 - 1e-12)))
+        """Fixed substep count: the fewest substeps in which the bound
+        peak_total dt / s on any state's expected number of jumps is at most
+        ``_JUMP_BOUND``, so 1 without jump channels.  The ceil forgives
+        relative rounding of 1e-12, so a bound of 6.000000000000001 times
+        ``_JUMP_BOUND`` still gives 6."""
+        return max(1, int(math.ceil(self.peak_total * dt / _JUMP_BOUND * (1.0 - 1e-12))))
 
 
 def _channels(y: np.ndarray, nn: int) -> np.ndarray:
@@ -394,34 +393,30 @@ def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
 
 
 def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
-    """One normalized Kraus step with xi = dW + m dt, the output increment."""
-    kx, m_drift, _, jx, lam = _apply_k_b(arr, rho, dt)
-    img = _kraus_image(arr, kx, dW + m_drift * dt)
-    fired = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
+    """One posterior step: the normalized Kraus step with xi = dW + m dt, the
+    output increment, of the model without jump channels, else of its
+    diffusive part if it has one, followed by the waiting-time step."""
+    kraus = arr.diffusive if arr.K else arr
+    if kraus is not None:
+        kx, m_drift = _apply_k_b(kraus, rho, dt)[:2]
+        img = _kraus_image(kraus, kx, dW + m_drift * dt)
+        rho = img / (arr.tr0 * img[:, :1])
     if arr.K:
-        fired[:] = (u < np.minimum(lam * arr.nu * dt, 1.0)) & (lam > _LAMBDA_FLOOR)
-        idx = np.flatnonzero(fired.any(axis=1))
-        if idx.size:
-            img[idx] = np.einsum("bk,bka->ba", fired[idx], jx[idx])
-    return img / (arr.tr0 * img[:, :1]), fired
+        return _step_counting(arr, rho, dt, u)
+    return rho, np.zeros((rho.shape[0], 0), dtype=np.int64)
 
 
 def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
-    """One step: the waiting-time step for counting-only models, else one
-    Kraus step; or, at s > 1, substeps whose (dW, u) ``substep_noise`` holds."""
+    """One posterior step (``_posterior_substep``); or, at s > 1, s substeps
+    whose (dW, u) ``substep_noise`` holds, or StepTooLarge without ``adaptive``."""
     x = arr.rows(rho)
     s = arr.substeps(dt)
     if s > 1 and not adaptive:
-        if arr.counting:
-            what, worst, cap = "expected jumps", arr.peak_total * dt, _JUMP_BOUND
-        else:
-            what, worst, cap = "jump intensity", arr.peak_intensity * dt, _INTENSITY_CAP
-        raise StepTooLarge(f"{what} per step can reach {worst:.3g}, above {cap}")
+        worst = arr.peak_total * dt
+        raise StepTooLarge(f"expected jumps per step can reach {worst:.3g}, above {_JUMP_BOUND}")
     if s > 1:
         sub_dW, sub_u = substep_noise
         return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)
-    if arr.counting:
-        return _step_counting(arr, x, dt, u)
     return _posterior_substep(arr, x, dt, dW, u)
 
 
@@ -430,10 +425,7 @@ def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
     increments dW (B, s, n_diff) and uniforms u (B, s, K)."""
     fired_total = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
     for l in range(s):
-        if arr.counting:
-            rho, fired = _step_counting(arr, rho, dt / s, u[:, l])
-        else:
-            rho, fired = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
+        rho, fired = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
         fired_total += fired
     return rho, fired_total
 
@@ -479,7 +471,7 @@ def _channel(rate: np.ndarray, v: np.ndarray):
 
 
 def _step_counting(arr: _ModelArrays, x, dt, u):
-    """The waiting-time step of a counting-only model.
+    """The waiting-time step of the model's jump part, from normalized rows x.
 
     One product gives every row's state at dt and its survival q; a row
     jumps iff u[:, 0] >= q.  Each jump searches the survival table of the

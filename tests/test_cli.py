@@ -380,3 +380,19 @@ class TestColdStart:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "[]"
+
+
+class TestModuleEntry:
+    def test_python_m_writes_the_model(self, tmp_path):
+        # ``python -m qtraj.cli`` runs the command, as the console script does
+        env = dict(os.environ)
+        src = str(Path(qtraj.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / "d.json"
+        argv = ["atom", "--detection", "direct", "--alpha", "[[1, 0]]", "--lambda-inner", "[0, 1]"]
+        run = subprocess.run(
+            [sys.executable, "-m", "qtraj.cli", *argv, "--output", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(path.read_text())["jump_channels"][0]["label"] == "count"

@@ -12,6 +12,7 @@ from qtraj import (
     apply_jump,
     apply_k,
     apply_l0,
+    apply_l1,
     apply_liouvillian,
     build_model,
     deterministic_flow,
@@ -27,6 +28,7 @@ from qtraj import (
 from qtraj import engine, linalg, master, steps
 from qtraj.engine import _ModelArrays, _strat_a_b
 from qtraj.errors import (
+    EnsembleFailure,
     JumpChannelsPresent,
     MultipleDiffusiveOps,
     NotPurePreserving,
@@ -48,7 +50,8 @@ def identity_jump_model(weight=1.0):
 
 
 def _with_diffusion(m, op=0.1 * SIGMA_Z):
-    """m plus one diffusive operator: same peak jump intensity, and it substeps."""
+    """m plus one diffusive operator: a model with both diffusive operators
+    and m's jump channels, which takes the split step."""
     return build_model(
         {
             "dimension": m.dim,
@@ -146,15 +149,14 @@ class TestSimulatePosterior:
     def test_wiener_reconstruction(self, heterodyne_model, homodyne_model, mixed):
         # increments of W are the drawn standard increments plus m dt, with
         # m_j = tr (L_j + L_j*) rho at the start of the step: posterior
-        # heterodyne, Stratonovich homodyne, and a model in 6 substeps
+        # heterodyne, Stratonovich homodyne, and a diffusive and jump model
         grid = TimeGrid(t_final=0.1, dt=1e-3)
-        substepped = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
-        assert _ModelArrays(substepped).substeps(grid.dt) == 6
+        split = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
         psi0 = PureStateVector([1.0, 0.0])
         for m, traj in (
             (heterodyne_model, simulate_posterior(heterodyne_model, mixed, grid, seed=29)),
             (homodyne_model, simulate_stratonovich_pure(homodyne_model, psi0, grid, seed=29)),
-            (substepped, simulate_posterior(substepped, mixed, grid, seed=29)),
+            (split, simulate_posterior(split, mixed, grid, seed=29)),
         ):
             diff = traj.output.wiener - traj.output.compensated_wiener
             assert diff.shape == (grid.n_steps, m.n_diffusive)
@@ -163,21 +165,24 @@ class TestSimulatePosterior:
             assert np.abs(diff / grid.dt - np.stack(want, axis=1)).max() < 1e-12
 
     def test_adaptive_substepping_high_rate(self, mixed):
-        m = identity_jump_model(weight=400.0)  # nu dt = 0.4 > cap
+        m = identity_jump_model(weight=400.0)  # 0.4 jumps per step
         grid = TimeGrid(t_final=0.05, dt=1e-3)
         traj = simulate_posterior(m, mixed, grid, seed=31)
         assert np.abs(traj.state_path - mixed.matrix).max() < 1e-12
         assert len(traj.output.jump_events) > 0
-        # counting-only models take the waiting-time step; with a diffusive
-        # operator the model substeps, or refuses to without adaptive
-        with pytest.raises(StepTooLarge):
-            simulate_posterior(_with_diffusion(m), mixed, grid, seed=31, adaptive=False)
+        # with a diffusive operator at 5 expected jumps per step the model
+        # substeps, or refuses to without adaptive
+        split = _with_diffusion(identity_jump_model(weight=5000.0))
+        with pytest.raises(StepTooLarge, match="expected jumps per step can reach 5"):
+            simulate_posterior(split, mixed, grid, seed=31, adaptive=False)
 
     def test_substep_count_forgives_rounding(self):
-        # peak intensity 300.00000000000006: the bound 6.000000000000001 gives 6
+        # peak total intensity 300.00000000000006: at dt = 0.08 the bound
+        # 6.000000000000001 times _JUMP_BOUND gives 6
         arr = _ModelArrays(_with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0))))
-        assert arr.substeps(1e-3) == 6
-        assert arr.substeps(1e-3 * (1 + 1e-9)) == 7
+        assert arr.peak_total * 0.08 / steps._JUMP_BOUND > 6.0
+        assert arr.substeps(0.08) == 6
+        assert arr.substeps(0.08 * (1 + 1e-9)) == 7
 
 
 def _counting_model(weight=500.0):
@@ -249,7 +254,7 @@ class TestWaitingTime:
         grid = TimeGrid(t_final=0.02, dt=1e-3)
         rec = self._Fired()
         arr = _ModelArrays(m)
-        assert arr.counting and arr.substeps(grid.dt) == 1
+        assert arr.K == 1 and arr.substeps(grid.dt) == 1
         engine._simulate_batch(arr, "posterior", rho0, grid, list(range(self.N_TRAJ)), rec)
         counts = np.concatenate(rec.fired, axis=1).sum(axis=2)  # (B, n_steps)
         first = np.where(counts.any(axis=1), counts.argmax(axis=1), grid.n_steps)
@@ -261,10 +266,12 @@ class TestWaitingTime:
             got = (first < i).mean()
             assert abs(got - p) <= 4.5 * math.sqrt(p * (1 - p) / self.N_TRAJ), (i, got, p)
 
-    @pytest.mark.parametrize("name", ["direct", "counting"])
+    @pytest.mark.parametrize("name", ["direct", "mixed", "counting"])
     def test_count_mean_and_variance(self, name):
         if name == "direct":  # the high-rate atom: about 0.14 jumps per step
             m, t_final = generate_atom_model(standard_direct(300.0, 1000.0)), 0.2
+        elif name == "mixed":  # the same atom with a diffusive operator: the split step
+            m, t_final = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0))), 0.2
         else:  # two channels, several jumps in many steps
             m, t_final = _counting_model(), 0.02
         rho0 = np.eye(m.dim, dtype=complex) / m.dim
@@ -333,7 +340,6 @@ class TestWaitingTime:
     def test_substep_count_bounds_total_jumps(self):
         # two channels of peak 1368 each, 2350 together: the total sets s
         arr = _ModelArrays(_counting_model())
-        assert arr.peak_total < 2 * arr.peak_intensity
         assert arr.substeps(1e-3) == 1
         assert arr.substeps(1e-2) == math.ceil(arr.peak_total * 1e-2 / steps._JUMP_BOUND) == 6
         assert _ModelArrays(identity_jump_model(weight=400.0)).substeps(1e-2) == 1  # exactly 4
@@ -698,20 +704,30 @@ def _linear_ref(m, sig, dt, dW, u):
     return new * (w / np.trace(new).real), w, fired
 
 
-def _posterior_ref(m, rho, dt, dW, u):
-    """Kraus image with xi = dW + m dt (or the fired jump images), normalized."""
+def _posterior_ref(m, rho, dt, dW, t_jump=None):
+    """The Kraus image with xi = dW + m dt, normalized, of a model without
+    jump channels, or else of its diffusive part, followed by exp(dt K0),
+    K0 = K - L1 - nu_tot id, normalized; with t_jump, channel 0 fires at
+    t_jump in between: exp((dt - t_jump) K0) J_0 exp(t_jump K0), normalized
+    after the jump and at the end."""
     m_drift = np.array(
         [np.trace((op + op.conj().T) @ rho).real for op in m.diffusive_ops]
     )
-    fired = np.zeros(m.n_jump, dtype=int)
-    for k, ch in enumerate(m.jump_channels):
-        lam = np.trace(apply_jump(m, rho, k)).real
-        fired[k] = lam > 1e-12 and u[k] < min(lam * ch.weight * dt, 1.0)
-    if fired.any():
-        new = sum(apply_jump(m, rho, k) for k in np.flatnonzero(fired))
-    else:
-        new = _kraus_ref(m, rho, dt, dW + m_drift * dt)
-    return new / np.trace(new).real, fired, m_drift
+    part = build_model({"dimension": m.dim, "diffusive_ops": list(m.diffusive_ops)})
+    new = _kraus_ref(part if m.n_jump else m, rho, dt, dW + m_drift * dt)
+    new = new / np.trace(new).real
+    if not m.n_jump:
+        return new, m_drift
+    k0 = _superop(lambda r: apply_k(m, r) - apply_l1(m, r) - m.total_jump_mass * r, m.dim)
+
+    def propagate(t, r):
+        return (scipy.linalg.expm(t * k0) @ r.reshape(-1)).reshape(m.dim, m.dim)
+
+    if t_jump is not None:
+        new = apply_jump(m, propagate(t_jump, new), 0)
+        new, dt = new / np.trace(new).real, dt - t_jump
+    new = propagate(dt, new)
+    return new / np.trace(new).real, m_drift
 
 
 def _stratonovich_ref(m, rho, dt, dW):
@@ -771,34 +787,27 @@ class TestStepsMatchReference:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("n_jump", [0, 2])
     def test_posterior(self, n, n_jump):
+        # with jump channels: the diffusive part's Kraus step, then the
+        # waiting-time step.  A third of the rows jump (u_0 just below 1, so
+        # at the first of the _GRID points) to channel 0 (u_1 = 1e-3), which
+        # leaves too little of u_1 for a second jump; the rest (u = 0) do not
         rng = np.random.default_rng(200 + 10 * n + n_jump)
         m = _random_model(rng, n, n_diff=2, n_jump=n_jump, n_diss=1)
         rho = _random_states(rng, self.B, n)
-        if n_jump:
-            # channel 1 annihilates |0><0|, so it is inactive on those rows
-            ops = [np.eye(n)[:, [k]] @ np.eye(n)[[k + 1], :] for k in range(n - 1)]
-            m = build_model(
-                {
-                    "dimension": n,
-                    "hamiltonian": m.hamiltonian,
-                    "diffusive_ops": list(m.diffusive_ops),
-                    "jump_channels": [m.jump_channels[0], {"label": "d", "weight": 0.9, "kraus": ops}],
-                }
-            )
-            rho[1::4] = np.diag(np.eye(n)[0]).astype(complex)
-        dW, u = self._noise(rng, m)
+        dW, _ = self._noise(rng, m)
+        jump = np.arange(self.B) % 3 == 0
+        u = np.where(jump[:, None], [np.nextafter(1.0, 0.0), 1e-3][:n_jump], 0.0)
         arr = _ModelArrays(m)
         assert arr.substeps(self.DT) == 1
         out, fired = engine._step_posterior(arr, rho, self.DT, dW, u, False, None)
         m_drift = engine._apply_k_b(arr, arr.rows(rho), self.DT)[1]  # m at the step start
         out = arr.matrices(out)
         if n_jump:
-            assert fired[:, 0].sum() > 0 and fired[:, 1].sum() > 0
-            assert not fired[1::4, 1].any()
+            assert np.array_equal(fired, np.where(jump[:, None], [1, 0], 0))
         for i in range(self.B):
-            want, f_want, m_want = _posterior_ref(m, rho[i], self.DT, dW[i], u[i])
+            t_jump = self.DT / steps._GRID if n_jump and jump[i] else None
+            want, m_want = _posterior_ref(m, rho[i], self.DT, dW[i], t_jump)
             assert np.abs(out[i] - want).max() < 1e-12
-            assert np.array_equal(fired[i], f_want)
             assert np.abs(m_drift[i] - m_want).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -940,6 +949,22 @@ class TestBatchIndependence:
         mixed = self._paths([7, 5, 6], model, mode, rho0)[5]
         assert np.array_equal(mixed, alone)
 
+    @pytest.mark.parametrize("batch", [3, 512])
+    @pytest.mark.parametrize("weight", [None, 500.0, 3000.0])
+    def test_split_path_same_in_the_middle_of_a_batch(self, weight, batch):
+        # models with diffusive operators and jump channels, on the split
+        # step: the direct atom (weight None), and three levels with two
+        # channels and a dissipative operator, at weight 3000 in 4 substeps
+        if weight is None:
+            m = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
+        else:
+            m = _with_diffusion(_counting_model(weight), op=0.3 * np.diag([1.0, 0.0, -1.0]))
+        assert _ModelArrays(m).substeps(self.GRID.dt) == (4 if weight == 3000.0 else 1)
+        rho0 = np.eye(m.dim, dtype=complex) / m.dim
+        alone = self._paths([5], m, "posterior", rho0)[5]
+        seeds = [7, 5] + list(range(8, 6 + batch))
+        assert np.array_equal(self._paths(seeds, m, "posterior", rho0)[5], alone)
+
     @pytest.mark.parametrize("weight", [500.0, 3000.0])
     def test_counting_path_same_in_the_middle_of_a_batch(self, weight):
         # two channels, several jumps in many steps, on the waiting-time
@@ -1068,7 +1093,7 @@ def _mixed_jump_model():
 class TestFailedTrajectory:
     """One row of a 200-trajectory ensemble turns NaN at one step; the
     ensemble keeps the 199 survivors and the failed row's history up to
-    that step."""
+    that step.  More than 1 % of the rows failing fails the ensemble."""
 
     GRID = TimeGrid(t_final=0.08, dt=1e-3)
     N_TRAJ = 200
@@ -1076,14 +1101,14 @@ class TestFailedTrajectory:
     ROW = 17
     STEP = 30  # the step (0-based) whose output is NaN; it ends at record STEP + 1
 
-    def _poisoned(self, monkeypatch, name, row=ROW):
+    def _poisoned(self, monkeypatch, name, rows=(ROW,)):
         kernel = getattr(engine, name)
         calls = []
 
         def step(arr, x, *args):
             out = kernel(arr, x, *args)
             if len(calls) == self.STEP:
-                out[0][row] = np.nan
+                out[0][list(rows)] = np.nan
             calls.append(1)
             return out
 
@@ -1144,12 +1169,24 @@ class TestFailedTrajectory:
         assert np.flatnonzero(~coll.alive).tolist() == [self.ROW]
         assert coll.jump_totals[self.ROW, 0] == sum(step < self.STEP for step, _ in want)
 
+    @pytest.mark.parametrize("n_poisoned", [2, 3])
+    def test_ensemble_fails_above_one_percent(self, n_poisoned, monkeypatch, mixed):
+        # 2 failed rows of 200 are within the 1 % limit, 3 are not
+        m = _mixed_jump_model()
+        self._poisoned(monkeypatch, "_step_posterior", rows=range(self.ROW, self.ROW + n_poisoned))
+        if n_poisoned == 3:
+            with pytest.raises(EnsembleFailure, match="3 of 200 trajectories failed"):
+                run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, "posterior")
+        else:
+            stats = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, "posterior")
+            assert stats.n_failed == 2
+
     def test_failed_path_restarts_mixed_with_entropy_zero(self, monkeypatch, mixed):
         # trajectory 0 is recorded in full: at the failing record its state is
         # I/2 and its entropy 0; it is finite everywhere
         m = _mixed_jump_model()
         want = simulate_posterior(m, mixed, self.GRID, self.SEED)
-        self._poisoned(monkeypatch, "_step_posterior", row=0)
+        self._poisoned(monkeypatch, "_step_posterior", rows=(0,))
         got = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, "posterior").trajectory
         fail = self.STEP + 1
         assert np.array_equal(got.state_path[:fail], want.state_path[:fail])
@@ -1212,9 +1249,10 @@ class TestFlushSize:
                     )
 
     def test_substepped_path(self, monkeypatch, mixed):
-        # 6 substeps per step: chunks of 10 steps
-        m = _with_diffusion(generate_atom_model(standard_direct(300.0, 1000.0)))
-        self._check_substepped(monkeypatch, m, mixed, 6)
+        # a diffusive and jump model at 5 expected jumps per step, in 2
+        # substeps: chunks of 30 steps
+        m = _with_diffusion(identity_jump_model(weight=5000.0))
+        self._check_substepped(monkeypatch, m, mixed, 2)
 
     def test_substepped_counting_path(self, monkeypatch):
         # 4 waiting-time substeps of a counting-only model: chunks of 15 steps
