@@ -275,7 +275,7 @@ class _ModelArrays:
         ``_JUMP_BOUND``, so 1 without jump channels.  The ceil forgives
         relative rounding of 1e-12, so a bound of 6.000000000000001 times
         ``_JUMP_BOUND`` still gives 6."""
-        return max(1, int(math.ceil(self.peak_total * dt / _JUMP_BOUND * (1.0 - 1e-12))))
+        return math.ceil(self.peak_total * dt / _JUMP_BOUND * (1.0 - 1e-12)) or 1
 
 
 def _channels(y: np.ndarray, nn: int) -> np.ndarray:
