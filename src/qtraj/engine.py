@@ -23,9 +23,9 @@ unambiguous numerical solution, which is what all outputs refer to.
 Trajectory-level randomness comes from one counter-based Philox stream
 keyed by ``seed + trajectory_index``, which also supplies the noise of
 posterior substeps, so ensembles are reproducible and
-embarrassingly parallel; ``QTRAJ_THREADS`` caps worker processes.  Results
-do not depend on the worker count: trajectories are reduced in index order
-over fixed-size blocks.
+embarrassingly parallel; ``QTRAJ_THREADS`` counts processes, the caller
+included.  Results do not depend on that count: trajectories are reduced in
+index order over fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -546,12 +546,16 @@ def run_ensemble(
     Trajectory i uses the Philox stream keyed ``seed + i``.  In linear mode
     the mean state is the plain average of the unnormalized matrices, which
     estimates the a-priori state by reweighting; in posterior and
-    stratonovich modes it is the average of the normalized states.  Blocks
-    of trajectories are reduced in index order, so results are independent
-    of the worker count (``QTRAJ_THREADS``).  The full path of trajectory 0,
-    recorded in the same pass, is returned as ``trajectory``.  ``adaptive``
-    is as in ``simulate_posterior``: it concerns only posterior-mode models
-    whose bound on the expected jumps per step exceeds 4.
+    stratonovich modes it is the average of the normalized states.
+
+    Trajectories run in blocks of ``_BLOCK``.  With P = min(``QTRAJ_THREADS``,
+    blocks), the calling process runs blocks 0, P, 2P, ... while a pool of
+    P - 1 worker processes runs the others, so no process idles beside the
+    pool.  Blocks are reduced in index order, so results are independent of
+    ``QTRAJ_THREADS``.  The full path of trajectory 0, recorded in the same
+    pass, is returned as ``trajectory``.  ``adaptive`` is as in
+    ``simulate_posterior``: it concerns only posterior-mode models whose
+    bound on the expected jumps per step exceeds 4.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
@@ -583,12 +587,21 @@ def run_ensemble(
         threads = int(text)
     except ValueError:
         raise ValidationError(f"QTRAJ_THREADS must be an integer, not {text!r}") from None
-    if threads > 1 and len(blocks) > 1:
-        # the fork start method launches every worker up front, busy or not
-        with ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-            results = list(pool.map(_run_block, blocks))
-    else:
+    if threads < 1:
+        raise ValidationError(f"QTRAJ_THREADS must be at least 1, not {threads}")
+    p = min(threads, len(blocks))
+    if p == 1:
         results = [_run_block(b) for b in blocks]
+    else:
+        results = [None] * len(blocks)
+        rest = [i for i in range(len(blocks)) if i % p]
+        # the fork start method launches every worker up front, busy or not
+        with ProcessPoolExecutor(max_workers=p - 1) as pool:
+            # map submits the pool's blocks before the caller starts its own
+            theirs = pool.map(_run_block, [blocks[i] for i in rest])
+            results[::p] = [_run_block(b) for b in blocks[::p]]
+            for i, coll in zip(rest, theirs):
+                results[i] = coll
 
     merged = results[0]
     for coll in results[1:]:

@@ -353,6 +353,13 @@ class TestUsage:
         assert code == 1
         assert "QTRAJ_THREADS" in capsys.readouterr().err
 
+    def test_threads_below_one_exits_1(self, het_model_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QTRAJ_THREADS", "0")
+        argv = ["simulate", "--model", str(het_model_file), "--t-final", "0.01",
+                "--dt", "0.001", "--seed", "1", "--output", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "QTRAJ_THREADS must be at least 1" in capsys.readouterr().err
+
 
 COLD_START = """
 import sys

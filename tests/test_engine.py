@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -580,20 +581,33 @@ class TestRunEnsemble:
             stats.index_of_time(t)
 
     def test_parallel_matches_serial(self, heterodyne_model, mixed, monkeypatch):
+        # 2 to 5 blocks of 8, the last one partial, so that the caller's
+        # blocks 0, P, 2P, ... and the pool's interleave in every pattern
         grid = TimeGrid(t_final=0.1, dt=1e-3)
+        m = _mixed_jump_model()
         monkeypatch.setattr(engine, "_BLOCK", 8)
-        serial = run_ensemble(heterodyne_model, mixed, grid, 32, seed=3, mode="posterior")
-        monkeypatch.setenv("QTRAJ_THREADS", "2")
-        parallel = run_ensemble(heterodyne_model, mixed, grid, 32, seed=3, mode="posterior")
-        assert np.array_equal(serial.mean_state, parallel.mean_state)
-        assert np.array_equal(serial.se_state_re, parallel.se_state_re)
-        assert np.array_equal(serial.mean_entropy, parallel.mean_entropy)
+        for n_traj in (13, 20, 27, 37):
+            monkeypatch.setenv("QTRAJ_THREADS", "1")
+            serial = run_ensemble(m, mixed, grid, n_traj, seed=3, mode="posterior")
+            assert serial.jump_count_mean[0] > 0.0
+            for threads in ("2", "3"):
+                monkeypatch.setenv("QTRAJ_THREADS", threads)
+                parallel = run_ensemble(m, mixed, grid, n_traj, seed=3, mode="posterior")
+                for name in ("mean_state", "se_state_re", "mean_entropy",
+                             "jump_count_mean", "max_entropy_per_traj"):
+                    assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+                want, got = serial.trajectory, parallel.trajectory
+                assert np.array_equal(got.state_path, want.state_path)
+                assert np.array_equal(got.entropy_path, want.entropy_path)
+                assert np.array_equal(got.output.wiener, want.output.wiener)
+                assert got.output.jump_events == want.output.jump_events
 
     def test_pool_starts_no_idle_workers(self, heterodyne_model, mixed, monkeypatch):
-        sizes = []
+        sizes, mapped = [], []
 
         class Recorder:
-            """Records the pool size and maps in this process; starts no process."""
+            """Records the pool size and the blocks it maps, and maps them in
+            this process; starts no process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -605,20 +619,45 @@ class TestRunEnsemble:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                mapped.extend((args[4][0] - 3) // 8 for args in items)  # first seed
                 return map(fn, items)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(engine, "_BLOCK", 8)
         grid = TimeGrid(t_final=0.01, dt=1e-3)
-        # (QTRAJ_THREADS, trajectories in blocks of 8, pool sizes started)
-        cases = (("64", 16, [2]), ("2", 24, [2]), ("3", 24, [3]), ("64", 8, []))
-        for threads, n_traj, want in cases:
+        # (QTRAJ_THREADS, trajectories in blocks of 8, pool sizes started,
+        # blocks the pool runs: those whose index is not a multiple of P)
+        cases = (
+            ("64", 16, [1], [1]),
+            ("2", 24, [1], [1]),
+            ("2", 40, [1], [1, 3]),
+            ("3", 24, [2], [1, 2]),
+            ("3", 40, [2], [1, 2, 4]),
+            ("64", 8, [], []),
+        )
+        for threads, n_traj, want_sizes, want_mapped in cases:
             sizes.clear()
+            mapped.clear()
             monkeypatch.setenv("QTRAJ_THREADS", threads)
             run_ensemble(heterodyne_model, mixed, grid, n_traj, seed=3, mode="posterior")
-            assert sizes == want
+            assert sizes == want_sizes
+            assert mapped == want_mapped
 
-    @pytest.mark.parametrize("threads", ["two", "1.5"])
+    def test_pool_leaves_no_process(self, heterodyne_model, mixed, monkeypatch):
+        # 3 blocks, P = 3: the caller runs block 0 and two workers the others.
+        # StepTooLarge is raised in the caller's own block while the workers
+        # still hold theirs
+        monkeypatch.setattr(engine, "_BLOCK", 8)
+        monkeypatch.setenv("QTRAJ_THREADS", "3")
+        run_ensemble(heterodyne_model, mixed, TimeGrid(0.01, 1e-3), 24, 3, "posterior")
+        assert multiprocessing.active_children() == []
+        m = identity_jump_model(weight=4000.0)
+        with pytest.raises(StepTooLarge):
+            run_ensemble(m, mixed, TimeGrid(0.1, 1e-2), 24, 13, "posterior", adaptive=False)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("threads", ["two", "1.5", "0", "-3"])
     def test_non_integer_threads_is_a_validation_error(
         self, heterodyne_model, mixed, monkeypatch, threads
     ):
