@@ -580,7 +580,7 @@ class TestRunEnsemble:
         with pytest.raises(ValidationError):
             stats.index_of_time(t)
 
-    def test_parallel_matches_serial(self, heterodyne_model, mixed, monkeypatch):
+    def test_parallel_matches_serial(self, mixed, monkeypatch):
         # 2 to 5 blocks of 8, the last one partial, so that the caller's
         # blocks 0, P, 2P, ... and the pool's interleave in every pattern
         grid = TimeGrid(t_final=0.1, dt=1e-3)
