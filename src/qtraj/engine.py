@@ -25,7 +25,11 @@ keyed by ``seed + trajectory_index``, which also supplies the noise of
 posterior substeps, so ensembles are reproducible and
 embarrassingly parallel; ``QTRAJ_THREADS`` counts processes, the caller
 included.  Results do not depend on that count: trajectories are reduced in
-index order over fixed-size blocks.
+index order over fixed-size blocks.  A batch builds one Philox bit
+generator and keys it per trajectory by setting its state (key
+``seed + trajectory_index``, counter 0), which draws what a generator
+built for that key would, at a fraction of the cost.  The sums of a flush
+over a batch's rows are BLAS products with a ones vector.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import (
     NotPurePreserving,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, _philox, hs_norm
+from .linalg import PureStateVector, QuantumState, _philox, _philox_state, hs_norm
 from .model import MeasurementModel
 
 # The driver calls the kernels through this module's names, so patching
@@ -171,10 +175,16 @@ class EnsembleStats:
 
 
 def _entropy_rows(x: np.ndarray, tr0: float) -> np.ndarray:
-    """Linear entropy of the normalized state, 1 - |x / w|^2 / 2, where
+    """Linear entropy of the normalized state, 1 - |x|^2 / (2 w^2), where
     w = tr0 x_0 > 0 is the row's trace."""
-    x = x / (tr0 * x[:, :1])
-    return 1.0 - 0.5 * np.einsum("bi,bi->b", x, x)
+    return 1.0 - 0.5 * np.einsum("bi,bi->b", x, x) / np.square(tr0 * x[:, 0])
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """The maxima of the rows of a (B, F) block.  numpy reduces a short
+    inner axis one row at a time, so a large batch's block is transposed
+    first and reduced over its rows."""
+    return np.ascontiguousarray(a.T).max(axis=0)
 
 
 # -- collectors ---------------------------------------------------------------
@@ -247,8 +257,10 @@ class _StatsCollector:
     copied; the ``_pad8`` columns ride along as zeros) and stores their
     mean and M2 per record over the rows alive there (dead rows hold
     finite values and are masked out, unless every row is alive).
-    It also adds the alive rows' jump counts and Wiener sums.  With
-    ``keep_path`` it also records row 0's full path.
+    It also adds the alive rows' jump counts and Wiener sums.  The sums
+    over rows (means, M2 and Wiener sums) are products with a ones vector,
+    one BLAS gemv each.  With ``keep_path`` it also records row 0's full
+    path.
     """
 
     def __init__(self, arr: _ModelArrays, mode, grid, observable, keep_path):
@@ -284,23 +296,25 @@ class _StatsCollector:
             self.jump_totals = np.zeros((b, self.n_jump), dtype=np.int64)
             self.entropy_max = np.zeros(b)
             self.defect_max = np.zeros(b)
-        np.maximum(self.entropy_max, entropy.max(axis=1), out=self.entropy_max)
+        np.maximum(self.entropy_max, _row_max(entropy), out=self.entropy_max)
         if defect is not None:
-            np.maximum(self.defect_max, defect.max(axis=1), out=self.defect_max)
+            np.maximum(self.defect_max, _row_max(defect), out=self.defect_max)
+        ones = np.ones(b * f)
         vals = _rows(state.reshape(b * f, -1), self.to_cols).reshape(b, f, -1)
         vals[:, :, self.width - 1] = entropy
         live = None if alive.all() else alive[:, :, None]
         if live is not None:
             vals *= live
-        cnt = alive.sum(axis=0)
-        mean = vals.sum(axis=0) / np.maximum(cnt, 1)[:, None]
+        cnt = np.full(f, b) if live is None else alive.sum(axis=0)
+        flat = vals.reshape(b, -1)
+        mean = (ones[:b] @ flat).reshape(f, -1) / np.maximum(cnt, 1)[:, None]
         vals -= mean
         if live is not None:
             vals *= live
         recs = slice(i, i + f)
         self.count[recs] = cnt
         self.mean[recs] = mean
-        self.m2[recs] = np.square(vals, out=vals).sum(axis=0)
+        self.m2[recs] = (ones[:b] @ np.square(flat, out=flat)).reshape(f, -1)
         if dW is None:
             return
         if live is not None:
@@ -308,9 +322,10 @@ class _StatsCollector:
             dW = dW * live
         if fired is not None:
             self.jump_totals += fired.sum(axis=1)
-        self.wiener_s1 += dW.sum(axis=(0, 1))
-        self.wiener_s2 += np.square(dW).sum(axis=(0, 1))
-        self.wiener_n += int(cnt.sum()) if dW.shape[2] else 0
+        dW = dW.reshape(b * f, dW.shape[2])
+        self.wiener_s1 += ones @ dW
+        self.wiener_s2 += ones @ np.square(dW)
+        self.wiener_n += int(cnt.sum()) if dW.shape[1] else 0
 
 
 # -- core driver --------------------------------------------------------------
@@ -328,6 +343,9 @@ def _simulate_batch(
 
     Noise is drawn per trajectory in chunks of steps (normals first, then
     jump uniforms), so a trajectory's randomness depends only on its seed.
+    The batch builds one Philox bit generator; each trajectory's draws
+    start by setting its state to key = seed, counter 0, and its state is
+    saved after them only when another chunk follows.
     Posterior steps split into s > 1 substeps draw the noise of every
     substep, in chunks of min(_CHUNK, n_steps) // s steps so that a chunk
     holds no more values than at s = 1; a step's dW is the sum of its
@@ -343,7 +361,9 @@ def _simulate_batch(
     Returns (alive, underflow) masks.
     """
     b = len(seeds)
-    gens = [_philox(s) for s in seeds]
+    keyed = [_philox_state(s) for s in seeds]  # checks every key before any work
+    gen = _philox(0)  # the batch's one bit generator, rekeyed per trajectory
+    bits = gen.bit_generator
     dt = grid.dt
     n_steps = grid.n_steps
     linear = mode == "linear"
@@ -379,10 +399,14 @@ def _simulate_batch(
     sqdt = math.sqrt(dt / s)
     for start in range(0, n_steps, chunk):
         clen = min(chunk, n_steps - start)
-        for g, nrm, uni in zip(gens, normals, uniforms):
-            g.standard_normal(out=nrm[:clen])
+        more = start + clen < n_steps
+        for t, (nrm, uni) in enumerate(zip(normals, uniforms)):
+            bits.state = keyed[t]
+            gen.standard_normal(out=nrm[:clen])
             if arr.K:
-                g.random(out=uni[:clen])
+                gen.random(out=uni[:clen])
+            if more:
+                keyed[t] = bits.state
         normals[:, :clen] *= sqdt
         step_dW = normals if s == 1 else normals[:, :clen].sum(axis=2)
         for f0 in range(0, clen, flush):

@@ -565,12 +565,18 @@ class TestRunEnsemble:
         with pytest.raises(ValidationError, match="observable"):
             run_ensemble(heterodyne_model, mixed, grid, 2, 1, "posterior", observable=obs)
 
-    def test_seed_outside_philox_keys(self, heterodyne_model, mixed):
-        # trajectory i takes key seed + i, so every key must be in [0, 2**128)
+    def test_seed_outside_philox_keys(self, heterodyne_model, mixed, monkeypatch):
+        # trajectory i takes key seed + i, so every key must be in [0, 2**128);
+        # a batch checks all its keys before its first step
         grid = TimeGrid(t_final=0.01, dt=1e-3)
+        run_ensemble(heterodyne_model, mixed, grid, 2, 2**128 - 2, "posterior")
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the keys were checked")
+
+        monkeypatch.setattr(engine, "_step_posterior", no_step)
         with pytest.raises(ValidationError, match="seed"):
             run_ensemble(heterodyne_model, mixed, grid, 1, -1, "posterior")
-        run_ensemble(heterodyne_model, mixed, grid, 2, 2**128 - 2, "posterior")
         with pytest.raises(ValidationError, match="seed"):
             run_ensemble(heterodyne_model, mixed, grid, 3, 2**128 - 2, "posterior")
 
@@ -1027,6 +1033,75 @@ class TestBatchIndependence:
                 assert np.array_equal(stats.max_entropy_per_traj, want)
 
 
+class TestStreams:
+    """Row t of a batch draws the stream of Generator(Philox(key=seeds[t])):
+    per chunk of steps, its normals, then its jump uniforms."""
+
+    KEYS = [0, 2**64 - 1, 2**64, 2**128 - 1]
+    GRID = TimeGrid(t_final=0.011, dt=1e-3)  # 11 steps
+
+    class _Noise:
+        """Wraps the posterior kernel and keeps the (B, s, .) noise of every step."""
+
+        def __init__(self, kernel):
+            self.kernel = kernel
+            self.normals = []
+            self.uniforms = []
+
+        def __call__(self, arr, x, dt, dW, u, adaptive, sub):
+            nrm, uni = (dW[:, None], u[:, None]) if sub is None else sub
+            self.normals.append(nrm.copy())
+            self.uniforms.append(uni.copy())
+            return self.kernel(arr, x, dt, dW, u, adaptive, sub)
+
+    class _Discard:
+        def collect(self, *args):
+            pass
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_batch_draws_the_keyed_streams(self, s, monkeypatch):
+        # diffusive and jump models, in chunks of 4, 4, 3 steps (s = 1) and
+        # of 3, 3, 3, 2 steps of 2 substeps each (s = 2)
+        if s == 1:
+            m, max_chunk = _mixed_jump_model(), 4
+        else:
+            m, max_chunk = _with_diffusion(identity_jump_model(weight=5000.0)), 6
+        arr = _ModelArrays(m)
+        assert arr.substeps(self.GRID.dt) == s and arr.n_diff and arr.K
+        monkeypatch.setattr(engine, "_CHUNK", max_chunk)
+        chunk = max_chunk // s
+        n_steps = self.GRID.n_steps
+        assert n_steps > 2 * chunk
+        noise = self._Noise(engine._step_posterior)
+        monkeypatch.setattr(engine, "_step_posterior", noise)
+        engine._simulate_batch(arr, "posterior", np.eye(2) / 2, self.GRID, self.KEYS, self._Discard())
+        normals = np.stack(noise.normals, axis=1)  # (B, n_steps, s, n_diff)
+        uniforms = np.stack(noise.uniforms, axis=1)
+        scale = math.sqrt(self.GRID.dt / s)
+        for row, key in enumerate(self.KEYS):
+            g = np.random.Generator(np.random.Philox(key=key))
+            for start in range(0, n_steps, chunk):
+                steps = slice(start, min(start + chunk, n_steps))
+                n = steps.stop - start
+                want = scale * g.standard_normal((n, s, arr.n_diff))
+                assert np.array_equal(normals[row, steps], want), (key, start)
+                assert np.array_equal(uniforms[row, steps], g.random((n, s, arr.K))), (key, start)
+
+    def test_one_bit_generator_per_batch(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        monkeypatch.setattr(engine, "_CHUNK", 4)  # 11 steps in 3 chunks
+        arr = _ModelArrays(_mixed_jump_model())
+        engine._simulate_batch(arr, "posterior", np.eye(2) / 2, self.GRID, list(range(20)), self._Discard())
+        assert len(built) == 1
+
+
 class TestRowCollectors:
     """Ensemble aggregates on coordinate rows against numpy over single paths."""
 
@@ -1034,41 +1109,56 @@ class TestRowCollectors:
     N_TRAJ = 20  # blocks of 8, 8 and 4 with _BLOCK = 8
     SEED = 41
 
-    def _case(self, mode, request):
-        if mode == "stratonovich":
+    def _case(self, case, request):
+        """(model, rho0, mode, simulate); "jumps" is the posterior mode of
+        ``_mixed_jump_model``."""
+        if case == "stratonovich":
             psi0 = PureStateVector([1.0, 0.0])
             m = request.getfixturevalue("homodyne_model")
-            return m, QuantumState(psi0.projector()), lambda s: simulate_stratonovich_pure(
+            return m, QuantumState(psi0.projector()), case, lambda s: simulate_stratonovich_pure(
                 m, psi0, self.GRID, s
             )
-        m = request.getfixturevalue("heterodyne_model")
         rho0 = request.getfixturevalue("mixed")
-        sim = simulate_linear if mode == "linear" else simulate_posterior
-        return m, rho0, lambda s: sim(m, rho0, self.GRID, s)
+        if case == "jumps":
+            m = _mixed_jump_model()
+            return m, rho0, "posterior", lambda s: simulate_posterior(m, rho0, self.GRID, s)
+        m = request.getfixturevalue("heterodyne_model")
+        sim = simulate_linear if case == "linear" else simulate_posterior
+        return m, rho0, case, lambda s: sim(m, rho0, self.GRID, s)
 
     @staticmethod
     def _mean_se(vals):
         return vals.mean(axis=0), vals.std(axis=0, ddof=1) / np.sqrt(vals.shape[0])
 
-    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
-    def test_fields_match_numpy_over_paths(self, mode, request, monkeypatch):
-        m, rho0, simulate = self._case(mode, request)
+    @pytest.mark.parametrize("case", ["linear", "posterior", "stratonovich", "jumps"])
+    def test_fields_match_numpy_over_paths(self, case, request, monkeypatch):
+        m, rho0, mode, simulate = self._case(case, request)
         trajs = [simulate(self.SEED + i) for i in range(self.N_TRAJ)]
         if mode == "linear":
             states = np.stack([t.sigma_path for t in trajs])
             weights = np.stack([t.weight_path for t in trajs])
             tr2 = np.einsum("ktij,ktji->kt", states, states).real
             entropy = 1.0 - tr2 / weights**2
+            wiener = np.stack([t.output.wiener for t in trajs])
         else:
             states = np.stack([t.state_path for t in trajs])
             weights = np.ones(states.shape[:2])
             entropy = np.stack([t.entropy_path for t in trajs])
+            wiener = np.stack([t.output.compensated_wiener for t in trajs])
         obs = np.einsum("ij,ktji->kt", SIGMA_X.conj().T, states)
+        jumps = np.array(
+            [np.bincount([k for _, k in t.output.jump_events], minlength=m.n_jump) for t in trajs]
+        )
+        if case == "jumps":
+            assert jumps.sum() > 0
+        w_mean = wiener.mean(axis=(0, 1))
         want = {
             "state": self._mean_se(states.real) + self._mean_se(states.imag)[1:],
             "weight": self._mean_se(weights),
             "entropy": self._mean_se(entropy),
             "obs": self._mean_se(obs.real) + self._mean_se(obs.imag),
+            "wiener": (w_mean, np.square(wiener).mean(axis=(0, 1)) - w_mean**2),
+            "jumps": self._mean_se(jumps),
         }
 
         def close(got, ref):
@@ -1095,10 +1185,15 @@ class TestRowCollectors:
             close(stats.obs_mean.imag, obs_im)
             close(stats.obs_se_re, obs_se_re)
             close(stats.obs_se_im, obs_se_im)
+            close(stats.wiener_increment_mean, want["wiener"][0])
+            close(stats.wiener_increment_var, want["wiener"][1])
+            close(stats.max_entropy_per_traj, entropy.max(axis=1))
+            close(stats.jump_count_mean, want["jumps"][0])
+            close(stats.jump_count_se, want["jumps"][1])
 
     @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
     def test_trajectory_zero_equals_single_path(self, mode, request, monkeypatch):
-        m, rho0, simulate = self._case(mode, request)
+        m, rho0, mode, simulate = self._case(mode, request)
         want = simulate(self.SEED)
         monkeypatch.setattr(engine, "_BLOCK", 8)
         for threads in ("1", "2"):
