@@ -182,9 +182,11 @@ def _entropy_rows(x: np.ndarray, tr0: float) -> np.ndarray:
 
 def _row_max(a: np.ndarray) -> np.ndarray:
     """The maxima of the rows of a (B, F) block.  numpy reduces a short
-    inner axis one row at a time, so a large batch's block is transposed
-    first and reduced over its rows."""
-    return np.ascontiguousarray(a.T).max(axis=0)
+    inner axis one row at a time, so a block with more rows than columns
+    is transposed first and reduced over its rows."""
+    if a.shape[0] > a.shape[1]:
+        return np.ascontiguousarray(a.T).max(axis=0)
+    return a.max(axis=1)
 
 
 # -- collectors ---------------------------------------------------------------
@@ -306,15 +308,16 @@ class _StatsCollector:
         if live is not None:
             vals *= live
         cnt = np.full(f, b) if live is None else alive.sum(axis=0)
-        flat = vals.reshape(b, -1)
-        mean = (ones[:b] @ flat).reshape(f, -1) / np.maximum(cnt, 1)[:, None]
+        mean = (ones[:b] @ vals.reshape(b, -1)).reshape(f, -1)
+        mean /= np.maximum(cnt, 1)[:, None]
         vals -= mean
         if live is not None:
             vals *= live
         recs = slice(i, i + f)
         self.count[recs] = cnt
         self.mean[recs] = mean
-        self.m2[recs] = (ones[:b] @ np.square(flat, out=flat)).reshape(f, -1)
+        np.square(vals, out=vals)
+        self.m2[recs] = (ones[:b] @ vals.reshape(b, -1)).reshape(f, -1)
         if dW is None:
             return
         if live is not None:

@@ -233,14 +233,19 @@ def project_to_state(a: np.ndarray) -> QuantumState:
     return QuantumState(hermitize((evecs * project_to_simplex(evals)) @ evecs.conj().T))
 
 
-def _philox_state(key) -> dict:
-    """The Philox4x64 state keyed ``key`` at counter 0, before any draw;
-    keys lie in [0, 2^128).  Setting it on any Philox bit generator starts
-    the stream of ``Philox(key=key)``, for a fraction of the cost of
-    building one."""
+def _philox_key(key) -> int:
+    """``key`` as a Philox4x64 key, which lies in [0, 2^128)."""
     key = int(key)
     if not 0 <= key < 2**128:
         raise ValidationError(f"seed {key} is outside [0, 2**128)")
+    return key
+
+
+def _philox_state(key) -> dict:
+    """The Philox4x64 state keyed ``key`` at counter 0, before any draw.
+    Setting it on any Philox bit generator starts the stream of
+    ``Philox(key=key)``, for a fraction of the cost of building one."""
+    key = _philox_key(key)
     return {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (key & (2**64 - 1), key >> 64)},
@@ -253,10 +258,7 @@ def _philox_state(key) -> dict:
 
 def _philox(key) -> np.random.Generator:
     """The Philox4x64 stream of every seeded draw."""
-    state = _philox_state(key)
-    bits = np.random.Philox(key=0)
-    bits.state = state
-    return np.random.Generator(bits)
+    return np.random.Generator(np.random.Philox(key=_philox_key(key)))
 
 
 def haar_random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1191,6 +1191,11 @@ class TestRowCollectors:
             close(stats.jump_count_mean, want["jumps"][0])
             close(stats.jump_count_se, want["jumps"][1])
 
+    @pytest.mark.parametrize("shape", [(512, 8), (8, 512), (5, 5), (1, 7), (7, 1)])
+    def test_row_max_either_shape(self, shape):
+        a = np.random.default_rng(3).standard_normal(shape)
+        np.testing.assert_array_equal(engine._row_max(a), a.max(axis=1))
+
     @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
     def test_trajectory_zero_equals_single_path(self, mode, request, monkeypatch):
         m, rho0, mode, simulate = self._case(mode, request)
