@@ -49,7 +49,7 @@ from .errors import (
     NotPurePreserving,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, _philox, _philox_state, hs_norm
+from .linalg import PureStateVector, QuantumState, _philox, _philox_key, _philox_state, hs_norm
 from .model import MeasurementModel
 
 # The driver calls the kernels through this module's names, so patching
@@ -197,8 +197,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 # trace tr0 x_0 is the weight, entropy and alive (B, F), where alive is False
 # from the record at which a row failed on.  fired (B, F, K), dW (B, F, d)
 # and defect (B, F) come from the steps that end at those records; they are
-# None at record 0, and fired without jump channels and defect outside the
-# Stratonovich scheme are None too.  A step's output drift is ``arr.drift``
+# None at record 0, and defect is None outside the Stratonovich scheme too.
+# K and d may be 0.  A step's output drift is ``arr.drift``
 # of the record before it.  The arrays are the driver's buffers, valid only
 # during the call.
 
@@ -228,8 +228,7 @@ class _PathCollector:
             return
         steps = slice(i - 1, i - 1 + f)
         self.dW[steps] = dW[0]
-        if fired is not None:
-            self.fired[steps] = fired[0]
+        self.fired[steps] = fired[0]
         if defect is not None:
             self.defect[steps] = defect[0]
 
@@ -321,10 +320,9 @@ class _StatsCollector:
         if dW is None:
             return
         if live is not None:
-            fired = None if fired is None else fired * live
+            fired = fired * live
             dW = dW * live
-        if fired is not None:
-            self.jump_totals += fired.sum(axis=1)
+        self.jump_totals += fired.sum(axis=1)
         dW = dW.reshape(b * f, dW.shape[2])
         self.wiener_s1 += ones @ dW
         self.wiener_s2 += ones @ np.square(dW)
@@ -340,7 +338,6 @@ def _simulate_batch(
     grid: TimeGrid,
     seeds,
     collector,
-    adaptive: bool = True,
 ):
     """Integrate a batch of trajectories with per-trajectory Philox streams.
 
@@ -349,7 +346,8 @@ def _simulate_batch(
     The batch builds one Philox bit generator; each trajectory's draws
     start by setting its state to key = seed, counter 0, and its state is
     saved after them only when another chunk follows.
-    Posterior steps split into s > 1 substeps draw the noise of every
+    The driver decides the posterior substep count s = ``arr.substeps(dt)``
+    once and passes it to the kernel.  At s > 1 it draws the noise of every
     substep, in chunks of min(_CHUNK, n_steps) // s steps so that a chunk
     holds no more values than at s = 1; a step's dW is the sum of its
     substep increments.  The state is a (B, n^2) array of coordinate rows
@@ -380,7 +378,7 @@ def _simulate_batch(
     failed_at = np.full(b, n_steps + 1)  # the record at which each row failed
     # buffers of one flush
     xs = np.empty((b, flush, x.shape[1]))
-    fs = np.empty((b, flush, arr.K), dtype=np.int64) if arr.K and not strat else None
+    fs = np.empty((b, flush, arr.K), dtype=np.int64)
     ds = np.empty((b, flush)) if strat else None
 
     def flush_records(i, count, dW):
@@ -429,7 +427,7 @@ def _simulate_batch(
                     x, defect = _step_stratonovich(arr, x, dt, dW)
                 else:
                     sub = None if s == 1 else (normals[:, l], uniforms[:, l])
-                    x, fired = _step_posterior(arr, x, dt, dW, u, adaptive, sub)
+                    x, fired = _step_posterior(arr, x, dt, dW, u, s, sub)
 
                 # A row fails when an entry of it (and so its weight) is not
                 # finite; a finite row is a state of trace w > 0, with a finite
@@ -442,7 +440,7 @@ def _simulate_batch(
                 xs[:, j] = x
                 if strat:
                     ds[:, j] = defect
-                if fs is not None:
+                else:
                     fs[:, j] = fired
             flush_records(start + f0 + 1, count, step_dW[:, f0:f0 + count])
     return failed_at > n_steps, underflow
@@ -464,11 +462,11 @@ def _check_stratonovich_model(m: MeasurementModel) -> None:
         raise NoDiffusiveChannels("stratonovich scheme needs diffusive operators")
 
 
-def _simulate_path(m, mode, rho0_mat, grid, seed, adaptive=True):
+def _simulate_path(m, mode, rho0_mat, grid, seed):
     """One trajectory recorded in full, as its public trajectory result."""
     arr = _ModelArrays(m)
     coll = _PathCollector(arr, mode, grid)
-    _, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll, adaptive=adaptive)
+    _, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll)
     return coll.result(bool(under[0]))
 
 
@@ -484,11 +482,7 @@ def simulate_linear(
 
 
 def simulate_posterior(
-    m: MeasurementModel,
-    rho0: QuantumState,
-    grid: TimeGrid,
-    seed: int,
-    adaptive: bool = True,
+    m: MeasurementModel, rho0: QuantumState, grid: TimeGrid, seed: int
 ) -> PosteriorTrajectory:
     """One trajectory of the nonlinear equation under the physical law.
 
@@ -497,10 +491,9 @@ def simulate_posterior(
     diffusive part if it has diffusive operators (see ``steps``).  When the
     largest number of jumps any state can expect in a step,
     lambda_max(sum_k nu_k E_k) dt, exceeds 4, every step is split into the
-    same number of substeps (``adaptive=True``, the default), or
-    StepTooLarge is raised at the first step (``adaptive=False``).
+    fewest equal substeps that bring it within 4.
     """
-    return _simulate_path(m, "posterior", _prepare_rho0(m, rho0), grid, seed, adaptive)
+    return _simulate_path(m, "posterior", _prepare_rho0(m, rho0), grid, seed)
 
 
 def simulate_stratonovich_pure(
@@ -545,12 +538,10 @@ def _merge_collectors(a: _StatsCollector, b: _StatsCollector) -> _StatsCollector
 
 
 def _run_block(args):
-    (m, mode, rho0_mat, grid, seeds, observable, adaptive, keep_path) = args
+    (m, mode, rho0_mat, grid, seeds, observable, keep_path) = args
     arr = _ModelArrays(m)
     coll = _StatsCollector(arr, mode, grid, observable, keep_path)
-    alive, under = _simulate_batch(
-        arr, mode, rho0_mat, grid, seeds, coll, adaptive=adaptive
-    )
+    alive, under = _simulate_batch(arr, mode, rho0_mat, grid, seeds, coll)
     coll.alive = alive
     coll.underflow = under
     coll.entropy_max = np.where(alive, coll.entropy_max, np.nan)
@@ -566,7 +557,6 @@ def run_ensemble(
     seed: int,
     mode: str,
     observable: np.ndarray | None = None,
-    adaptive: bool = True,
 ) -> EnsembleStats:
     """Streaming Monte-Carlo aggregates over ``n_traj`` trajectories.
 
@@ -580,12 +570,14 @@ def run_ensemble(
     P - 1 worker processes runs the others, so no process idles beside the
     pool.  Blocks are reduced in index order, so results are independent of
     ``QTRAJ_THREADS``.  The full path of trajectory 0, recorded in the same
-    pass, is returned as ``trajectory``.  ``adaptive`` is as in
-    ``simulate_posterior``: it concerns only posterior-mode models whose
-    bound on the expected jumps per step exceeds 4.
+    pass, is returned as ``trajectory``.  Posterior steps are substepped as
+    in ``simulate_posterior``.  Every key is checked before the first block
+    runs.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
+    _philox_key(seed)
+    _philox_key(seed + n_traj - 1)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
     if mode == "stratonovich":
@@ -607,7 +599,7 @@ def run_ensemble(
     blocks = []
     for start in range(0, n_traj, _BLOCK):
         seeds = [seed + i for i in range(start, min(start + _BLOCK, n_traj))]
-        blocks.append((m, mode, rho0_mat, grid, seeds, observable, adaptive, start == 0))
+        blocks.append((m, mode, rho0_mat, grid, seeds, observable, start == 0))
 
     text = os.environ.get("QTRAJ_THREADS", "1") or "1"
     try:

@@ -83,10 +83,6 @@ class ZeroTrace(NumericalError):
     pass
 
 
-class StepTooLarge(NumericalError):
-    pass
-
-
 class NonUniqueEquilibrium(NumericalError):
     pass
 

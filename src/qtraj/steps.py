@@ -74,7 +74,6 @@ import math
 
 import numpy as np
 
-from .errors import StepTooLarge
 from .linalg import _expm, coherence_basis, superoperator_matrix
 from .model import MeasurementModel, apply_jump, apply_k, apply_l0, apply_l1, build_model
 
@@ -406,14 +405,11 @@ def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
     return rho, np.zeros((rho.shape[0], 0), dtype=np.int64)
 
 
-def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, adaptive, substep_noise):
-    """One posterior step (``_posterior_substep``); or, at s > 1, s substeps
-    whose (dW, u) ``substep_noise`` holds, or StepTooLarge without ``adaptive``."""
+def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, s, substep_noise):
+    """One posterior step (``_posterior_substep``); or, at s > 1, the s
+    substeps whose (dW, u) ``substep_noise`` holds.  The driver decides s
+    once per batch (``_ModelArrays.substeps``)."""
     x = arr.rows(rho)
-    s = arr.substeps(dt)
-    if s > 1 and not adaptive:
-        worst = arr.peak_total * dt
-        raise StepTooLarge(f"expected jumps per step can reach {worst:.3g}, above {_JUMP_BOUND}")
     if s > 1:
         sub_dW, sub_u = substep_noise
         return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)

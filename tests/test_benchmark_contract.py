@@ -72,6 +72,16 @@ def test_kernel_cases_run():
         assert np.isfinite(out[0]).all(), name
 
 
+@pytest.mark.parametrize("case", ["posterior", "direct"])
+def test_posterior_kernel_cases_take_one_substep(case):
+    # kernels.py passes True in _step_posterior's substep-count slot, which
+    # means one step (True > 1 is False); that holds because these models
+    # need one substep at its dt
+    kernels = _load("kernels")
+    model = kernels._cases()[case][0]
+    assert engine._ModelArrays(model).substeps(kernels.DT) == 1
+
+
 @pytest.mark.parametrize(
     "case, kernel",
     [("linear", "_step_linear"), ("posterior", "_step_posterior"),

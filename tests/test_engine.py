@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -33,7 +34,7 @@ from qtraj.errors import (
     JumpChannelsPresent,
     MultipleDiffusiveOps,
     NotPurePreserving,
-    StepTooLarge,
+    NumericalError,
     ValidationError,
 )
 
@@ -171,11 +172,13 @@ class TestSimulatePosterior:
         traj = simulate_posterior(m, mixed, grid, seed=31)
         assert np.abs(traj.state_path - mixed.matrix).max() < 1e-12
         assert len(traj.output.jump_events) > 0
-        # with a diffusive operator at 5 expected jumps per step the model
-        # substeps, or refuses to without adaptive
+        # with a diffusive operator at 5 expected jumps per step the split
+        # model takes 2 substeps, and its path records the jumps
         split = _with_diffusion(identity_jump_model(weight=5000.0))
-        with pytest.raises(StepTooLarge, match="expected jumps per step can reach 5"):
-            simulate_posterior(split, mixed, grid, seed=31, adaptive=False)
+        assert _ModelArrays(split).substeps(grid.dt) == 2
+        traj = simulate_posterior(split, mixed, grid, seed=31)
+        assert np.isfinite(traj.state_path).all()
+        assert len(traj.output.jump_events) > 0
 
     def test_substep_count_forgives_rounding(self):
         # peak total intensity 300.00000000000006: at dt = 0.08 the bound
@@ -313,8 +316,6 @@ class TestWaitingTime:
         assert abs(stats.jump_count_mean[0] - lam) <= 4.5 * math.sqrt(lam / self.N_TRAJ)
         tol = 4.5 * math.sqrt((lam + 2 * lam**2) / self.N_TRAJ)
         assert abs(stats.jump_count_se[0] ** 2 * self.N_TRAJ - lam) <= tol
-        with pytest.raises(StepTooLarge, match="expected jumps per step can reach 40"):
-            simulate_posterior(m, mixed, grid, seed=13, adaptive=False)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.3, 5.0, 40.0, "complex", "nilpotent", "master"])
     def test_expm_matches_scipy(self, scale):
@@ -567,7 +568,8 @@ class TestRunEnsemble:
 
     def test_seed_outside_philox_keys(self, heterodyne_model, mixed, monkeypatch):
         # trajectory i takes key seed + i, so every key must be in [0, 2**128);
-        # a batch checks all its keys before its first step
+        # an ensemble checks all its keys before its first block, so also when
+        # the bad key is in a later block (blocks of 2)
         grid = TimeGrid(t_final=0.01, dt=1e-3)
         run_ensemble(heterodyne_model, mixed, grid, 2, 2**128 - 2, "posterior")
 
@@ -577,6 +579,9 @@ class TestRunEnsemble:
         monkeypatch.setattr(engine, "_step_posterior", no_step)
         with pytest.raises(ValidationError, match="seed"):
             run_ensemble(heterodyne_model, mixed, grid, 1, -1, "posterior")
+        with pytest.raises(ValidationError, match="seed"):
+            run_ensemble(heterodyne_model, mixed, grid, 3, 2**128 - 2, "posterior")
+        monkeypatch.setattr(engine, "_BLOCK", 2)
         with pytest.raises(ValidationError, match="seed"):
             run_ensemble(heterodyne_model, mixed, grid, 3, 2**128 - 2, "posterior")
 
@@ -652,15 +657,24 @@ class TestRunEnsemble:
 
     def test_pool_leaves_no_process(self, heterodyne_model, mixed, monkeypatch):
         # 3 blocks, P = 3: the caller runs block 0 and two workers the others.
-        # StepTooLarge is raised in the caller's own block while the workers
-        # still hold theirs
+        # A NumericalError is raised in the caller's own block while the
+        # workers still hold theirs
         monkeypatch.setattr(engine, "_BLOCK", 8)
         monkeypatch.setenv("QTRAJ_THREADS", "3")
-        run_ensemble(heterodyne_model, mixed, TimeGrid(0.01, 1e-3), 24, 3, "posterior")
+        grid = TimeGrid(0.01, 1e-3)
+        run_ensemble(heterodyne_model, mixed, grid, 24, 3, "posterior")
         assert multiprocessing.active_children() == []
-        m = identity_jump_model(weight=4000.0)
-        with pytest.raises(StepTooLarge):
-            run_ensemble(m, mixed, TimeGrid(0.1, 1e-2), 24, 13, "posterior", adaptive=False)
+        caller = os.getpid()
+        kernel = engine._step_posterior
+
+        def step(*args):
+            if os.getpid() == caller:
+                raise NumericalError("the caller's block fails")
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "_step_posterior", step)
+        with pytest.raises(NumericalError, match="the caller's block fails"):
+            run_ensemble(heterodyne_model, mixed, grid, 24, 3, "posterior")
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", ["two", "1.5", "0", "-3"])
@@ -844,7 +858,7 @@ class TestStepsMatchReference:
         u = np.where(jump[:, None], [np.nextafter(1.0, 0.0), 1e-3][:n_jump], 0.0)
         arr = _ModelArrays(m)
         assert arr.substeps(self.DT) == 1
-        out, fired = engine._step_posterior(arr, rho, self.DT, dW, u, False, None)
+        out, fired = engine._step_posterior(arr, rho, self.DT, dW, u, 1, None)
         m_drift = engine._apply_k_b(arr, arr.rows(rho), self.DT)[1]  # m at the step start
         out = arr.matrices(out)
         if n_jump:
@@ -1048,11 +1062,11 @@ class TestStreams:
             self.normals = []
             self.uniforms = []
 
-        def __call__(self, arr, x, dt, dW, u, adaptive, sub):
+        def __call__(self, arr, x, dt, dW, u, s, sub):
             nrm, uni = (dW[:, None], u[:, None]) if sub is None else sub
             self.normals.append(nrm.copy())
             self.uniforms.append(uni.copy())
-            return self.kernel(arr, x, dt, dW, u, adaptive, sub)
+            return self.kernel(arr, x, dt, dW, u, s, sub)
 
     class _Discard:
         def collect(self, *args):
@@ -1304,7 +1318,7 @@ class TestFailedTrajectory:
         want = simulate_posterior(m, mixed, self.GRID, self.SEED + self.ROW).output.jump_events
         self._poisoned(monkeypatch, "_step_posterior")
         seeds = [self.SEED + i for i in range(self.N_TRAJ)]
-        coll = engine._run_block((m, "posterior", mixed.matrix, self.GRID, seeds, None, True, True))
+        coll = engine._run_block((m, "posterior", mixed.matrix, self.GRID, seeds, None, True))
         assert np.flatnonzero(~coll.alive).tolist() == [self.ROW]
         assert coll.jump_totals[self.ROW, 0] == sum(step < self.STEP for step, _ in want)
 
