@@ -440,7 +440,7 @@ def _simulate_batch(
                 xs[:, j] = x
                 if strat:
                     ds[:, j] = defect
-                else:
+                elif arr.K:  # without jump channels fs is empty
                     fs[:, j] = fired
             flush_records(start + f0 + 1, count, step_dW[:, f0:f0 + count])
     return failed_at > n_steps, underflow
