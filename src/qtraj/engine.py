@@ -1,10 +1,15 @@
 """Stochastic integration of the continual-measurement dynamics.
 
 The schemes and their step kernels live in ``steps``; this module drives
-them over batches of trajectories and reduces the results.  The state is a
-batch of coherence-vector coordinate rows (B, n^2) from the initial state to
-the last step; rows are converted to complex matrices only when a public
-result is built.
+them over batches of trajectories and reduces the results.  The state is
+one C-contiguous (N, B) array of coherence-vector coordinate columns,
+N = n^2, from the initial state to the last step, and the kernels are
+passed its transpose, (B, N) rows, as a view; the noise of a flush and the
+flush buffers have the batch B as their contiguous axis too.  The
+kernels' products pad the batch to a multiple of 8 columns, so a
+trajectory's path does not depend on its batch for n <= 8, on
+scipy-openblas 0.3.31 (see ``steps``).  States are converted to complex
+matrices only when a public result is built.
 
 The step loop does per step only what the next step needs: the step, the
 weight-underflow reset and a finiteness check.  A row's trace is its
@@ -29,7 +34,8 @@ index order over fixed-size blocks.  A batch builds one Philox bit
 generator and keys it per trajectory by setting its state (key
 ``seed + trajectory_index``, counter 0), which draws what a generator
 built for that key would, at a fraction of the cost.  The sums of a flush
-over a batch's rows are BLAS products with a ones vector.
+over a batch's rows are BLAS products with a ones vector, on a (B F, N) row
+copy of the flush.
 """
 
 from __future__ import annotations
@@ -57,12 +63,12 @@ from .model import MeasurementModel
 # too, so that code timing or testing them finds them here as well.
 from .steps import (  # noqa: F401
     _apply_k_b,
+    _cols,
+    _dot,
     _ModelArrays,
-    _pad8,
     _posterior_substep,
     _posterior_substeps,
     _project_pure_b,
-    _rows,
     _step_linear,
     _step_posterior,
     _step_stratonovich,
@@ -174,10 +180,10 @@ class EnsembleStats:
         return i
 
 
-def _entropy_rows(x: np.ndarray, tr0: float) -> np.ndarray:
-    """Linear entropy of the normalized state, 1 - |x|^2 / (2 w^2), where
-    w = tr0 x_0 > 0 is the row's trace."""
-    return 1.0 - 0.5 * np.einsum("bi,bi->b", x, x) / np.square(tr0 * x[:, 0])
+def _entropy(x: np.ndarray, tr0: float) -> np.ndarray:
+    """Linear entropy of the normalized states of coordinate columns x
+    (N, ...), 1 - |x|^2 / (2 w^2), where w = tr0 x_0 > 0 is the trace."""
+    return 1.0 - 0.5 * _dot(x, x) / np.square(tr0 * x[0])
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -200,7 +206,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 # None at record 0, and defect is None outside the Stratonovich scheme too.
 # K and d may be 0.  A step's output drift is ``arr.drift``
 # of the record before it.  The arrays are the driver's buffers, valid only
-# during the call.
+# during the call; all but dW are transposes of buffers whose contiguous
+# axis is the batch, (N, F, B), (F, B) and (K, F, B).
 
 class _PathCollector:
     """Records the full path of row 0 of every batch it is given.
@@ -243,7 +250,7 @@ class _PathCollector:
             weights = self.arr.tr0 * self.rows[:, 0]
             return LinearTrajectory(self.grid, states, weights, output, self.entropy, underflow)
         # output increments dW = dW~ + m dt, m at the row each step starts from
-        m_drift = _rows(self.rows[:-1], self.arr.drift)[:, :self.arr.n_diff]
+        m_drift = _cols(self.rows[:-1].T, self.arr.drift).T
         output = OutputRecord(self.dW + m_drift * self.grid.dt, jumps, self.dW)
         defect = float(np.fmax.reduce(self.defect, initial=0.0))
         return PosteriorTrajectory(self.grid, states, output, self.entropy, defect)
@@ -252,16 +259,17 @@ class _PathCollector:
 class _StatsCollector:
     """Streaming per-record mean/M2 aggregates over one batch of trajectories.
 
-    Each flush converts its rows, in one product, to the columns
+    Each flush copies its states into (B F, N) rows and converts them, in
+    one product, to the columns
     [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
     (the entropy goes into a zero column of the product, so nothing is
-    copied; the ``_pad8`` columns ride along as zeros) and stores their
-    mean and M2 per record over the rows alive there (dead rows hold
-    finite values and are masked out, unless every row is alive).
-    It also adds the alive rows' jump counts and Wiener sums.  The sums
-    over rows (means, M2 and Wiener sums) are products with a ones vector,
-    one BLAS gemv each.  With ``keep_path`` it also records row 0's full
-    path.
+    copied) and stores their mean and M2 per record over the rows alive
+    there (dead rows hold finite values and are masked out, unless every
+    row is alive).
+    It also adds the alive rows' jump counts, summed over the flush along
+    their contiguous batch axis, and Wiener sums.  The sums over rows
+    (means, M2 and Wiener sums) are products with a ones vector, one BLAS
+    gemv each.  With ``keep_path`` it also records row 0's full path.
     """
 
     def __init__(self, arr: _ModelArrays, mode, grid, observable, keep_path):
@@ -273,13 +281,12 @@ class _StatsCollector:
             to_cols = np.hstack([to_cols, np.stack([obs.real, obs.imag], axis=1)])
         e0 = np.eye(arr.n * arr.n)[:, :1]  # the weight tr0 x_0, then the entropy's slot
         to_cols = np.hstack([to_cols, arr.tr0 * e0, 0.0 * e0])
-        self.width = to_cols.shape[1]
-        self.to_cols = _pad8(to_cols)
+        self.to_cols = to_cols
         self.count = np.zeros(n_rec, dtype=np.int64)
         self.mean = np.zeros((n_rec, self.to_cols.shape[1]))
         self.m2 = np.zeros_like(self.mean)
         self.path = _PathCollector(arr, mode, grid) if keep_path else None
-        self.jump_totals = None  # (B, K), set lazily
+        self.jump_totals = None  # (B, K), the transpose of a (K, B) array; set lazily
         self.n_jump = arr.K
         self.wiener_s1 = np.zeros(arr.n_diff)
         self.wiener_s2 = np.zeros(arr.n_diff)
@@ -294,15 +301,15 @@ class _StatsCollector:
             self.path.collect(i, state, entropy, fired, dW, defect, alive)
         b, f = alive.shape
         if self.jump_totals is None:
-            self.jump_totals = np.zeros((b, self.n_jump), dtype=np.int64)
+            self.jump_totals = np.zeros((self.n_jump, b), dtype=np.int64).T
             self.entropy_max = np.zeros(b)
             self.defect_max = np.zeros(b)
         np.maximum(self.entropy_max, _row_max(entropy), out=self.entropy_max)
         if defect is not None:
             np.maximum(self.defect_max, _row_max(defect), out=self.defect_max)
         ones = np.ones(b * f)
-        vals = _rows(state.reshape(b * f, -1), self.to_cols).reshape(b, f, -1)
-        vals[:, :, self.width - 1] = entropy
+        vals = (state.reshape(b * f, -1) @ self.to_cols).reshape(b, f, -1)
+        vals[:, :, -1] = entropy
         live = None if alive.all() else alive[:, :, None]
         if live is not None:
             vals *= live
@@ -331,6 +338,11 @@ class _StatsCollector:
 
 # -- core driver --------------------------------------------------------------
 
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """(B, F, k) noise as (F, B, k), a view of its (F, k, B) copy."""
+    return a.transpose(1, 2, 0).copy().transpose(0, 2, 1)
+
+
 def _simulate_batch(
     arr: _ModelArrays,
     mode: str,
@@ -350,15 +362,17 @@ def _simulate_batch(
     once and passes it to the kernel.  At s > 1 it draws the noise of every
     substep, in chunks of min(_CHUNK, n_steps) // s steps so that a chunk
     holds no more values than at s = 1; a step's dW is the sum of its
-    substep increments.  The state is a (B, n^2) array of coordinate rows
-    throughout.
+    substep increments.  The state is held as (N, B) coordinate columns
+    throughout, as the kernels return them, and the loop handles it as
+    their transpose, the (B, N) rows it passes to the kernels.
 
     Each step does only what the next step needs: the step kernel, the
-    weight-underflow reset (linear mode, on the rows' trace) and the
-    finiteness check with its reset.  It writes its outputs into buffers of
-    F = max(1, min(_FLUSH // B, chunk)) steps.  A flush, after F steps or at
-    the end of a noise chunk, computes the entropy of the whole (B F, N)
-    block and hands the records to ``collector.collect`` in one call.
+    weight-underflow reset (linear mode, on the trace) and the finiteness
+    check with its reset.  It writes its outputs into buffers of
+    F = max(1, min(_FLUSH // B, chunk)) steps, with the batch as their
+    contiguous axis.  A flush, after F steps or at the end of a noise
+    chunk, computes the entropy of the whole (N, F, B) block and hands the
+    records to ``collector.collect`` in one call.
     Returns (alive, underflow) masks.
     """
     b = len(seeds)
@@ -373,25 +387,25 @@ def _simulate_batch(
     chunk = max(1, min(_CHUNK, n_steps) // s)
     flush = max(1, min(_FLUSH // b, chunk))
 
-    x = np.repeat(arr.coords(rho0_mat[None]), b, axis=0)
+    x = np.repeat(arr.cols(rho0_mat[None]), b, axis=1).T  # rows, a view of the columns
     underflow = np.zeros(b, dtype=bool)
     failed_at = np.full(b, n_steps + 1)  # the record at which each row failed
     # buffers of one flush
-    xs = np.empty((b, flush, x.shape[1]))
-    fs = np.empty((b, flush, arr.K), dtype=np.int64)
-    ds = np.empty((b, flush)) if strat else None
+    xs = np.empty((x.shape[1], flush, b))
+    fs = np.empty((arr.K, flush, b), dtype=np.int64)
+    ds = np.empty((flush, b)) if strat else None
 
     def flush_records(i, count, dW):
         """Hand records i .. i + count - 1 from the buffers to the collector;
         dW is None for record 0, which ends no step."""
-        rows = xs[:, :count]
-        entropy = _entropy_rows(rows.reshape(b * count, -1), arr.tr0).reshape(b, count)
-        recs = failed_at[:, None] - np.arange(i, i + count)
+        cols = xs[:, :count]
+        entropy = _entropy(cols, arr.tr0)
+        recs = failed_at - np.arange(i, i + count)[:, None]
         entropy[recs == 0] = 0.0  # at the record where a row failed
-        fired, defect = (None if buf is None or dW is None else buf[:, :count] for buf in (fs, ds))
-        collector.collect(i, rows, entropy, fired, dW, defect, recs > 0)
+        fired, defect = (None if buf is None or dW is None else buf[..., :count, :].T for buf in (fs, ds))
+        collector.collect(i, cols.T, entropy.T, fired, dW, defect, (recs > 0).T)
 
-    xs[:, 0] = x
+    xs[:, 0] = x.T
     flush_records(0, 1, None)
 
     shape = (b, chunk) if s == 1 else (b, chunk, s)
@@ -412,10 +426,10 @@ def _simulate_batch(
         step_dW = normals if s == 1 else normals[:, :clen].sum(axis=2)
         for f0 in range(0, clen, flush):
             count = min(flush, clen - f0)
-            for j in range(count):
+            dW_rows = _batch_last(step_dW[:, f0:f0 + count])
+            u_rows = _batch_last(uniforms[:, f0:f0 + count]) if s == 1 else [None] * count
+            for j, (dW, u) in enumerate(zip(dW_rows, u_rows)):
                 l = f0 + j
-                dW = step_dW[:, l]
-                u = uniforms[:, l] if s == 1 else None
                 if linear:
                     x, fired = _step_linear(arr, x, dt, dW, u)
                     w = arr.tr0 * x[:, 0]
@@ -437,11 +451,11 @@ def _simulate_batch(
                     bad = ~np.isfinite(x).all(axis=1)
                     failed_at[bad & (failed_at > n_steps)] = start + l + 1
                     x[bad] = arr.mixed
-                xs[:, j] = x
+                xs[:, j] = x.T
                 if strat:
-                    ds[:, j] = defect
+                    ds[j] = defect
                 elif arr.K:  # without jump channels fs is empty
-                    fs[:, j] = fired
+                    fs[:, j] = fired.T
             flush_records(start + f0 + 1, count, step_dW[:, f0:f0 + count])
     return failed_at > n_steps, underflow
 
@@ -635,8 +649,8 @@ def run_ensemble(
 
     cnt = merged.count
     denom = np.where(cnt > 1, cnt * np.maximum(cnt - 1, 1), 1).astype(float)
-    se = (np.sqrt(merged.m2 / denom[:, None]) * (cnt > 1)[:, None])[:, :merged.width]
-    mean = merged.mean[:, :merged.width]
+    se = np.sqrt(merged.m2 / denom[:, None]) * (cnt > 1)[:, None]
+    mean = merged.mean
     n = m.dim
     ent = 2 * n * n  # columns of the state entries; then tr(O* rho), weight, entropy
     se_state = se[:, :ent].reshape(-1, n, n, 2)

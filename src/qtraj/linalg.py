@@ -10,6 +10,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,8 +235,12 @@ def project_to_state(a: np.ndarray) -> QuantumState:
 
 
 def _philox_key(key) -> int:
-    """``key`` as a Philox4x64 key, which lies in [0, 2^128)."""
-    key = int(key)
+    """``key`` as a Philox4x64 key, which lies in [0, 2^128); a seed that is
+    not an integer (Python or numpy) is refused, not truncated."""
+    try:
+        key = operator.index(key)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, not {key!r}") from None
     if not 0 <= key < 2**128:
         raise ValidationError(f"seed {key} is outside [0, 2**128)")
     return key

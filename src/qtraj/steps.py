@@ -35,13 +35,19 @@ is a real n^2-vector and every Hermiticity-preserving map is a real
 n^2 x n^2 matrix.  The Kraus pieces, the jump maps and the pieces of the
 Stratonovich fields are derived once per model from ``model.apply_*``
 and stacked side by side, so each evaluation of a step is one real
-matrix product on (B, n^2) rows: one BLAS gemm (a single row is padded to
-two) on a stack padded with zero columns to a multiple of 8 (``_pad8``).
-gemm then rounds each row on its own for the stacks of the five models
-that ``TestRowProducts`` in ``tests/test_engine.py`` pins, up to n = 5, on
-scipy-openblas 0.3.31, and a trajectory's path does not depend on its
-batch.  Unpadded, the 16 x 99 Kraus stack of its n = 4 model does, and so
-does the 25 x 25 waiting-time propagator P(dt) of its n = 5 model.
+matrix product, ``_cols``: stack.T @ x on a batch of B coordinate
+columns x (N, B), N = n^2, as one BLAS gemm on a C-contiguous copy of x
+padded with zero columns to a multiple of 8 (no copy if x is one already).
+Everything after the product runs on (., B) arrays, so per-trajectory
+scalars broadcast along the contiguous axis; the kernels still take and
+return (B, N) rows, the transpose of such columns.  gemm then rounds each
+column on its own, and a trajectory's path depends neither on its batch
+nor on the memory order of its input: ``TestRowProducts``,
+``TestMemoryOrder`` and ``TestBatchIndependence`` in ``tests/test_engine.py``
+pin this for every stack the engine uses on diffusive, mixed and
+counting-only models up to n = 8, on scipy-openblas 0.3.31 only; another
+BLAS may pick other kernels for small products.  Without the padding the
+n = 6-8 stacks round per batch, the drift stack among them.
 
 The waiting-time step (Dalibard, Castin & Molmer, PRL 68, 580, 1992;
 Plenio & Knight, RMP 70, 101, 1998, sec. III) samples the counting process
@@ -83,26 +89,44 @@ _JUMP_BOUND = 4.0  # max expected jumps per waiting-time step
 
 # -- model in real coordinates ------------------------------------------------
 
-def _rows(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat as one BLAS gemm for every batch size B.
+def _cols(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """mat.T @ x for coordinate columns x (N, B): one gemm on a C-contiguous
+    copy of x padded with zero columns to a multiple of 8, unless x is one
+    already (see the module docstring).  Below 8 columns np.dot costs less
+    than @ and rounds alike, and a contiguous copy of its result speeds up
+    the small-array operations after it."""
+    b = x.shape[1]
+    if b % 8 == 0:
+        return mat.T @ np.ascontiguousarray(x)
+    pad = np.zeros((x.shape[0], b + -b % 8))
+    pad[:, :b] = x
+    if b < 8:
+        return np.dot(mat.T, pad)[:, :b].copy()
+    return (mat.T @ pad)[:, :b]
 
-    numpy would send a single row to gemv, which rounds differently, so a
-    single row is padded to two (through ``np.dot``, whose call costs less
-    than ``@`` on two rows).  gemm then rounds each row on its own for the
-    ``_pad8`` stacks ``TestRowProducts`` pins (see the module docstring).
-    """
-    if x.shape[0] == 1:
-        return np.dot(x.repeat(2, axis=0), mat)[:1]
-    return x @ mat
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of a * b over axis 0 (of length >= 2), of the even and the odd
+    terms apart and then added: the order in which numpy's einsum sums a
+    short contiguous row, so that at n = 2 the entropy and the Bloch radius
+    round as einsum("bi,bi->b") rounds them on rows."""
+    p = a * b
+    lanes = [p[0], p[1]]
+    for i in range(2, len(p)):
+        lanes[i % 2] = lanes[i % 2] + p[i]
+    return lanes[0] + lanes[1]
 
 
-def _pad8(mat: np.ndarray) -> np.ndarray:
-    """mat with zero columns up to a multiple of 8; readers slice them off."""
-    return np.pad(mat, ((0, 0), (0, -mat.shape[1] % 8)))
+def _csum(coef: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_c coef[c] blocks[c]: (c, B) and (c, N, B) -> (N, B); one term
+    takes a plain product, which costs less than einsum."""
+    if len(coef) == 1:
+        return coef[0] * blocks[0]
+    return np.einsum("cb,cab->ab", coef, blocks)
 
 
 def _cuts(*widths) -> list:
-    """Column slices of consecutive blocks with the given widths."""
+    """Slices of consecutive blocks with the given widths."""
     ends = np.cumsum(widths).tolist()
     return [slice(a, b) for a, b in zip([0] + ends, ends)]
 
@@ -113,11 +137,11 @@ class _ModelArrays:
     Every matrix is derived by ``superoperator_matrix`` from
     ``model.apply_*``, from the Kraus pieces or from a Stratonovich field
     piece, over the orthonormal Hermitian basis {I/sqrt(n), tau_a}, and
-    stored transposed so that it acts on batches of coordinate rows (B, N),
-    N = n^2.  The coordinates are sqrt(2) times the expansion coefficients,
-    which leaves every matrix unchanged and makes them (tr rho, tr sigma_a rho)
-    at n = 2, where converting to and from matrices is then exact up to one
-    rounding per entry.
+    stored transposed, (N, C), so that ``_cols`` applies it to coordinate
+    columns (N, B), N = n^2.  The coordinates are sqrt(2) times the
+    expansion coefficients, which leaves every matrix unchanged and makes
+    them (tr rho, tr sigma_a rho) at n = 2, where converting to and from
+    matrices is then exact up to one rounding per entry.
 
     Each scheme evaluates all of its maps at a point with one product
     against a fused stack, whose column blocks are, left to right:
@@ -129,8 +153,8 @@ class _ModelArrays:
     * ``strat``: the Stratonovich drift piece A, G_1..G_d, m_j and
       c = tr C[rho] / 2.
 
-    ``kraus_cuts`` and ``strat_cuts`` slice out the blocks, dropping the
-    ``_pad8`` columns; ``drift`` is the m_j block alone, padded alike.
+    ``kraus_cuts`` and ``strat_cuts`` slice the blocks out of the rows of a
+    product; ``drift`` is the m_j block alone.
     Models with jump channels also have the waiting-time tables
     ``waiting(dt)``, and those with diffusive operators as well the arrays
     ``diffusive`` of their diffusive part.
@@ -208,8 +232,8 @@ class _ModelArrays:
 
         c = sum((mat(lambda r, op=op: c_j(r, op)) for op in ops), np.zeros((nn, nn)))
         at = (mat(lambda r: apply_l0(m, r)) - 0.5 * c).T
-        self.strat = _pad8(np.hstack([at, stack(gs), drift, 0.5 * traces([c])]))
-        self.drift = _pad8(drift)
+        self.strat = np.hstack([at, stack(gs), drift, 0.5 * traces([c])])
+        self.drift = drift
         self.strat_cuts = _cuts(nn, d * nn, d, 1)
         self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
         self.nu = np.array([ch.weight for ch in m.jump_channels])
@@ -225,9 +249,9 @@ class _ModelArrays:
         if st is None:
             a, q, gs, xs, ps, ms, trace, k_trace, js, lams = self._kraus_parts
             e0 = np.eye(a.shape[0]) + dt * a + (dt * dt) * q
-            st = self._kraus[dt] = _pad8(np.hstack(
+            st = self._kraus[dt] = np.hstack(
                 [e0, gs + dt * xs, ps, ms, (trace + dt * k_trace)[:, None], js, lams]
-            ))
+            )
         return st
 
     def waiting(self, dt: float):
@@ -237,8 +261,7 @@ class _ModelArrays:
         they are (step, surv, grid, jumps):
 
         * ``grid`` (M + 1, N, N): P(t_i) for i = 0..M, one ``_expm`` and
-          repeated products, and ``step`` = P(dt), its last entry, padded
-          by ``_pad8``;
+          repeated products, and ``step`` = P(dt), its last entry;
         * ``surv`` (N, M): column i - 1 is the survival x -> tr P(t_i) x;
         * ``jumps``: J_1..J_K and lambda_k = tr J_k[x], as in ``kraus``.
         """
@@ -251,22 +274,26 @@ class _ModelArrays:
             grid = np.stack(grid)
             surv = np.ascontiguousarray(self.tr0 * grid[1:, :, 0].T)
             jumps = np.hstack(self._kraus_parts[-2:])
-            tab = self._waiting[dt] = (_pad8(grid[-1]), surv, grid, jumps)
+            tab = self._waiting[dt] = (grid[-1], surv, grid, jumps)
         return tab
 
     def coords(self, mats: np.ndarray) -> np.ndarray:
-        """(B, n, n) complex -> (B, n^2) coordinates of the Hermitian part."""
-        flat = np.ascontiguousarray(mats, dtype=np.complex128).reshape(mats.shape[0], -1)
-        return _rows(flat.view(np.float64), self._to)
+        """(B, n, n) complex -> (B, n^2) coordinate rows of the Hermitian part."""
+        return self.cols(mats).T
 
     def matrices(self, x: np.ndarray) -> np.ndarray:
-        """(B, n^2) coordinates -> (B, n, n) complex matrices."""
-        return _rows(x, self._from).view(np.complex128).reshape(-1, self.n, self.n)
+        """(B, n^2) coordinate rows -> (B, n, n) complex matrices."""
+        flat = np.ascontiguousarray(_cols(x.T, self._from).T)
+        return flat.view(np.complex128).reshape(-1, self.n, self.n)
 
-    def rows(self, state: np.ndarray) -> np.ndarray:
-        """Coordinate rows of a batch: (B, n^2) rows pass, (B, n, n) matrices
-        convert, so that the step kernels can also be timed on matrix states."""
-        return state if state.ndim == 2 else self.coords(state)
+    def cols(self, state: np.ndarray) -> np.ndarray:
+        """The (N, B) coordinate columns of a batch: the transpose of (B, n^2)
+        rows, a view, or those of (B, n, n) complex matrices, so that the
+        step kernels can also be timed on matrix states."""
+        if state.ndim == 2:
+            return state.T
+        flat = np.ascontiguousarray(state, dtype=np.complex128).reshape(state.shape[0], -1)
+        return _cols(flat.view(np.float64).T, self._to)
 
     def substeps(self, dt: float) -> int:
         """Fixed substep count: the fewest substeps in which the bound
@@ -277,149 +304,142 @@ class _ModelArrays:
         return math.ceil(self.peak_total * dt / _JUMP_BOUND * (1.0 - 1e-12)) or 1
 
 
-def _channels(y: np.ndarray, nn: int) -> np.ndarray:
-    """(B, c*N) column blocks of a fused product -> (B, c, N)."""
-    return y.reshape(y.shape[0], -1, nn)
-
-
 def _apply_k_b(arr: _ModelArrays, x: np.ndarray, dt: float):
-    """Kraus step pieces at rows x, one product against ``arr.kraus(dt)``:
-    the channel images (E0 x, (C_j x)_j, (P_jl x)_jl) as (B, c, N), m (B, d),
-    the drift trace tr x + dt tr K x (B,), (J_k x)_k (B, K, N) and lambda (B, K)."""
-    b, nn = x.shape
-    y = _rows(x, arr.kraus(dt))
+    """Kraus step pieces at columns x (N, B), one product against
+    ``arr.kraus(dt)``: the channel images (E0 x, (C_j x)_j, (P_jl x)_jl) as
+    (c, N, B), m (d, B), the drift trace tr x + dt tr K x (B,), (J_k x)_k
+    (K, N, B) and lambda (K, B)."""
+    nn, b = x.shape
+    y = _cols(x, arr.kraus(dt))
     kx, m, w, jx, lam = arr.kraus_cuts
-    return y[:, kx].reshape(b, -1, nn), y[:, m], y[:, w], y[:, jx].reshape(b, -1, nn), y[:, lam]
+    return y[kx].reshape(-1, nn, b), y[m], y[w], y[jx].reshape(-1, nn, b), y[lam]
 
 
 def _kraus_image(arr: _ModelArrays, kx: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The no-jump image E0 x + sum_j xi_j C_j x + sum_{j<=l} xi_j xi_l P_jl x,
-    which is M x M* + dt sum_h S_h x S_h* for M = I + dt G + sum_j xi_j L_j."""
-    img = kx[:, 0]
+    """The no-jump image E0 x + sum_j xi_j C_j x + sum_{j<=l} xi_j xi_l P_jl x
+    (N, B), which is M x M* + dt sum_h S_h x S_h* for M = I + dt G + sum_j xi_j L_j."""
+    img = kx[0]
     if arr.n_diff:
         j, l = arr.pairs
-        coef = np.concatenate((xi, xi.take(j, 1) * xi.take(l, 1)), axis=1)
-        img = img + np.einsum("bc,bca->ba", coef, kx[:, 1:])
+        coef = np.concatenate((xi, xi.take(j, 0) * xi.take(l, 0)))
+        img = img + np.einsum("cb,cab->ab", coef, kx[1:])
     return img
 
 
 def _strat_a_b(arr: _ModelArrays, x: np.ndarray):
-    """Stratonovich fields at rows x, one product: drift a (B, N),
-    diffusion fields b_j = G_j x - m_j x (B, n_diff, N), and m (B, n_diff)."""
-    y = _rows(x, arr.strat)
-    ax, gx, m, c = [y[:, s] for s in arr.strat_cuts]
-    b = _channels(gx, x.shape[1]) - m[:, :, None] * x[:, None]
-    return ax + c * x + np.einsum("bj,bja->ba", m, b), b, m
+    """Stratonovich fields at rows x (B, N), or (B, n, n) matrices, computed
+    on columns in one product: drift a (B, N), diffusion fields
+    b_j = G_j x - m_j x (B, n_diff, N), and m (B, n_diff)."""
+    x = arr.cols(x)
+    nn, b = x.shape
+    y = _cols(x, arr.strat)
+    ax, gx, m, c = [y[s] for s in arr.strat_cuts]
+    bj = gx.reshape(-1, nn, b) - m[:, None] * x
+    return (ax + c * x + _csum(m, bj)).T, bj.transpose(2, 0, 1), m.T
 
 
 # -- projection onto pure states ----------------------------------------------
 #
-# At n = 2 a coordinate row is (t, r) with eigenvalues (t -+ |r|)/2, so the
+# At n = 2 a coordinate column is (t, r) with eigenvalues (t -+ |r|)/2, so the
 # projection is a closed-form rescaling of the Bloch radius |r|.  Larger n
 # convert to matrices for eigh.
 
 _GROUND2 = np.array([1.0, 0.0, 0.0, 1.0])  # coordinates of |0><0| at n = 2
 
 
-def _radial(x: np.ndarray):
-    """(trace, Bloch radius) of n = 2 coordinate rows."""
-    r = x[:, 1:]
-    return x[:, 0], np.sqrt(np.einsum("bi,bi->b", r, r))
-
-
-def _set_radial(x: np.ndarray, r: np.ndarray, t_new, r_new) -> np.ndarray:
-    """Rows with trace t_new and Bloch radius r_new in the direction of x.
-
-    A row whose radius does not change is multiplied by exactly 1.
-    """
-    out = x * (r_new / np.where(r > 0.0, r, 1.0))[:, None]
-    out[:, 0] = t_new
-    return out
-
-
-def _project_pure_b(arr: _ModelArrays, rho: np.ndarray):
-    """Project onto the dominant eigenvector; also return the purity defect.
+def _project_pure_b(arr: _ModelArrays, x: np.ndarray):
+    """Project columns (N, B) onto the dominant eigenvector; also return the
+    purity defect.
 
     The defect is the linear entropy of the trace-normalized positive part
     before projection, a per-step measure of how far the scheme drifted
     off the pure-state manifold.
     """
     if arr.n == 2:
-        t, r = _radial(rho)
+        t, r = x[0], np.sqrt(_dot(x[1:], x[1:]))  # trace and Bloch radius
         wmc = np.maximum(0.5 * (t - r), 0.0)
         wpc = np.maximum(0.5 * (t + r), 1e-300)
         s = wmc + wpc
         defect = 1.0 - (wmc**2 + wpc**2) / s**2
-        out = _set_radial(rho, r, 1.0, 1.0)
-        out[r == 0.0] = _GROUND2  # no direction: |0><0|
+        out = x * (1.0 / np.where(r > 0.0, r, 1.0))  # trace 1, radius 1
+        out[0] = 1.0
+        flat = r == 0.0
+        if flat.any():
+            out[:, flat] = _GROUND2[:, None]  # no direction: |0><0|
         return out, defect
-    evals, evecs = np.linalg.eigh(arr.matrices(rho))
+    evals, evecs = np.linalg.eigh(arr.matrices(x.T))
     evals = np.clip(evals, 0.0, None)
     s = np.clip(evals.sum(axis=1), 1e-300, None)
     defect = 1.0 - ((evals / s[:, None]) ** 2).sum(axis=1)
     top = evecs[:, :, -1]
-    return arr.coords(top[:, :, None] * top.conj()[:, None, :]), defect
+    return arr.coords(top[:, :, None] * top.conj()[:, None, :]).T, defect
 
 
 # -- single steps -------------------------------------------------------------
 #
-# Each step takes coordinate rows (B, n^2), or complex (B, n, n) matrices
-# through ``arr.rows``, and returns the new rows with only what they cannot
-# tell: the jumps fired, or the Stratonovich purity defect.  A row's weight
-# is its trace, and a step's output drift is ``drift`` of the row it starts from.
+# Each step takes coordinate rows (B, n^2), or complex (B, n, n) matrices,
+# with (B, d) noise and (B, K) uniforms, and returns the new rows with only
+# what they cannot tell: the jumps fired (B, K), or the Stratonovich purity
+# defect.  It computes on the columns ``arr.cols``, a view of the rows, and
+# returns the transpose of fresh columns.  A row's weight is its trace, and
+# a step's output drift is ``drift`` of the row it starts from.
 
 def _step_linear(arr: _ModelArrays, sig, dt, dW, u):
     """Kraus image with xi = dW (or the fired jump images), rescaled to the
     Euler-Maruyama trace w, its weight; rows whose image or w is not
     positive get w = 0."""
-    x = arr.rows(sig)
+    x = arr.cols(sig)
+    xi = dW.T
     kx, m, w, jx, lam = _apply_k_b(arr, x, dt)
-    img = _kraus_image(arr, kx, dW)
+    img = _kraus_image(arr, kx, xi)
     if arr.n_diff:
-        w = w + np.einsum("bj,bj->b", dW, m)
-    fired = np.zeros((x.shape[0], arr.K), dtype=np.int64)
+        w = w + (xi * m).sum(axis=0)
+    fired = np.zeros((arr.K, x.shape[1]), dtype=np.int64)
     if arr.K:
-        fired[:] = u < arr.nu * dt
-        idx = np.flatnonzero(fired.any(axis=1))
+        fired[:] = u.T < (arr.nu * dt)[:, None]
+        idx = np.flatnonzero(fired.any(axis=0))
         if idx.size:
-            f = fired[idx]
-            img[idx] = np.einsum("bk,bka->ba", f, jx[idx])
-            w[idx] += np.einsum("bk,bk->b", f, lam[idx] - arr.tr0 * x[idx, :1])
-    tr_img = arr.tr0 * img[:, 0]
+            f = fired[:, idx]
+            img[:, idx] = _csum(f, jx[:, :, idx])
+            w[idx] += np.einsum("kb,kb->b", f, lam[:, idx] - arr.tr0 * x[0, idx])
+    tr_img = arr.tr0 * img[0]
     dead = (tr_img <= 0.0) | (w <= 0.0)
-    w = np.where(dead, 0.0, w)
-    return img * (w / np.where(dead, 1.0, tr_img))[:, None], fired
+    if dead.any():
+        w = np.where(dead, 0.0, w)
+        tr_img = np.where(dead, 1.0, tr_img)
+    return (img * (w / tr_img)).T, fired.T
 
 
 def _posterior_substep(arr: _ModelArrays, rho, dt, dW, u):
     """One posterior step: the normalized Kraus step with xi = dW + m dt, the
     output increment, of the model without jump channels, else of its
     diffusive part if it has one, followed by the waiting-time step."""
+    x = arr.cols(rho)
     kraus = arr.diffusive if arr.K else arr
     if kraus is not None:
-        kx, m_drift = _apply_k_b(kraus, rho, dt)[:2]
-        img = _kraus_image(kraus, kx, dW + m_drift * dt)
-        rho = img / (arr.tr0 * img[:, :1])
+        kx, m_drift = _apply_k_b(kraus, x, dt)[:2]
+        img = _kraus_image(kraus, kx, dW.T + m_drift * dt)
+        x = img / (arr.tr0 * img[0])
     if arr.K:
-        return _step_counting(arr, rho, dt, u)
-    return rho, np.zeros((rho.shape[0], 0), dtype=np.int64)
+        x, fired = _step_counting(arr, x, dt, u)
+        return x.T, fired.T
+    return x.T, np.zeros((x.shape[1], 0), dtype=np.int64)
 
 
 def _step_posterior(arr: _ModelArrays, rho, dt, dW, u, s, substep_noise):
     """One posterior step (``_posterior_substep``); or, at s > 1, the s
     substeps whose (dW, u) ``substep_noise`` holds.  The driver decides s
     once per batch (``_ModelArrays.substeps``)."""
-    x = arr.rows(rho)
     if s > 1:
         sub_dW, sub_u = substep_noise
-        return _posterior_substeps(arr, x, dt, sub_dW, s, sub_u)
-    return _posterior_substep(arr, x, dt, dW, u)
+        return _posterior_substeps(arr, rho, dt, sub_dW, s, sub_u)
+    return _posterior_substep(arr, rho, dt, dW, u)
 
 
 def _posterior_substeps(arr: _ModelArrays, rho, dt, dW, s: int, u):
     """Split one step into s substeps of dt / s, driven by the substep
     increments dW (B, s, n_diff) and uniforms u (B, s, K)."""
-    fired_total = np.zeros((rho.shape[0], arr.K), dtype=np.int64)
+    fired_total = np.zeros((dW.shape[0], arr.K), dtype=np.int64)
     for l in range(s):
         rho, fired = _posterior_substep(arr, rho, dt / s, dW[:, l], u[:, l])
         fired_total += fired
@@ -434,21 +454,21 @@ def _row_products(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def _crossing(s: np.ndarray, q: np.ndarray, w: np.ndarray, end):
     """The grid point of a jump, and the uniform left over.
 
-    s (B, M) holds each row's survival s_1..s_M at t_1..t_M after its last
-    jump (s_0 = 1); s_end (dt) is set to q, the number that decided the
-    jump, so a row with w >= q crosses there at the latest.  The jump time
-    lies in (t_{j-1}, t_j] for the first j with s_j <= w, and given j,
+    Column b of s (M, B) holds row b's survival s_1..s_M at t_1..t_M after
+    its last jump (s_0 = 1); s_end (dt) is set to q, the number that decided
+    the jump, so a row with w >= q crosses there at the latest.  The jump
+    time lies in (t_{j-1}, t_j] for the first j with s_j <= w, and given j,
     v = (w - s_j) / (s_{j-1} - s_j) is U(0, 1).  The jump goes to t_{j-1}
     if v >= 1/2 and j > 1, else to t_j: rounding every jump up to t_j would
     shorten the time after it by dt / 2M on average, which undercounts by
     nu dt / 2M relative at rate nu.  Returns the grid point, which is after
     t_0, and 2v - [v >= 1/2], which is again U(0, 1) and independent of it."""
     at = np.arange(w.size)
-    s[at, end - 1] = q
-    j = (s <= w[:, None]).argmax(axis=1)
-    lo = s[at, j]
+    s[end - 1, at] = q
+    j = (s <= w).argmax(axis=0)
+    lo = s[j, at]
     inner = j > 0
-    v = (w - lo) / (np.where(inner, s[at, j - 1], 1.0) - lo)
+    v = (w - lo) / (np.where(inner, s[j - 1, at], 1.0) - lo)
     half = v >= 0.5
     return j + 1 - (half & inner), 2.0 * v - half
 
@@ -456,7 +476,7 @@ def _crossing(s: np.ndarray, q: np.ndarray, w: np.ndarray, end):
 def _channel(rate: np.ndarray, v: np.ndarray):
     """The channel k drawn with probability rate_k / sum(rate) from the
     uniforms v, and the uniforms left over, (v sum(rate) - below_k) / rate_k,
-    where below_k is the sum of the rates before k."""
+    where below_k is the sum of the rates before k; rate is (B, K)."""
     below = np.zeros_like(rate)
     np.cumsum(rate[:, :-1], axis=1, out=below[:, 1:])
     target = v * (below[:, -1] + rate[:, -1])
@@ -467,7 +487,9 @@ def _channel(rate: np.ndarray, v: np.ndarray):
 
 
 def _step_counting(arr: _ModelArrays, x, dt, u):
-    """The waiting-time step of the model's jump part, from normalized rows x.
+    """The waiting-time step of the model's jump part, from normalized
+    columns x (N, B) and uniform rows u (B, K), to columns and the jumps
+    fired (K, B).
 
     One product gives every row's state at dt and its survival q; a row
     jumps iff u[:, 0] >= q.  Each jump searches the survival table of the
@@ -482,30 +504,32 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
     """
     step, surv, grid, jumps = arr.waiting(dt)
     kk, m, tr0 = arr.K, _GRID, arr.tr0
-    kn = kk * x.shape[1]
-    y = _rows(x, step)[:, :x.shape[1]]
-    q = tr0 * y[:, 0]
-    out = y / q[:, None]
-    fired = np.zeros((x.shape[0], kk), dtype=np.int64)
+    nn = x.shape[0]
+    kn = kk * nn
+    y = _cols(x, step)
+    q = tr0 * y[0]
+    out = y / q
+    fired = np.zeros((kk, x.shape[1]), dtype=np.int64)
     rows = np.flatnonzero(u[:, 0] >= q)
     if rows.size == 0:
         return out, fired
-    post, uu, q = x[rows], u[rows], q[rows]
+    post, uu, q = x.T[rows], u[rows], q[rows]  # the jumping rows (R, N)
     w, g, used = uu[:, 0], np.zeros(rows.size, dtype=np.int64), 1
     while True:
-        j, v = _crossing(_rows(post, surv), q, w, m - g)
-        c = _rows(_row_products(post, grid[j]), jumps)  # J_k x and lambda_k at the jump
+        j, v = _crossing(_cols(post.T, surv), q, w, m - g)
+        # J_k x and lambda_k at the jump, (K N + K, R)
+        c = _cols(_row_products(post, grid[j]).T, jumps)
         g = g + j
         k = np.zeros(rows.size, dtype=np.int64)
         if kk > 1:
-            k, v = _channel(c[:, kn:] * arr.nu, uu[:, used] if used < kk else v)
+            k, v = _channel(c[kn:].T * arr.nu, uu[:, used] if used < kk else v)
             used += 1
-        img = c[:, :kn].reshape(rows.size, kk, -1)[np.arange(rows.size), k]
+        img = c[:kn].reshape(kk, nn, -1)[k, :, np.arange(rows.size)]
         post = img / (tr0 * img[:, :1])
         e = _row_products(post, grid[m - g])  # the state at dt
         q = tr0 * e[:, 0]
-        fired[rows, k] += 1
-        out[rows] = e / q[:, None]
+        fired[k, rows] += 1
+        out[:, rows] = (e / q[:, None]).T
         w = uu[:, used] if used < kk else v
         used += 1
         again = (w >= q) & (g < m)
@@ -516,10 +540,13 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
 
 def _step_stratonovich(arr: _ModelArrays, rho, dt, dW):
     """One Heun step, projected onto the pure states (see ``_project_pure_b``)."""
-    x = arr.rows(rho)
-    a0, b0, _ = _strat_a_b(arr, x)
-    pred = x + dt * a0 + np.einsum("bj,bja->ba", dW, b0)
-    a1, b1, _ = _strat_a_b(arr, pred)
-    x_new = x + 0.5 * dt * (a0 + a1) + 0.5 * np.einsum("bj,bja->ba", dW, b0 + b1)
+    x = arr.cols(rho)
+    xi = dW.T
+    a0, b0, _ = _strat_a_b(arr, x.T)
+    a0, b0 = a0.T, b0.transpose(1, 2, 0)
+    pred = x + dt * a0 + _csum(xi, b0)
+    a1, b1, _ = _strat_a_b(arr, pred.T)
+    a1, b1 = a1.T, b1.transpose(1, 2, 0)
+    x_new = x + 0.5 * dt * (a0 + a1) + 0.5 * _csum(xi, b0 + b1)
     x_proj, defect = _project_pure_b(arr, x_new)
-    return x_proj, defect
+    return x_proj.T, defect

@@ -585,6 +585,23 @@ class TestRunEnsemble:
         with pytest.raises(ValidationError, match="seed"):
             run_ensemble(heterodyne_model, mixed, grid, 3, 2**128 - 2, "posterior")
 
+    @pytest.mark.parametrize("seed", [1.7, 2.0, np.float64(1.0), "1", None])
+    def test_non_integer_seed_is_a_validation_error(self, seed, heterodyne_model, mixed):
+        # a seed is not truncated to an integer: 1.7 would run seed 1's paths
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_ensemble(heterodyne_model, mixed, grid, 3, seed, "posterior")
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            simulate_posterior(heterodyne_model, mixed, grid, seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self, heterodyne_model, mixed):
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        want = run_ensemble(heterodyne_model, mixed, grid, 3, 1, "posterior")
+        got = run_ensemble(heterodyne_model, mixed, grid, 3, np.int64(1), "posterior")
+        assert np.array_equal(got.mean_state, want.mean_state)
+        path = simulate_posterior(heterodyne_model, mixed, grid, np.uint8(1)).state_path
+        assert np.array_equal(path, want.trajectory.state_path)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, 1.5])
     def test_index_of_time_rejects(self, heterodyne_model, mixed, t):
         stats = run_ensemble(heterodyne_model, mixed, TimeGrid(1.0, 0.1), 1, 1, "posterior")
@@ -859,7 +876,7 @@ class TestStepsMatchReference:
         arr = _ModelArrays(m)
         assert arr.substeps(self.DT) == 1
         out, fired = engine._step_posterior(arr, rho, self.DT, dW, u, 1, None)
-        m_drift = engine._apply_k_b(arr, arr.rows(rho), self.DT)[1]  # m at the step start
+        m_drift = engine._apply_k_b(arr, arr.cols(rho), self.DT)[1].T  # m at the step start
         out = arr.matrices(out)
         if n_jump:
             assert np.array_equal(fired, np.where(jump[:, None], [1, 0], 0))
@@ -877,7 +894,7 @@ class TestStepsMatchReference:
         dW, _ = self._noise(rng, m)
         arr = _ModelArrays(m)
         out, defect = engine._step_stratonovich(arr, rho, self.DT, dW)
-        m_drift = _strat_a_b(arr, arr.rows(rho))[2]
+        m_drift = _strat_a_b(arr, rho)[2]
         out = arr.matrices(out)
         for i in range(self.B):
             want, d_want, m_want = _stratonovich_ref(m, rho[i], self.DT, dW[i])
@@ -887,14 +904,24 @@ class TestStepsMatchReference:
 
 
 class TestRowProducts:
-    """``engine._rows`` rounds each row on its own: a row alone, in a
-    sub-batch, in a strided view or in a reshaped block equals the matching
-    row of the full product, bit for bit, for every stack the engine uses.
-    The 4-level model's Kraus stack (16 x 99) and column stack (16 x 35),
-    and the 5-level waiting-time propagator (25 x 25), round per batch
-    unless padded to a multiple of 8 columns."""
+    """``steps._cols`` rounds each trajectory on its own: a column alone, in a
+    sub-batch, in a strided view, in the transpose of rows or in a reshaped
+    block equals the matching column of the full product, bit for bit, for
+    every stack the engine uses.  The batch is padded to a multiple of 8
+    columns; unpadded, the n = 6-8 stacks round per batch (among them the
+    drift stack with two diffusive operators), and so does the 5-level
+    waiting-time propagator (25 x 25) without ``_pad8``."""
 
-    @pytest.mark.parametrize("name", ["heterodyne", "direct", "random3", "random4", "counting5"])
+    LARGE = {  # name: (n, n_diff, n_jump)
+        f"{kind}{n}": (n, *shape)
+        for n in (6, 7, 8)
+        for kind, shape in (("diffusive2_", (2, 0)), ("diffusive3_", (3, 0)),
+                            ("mixed", (2, 2)), ("counting", (0, 2)))
+    }
+
+    @pytest.mark.parametrize(
+        "name", ["heterodyne", "direct", "random3", "random4", "counting5", *LARGE]
+    )
     def test_rows_do_not_depend_on_the_batch(self, name, request):
         rng = np.random.default_rng(17)
         if name == "random3":
@@ -903,33 +930,45 @@ class TestRowProducts:
             m = _random_model(rng, 4, n_diff=2, n_jump=0)
         elif name == "counting5":
             m = _random_model(rng, 5, n_diff=0, n_jump=2, n_diss=1)
+        elif name in self.LARGE:
+            n, d, k = self.LARGE[name]
+            m = _random_model(rng, n, n_diff=d, n_jump=k, n_diss=1)
         else:
             m = request.getfixturevalue(f"{name}_model")
         arr = _ModelArrays(m)
         grid = TimeGrid(t_final=0.01, dt=1e-3)
         obs = random_complex(rng, m.dim)
         to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False).to_cols
-        step, surv, _, jumps = arr.waiting(1e-3)
         stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr.drift, arr._to, arr._from]
-        stacks += [to_cols, step, surv, jumps]
-        b, f = 64, 8  # 512 rows, viewed as a (B, F, .) flush buffer
+        if arr.K:
+            step, surv, _, jumps = arr.waiting(1e-3)
+            stacks += [step, surv, jumps]
+        if arr.diffusive is not None:
+            stacks.append(arr.diffusive.kraus(1e-3))
+        stacks.append(to_cols)
+        b, f = 64, 8  # 512 columns, also viewed as a (N, F, B) flush buffer
         for mat in stacks:
-            x = rng.standard_normal((b * f, mat.shape[0]))
-            full = engine._rows(x, mat)
-            for i in range(b * f):
-                assert np.array_equal(engine._rows(x[i:i + 1], mat), full[i:i + 1])
-            for size in (2, 3, 8, 16, 32, 64, 511):
-                for off in (0, 1, 5, 100, b * f - size):
-                    rows = slice(off, off + size)
-                    assert np.array_equal(engine._rows(x[rows], mat), full[rows])
-            buf, want = x.reshape(b, f, -1), full.reshape(b, f, -1)
+            x = rng.standard_normal((mat.shape[0], f * b))
+            full = steps._cols(x, mat)
+            assert np.array_equal(steps._cols(np.ascontiguousarray(x.T).T, mat), full)
+            for i in range(f * b):
+                assert np.array_equal(steps._cols(x[:, i:i + 1], mat), full[:, i:i + 1])
+            for size in (2, 3, 7, 8, 9, 15, 16, 32, 64, 200, 511):
+                for off in (0, 1, 5, 100, f * b - size):
+                    cols = slice(off, off + size)
+                    assert np.array_equal(steps._cols(x[:, cols], mat), full[:, cols])
+                    rows = np.ascontiguousarray(x[:, cols].T)
+                    assert np.array_equal(steps._cols(rows.T, mat), full[:, cols])
+            buf, want = x.reshape(-1, f, b), full.reshape(-1, f, b)
             for j in range(f):
-                assert np.array_equal(engine._rows(buf[:, j], mat), want[:, j])
+                assert np.array_equal(steps._cols(buf[:, j], mat), want[:, j])
             for c in (1, 3, f):
-                block = buf[:, :c].reshape(b * c, -1)
-                assert np.array_equal(engine._rows(block, mat), want[:, :c].reshape(b * c, -1))
+                block = buf[:, :c].reshape(-1, b * c)
+                assert np.array_equal(steps._cols(block, mat), want[:, :c].reshape(-1, b * c))
 
-    @pytest.mark.parametrize("name", ["heterodyne", "homodyne", "random3", "random4", "random5"])
+    @pytest.mark.parametrize(
+        "name", ["heterodyne", "homodyne", "random3", "random4", "random5", "random6", "random8"]
+    )
     def test_drift_equals_the_m_columns_of_both_stacks(self, name, request):
         # the path collector takes m off the rows with ``drift``; the steps
         # took it from their fused stacks
@@ -943,11 +982,11 @@ class TestRowProducts:
         kraus, m_kraus, m_strat = arr.kraus(1e-3), arr.kraus_cuts[1], arr.strat_cuts[2]
         assert np.array_equal(arr.drift[:, :d], kraus[:, m_kraus])
         assert np.array_equal(arr.drift[:, :d], arr.strat[:, m_strat])
-        for b in (1, 2, 7, 512):
-            x = rng.standard_normal((b, arr.drift.shape[0]))
-            m_drift = engine._rows(x, arr.drift)[:, :d]
-            assert np.array_equal(m_drift, engine._rows(x, kraus)[:, m_kraus])
-            assert np.array_equal(m_drift, engine._rows(x, arr.strat)[:, m_strat])
+        for b in (1, 2, 7, 200, 512):
+            x = rng.standard_normal((arr.drift.shape[0], b))
+            m_drift = steps._cols(x, arr.drift)[:d]
+            assert np.array_equal(m_drift, steps._cols(x, kraus)[m_kraus])
+            assert np.array_equal(m_drift, steps._cols(x, arr.strat)[m_strat])
 
     @pytest.mark.parametrize("name", ["direct", "counting"])
     def test_per_row_products_do_not_depend_on_the_batch(self, name, request):
@@ -966,6 +1005,67 @@ class TestRowProducts:
             for off in (0, 1, 5, b - size):
                 rows = slice(off, off + size)
                 assert np.array_equal(steps._row_products(x[rows], grid[at[rows]]), full[rows])
+
+
+class TestMemoryOrder:
+    """The kernels, ``_strat_a_b`` and ``steps._cols`` give the same bits for
+    C-ordered rows, for rows that are the transpose of C-contiguous columns
+    (as the driver passes the state and the noise) and for (B, n, n)
+    matrices."""
+
+    DT = 1e-3
+
+    def _model(self, case, request):
+        if case == "mixed":
+            return _mixed_jump_model()
+        if case == "direct":  # about one row in five jumps per step
+            return generate_atom_model(standard_direct(300.0, 1000.0))
+        if case.startswith("random3"):
+            return _random_model(np.random.default_rng(3), 3, n_diff=2, n_jump=2, n_diss=1)
+        return request.getfixturevalue("homodyne_model" if case in ("stratonovich", "fields") else "heterodyne_model")
+
+    @pytest.mark.parametrize("b", [1, 7, 512])
+    @pytest.mark.parametrize(
+        "case",
+        ["linear", "random3_linear", "posterior", "direct", "mixed", "random3", "stratonovich", "fields"],
+    )
+    def test_same_bits_in_any_layout(self, case, b, request):
+        rng = np.random.default_rng(b)
+        m = self._model(case, request)
+        arr = _ModelArrays(m)
+        mats = _random_states(rng, b, m.dim, pure=case in ("stratonovich", "fields"))
+        rows = np.ascontiguousarray(arr.coords(mats))
+        dW = rng.standard_normal((b, m.n_diffusive)) * math.sqrt(self.DT)
+        u = rng.random((b, m.n_jump))
+
+        def run(x, dW, u):
+            if case.endswith("linear"):
+                return engine._step_linear(arr, x, self.DT, dW, u)
+            if case == "stratonovich":
+                return engine._step_stratonovich(arr, x, self.DT, dW)
+            if case == "fields":
+                return _strat_a_b(arr, x)
+            return engine._step_posterior(arr, x, self.DT, dW, u, 1, None)
+
+        def columns(a):
+            return np.ascontiguousarray(a.T).T
+
+        want = run(rows, dW, u)
+        for got in (run(columns(rows), columns(dW), columns(u)), run(mats, dW, u)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("b", [1, 7, 512])
+    def test_product_same_bits_in_any_layout(self, b):
+        rng = np.random.default_rng(b)
+        mat = _ModelArrays(_random_model(rng, 3, n_diff=2, n_jump=2, n_diss=1)).kraus(self.DT)
+        x = rng.standard_normal((mat.shape[0], b))
+        want = steps._cols(x, mat)
+        wide = np.zeros((mat.shape[0], 2 * b))
+        wide[:, ::2] = x
+        for layout in (np.asfortranarray(x), np.ascontiguousarray(x.T).T, wide[:, ::2]):
+            assert np.array_equal(steps._cols(layout, mat), want)
 
 
 class TestBatchIndependence:
@@ -1032,6 +1132,17 @@ class TestBatchIndependence:
         alone = self._paths([5], m, "posterior", rho0)[5]
         mixed = self._paths([7, 5, 6], m, "posterior", rho0)[5]
         assert np.array_equal(mixed, alone)
+
+    @pytest.mark.parametrize("kind", ["diffusive", "mixed", "counting"])
+    def test_six_level_path_same_in_any_batch(self, kind):
+        # at n = 6 a product rounds per batch unless the batch is padded to a
+        # multiple of 8 columns; alone, in a batch of 3 and in one of 20
+        n_diff, n_jump = {"diffusive": (2, 0), "mixed": (2, 2), "counting": (0, 2)}[kind]
+        m = _random_model(np.random.default_rng(6), 6, n_diff, n_jump, n_diss=1, jump_weight=20.0)
+        rho0 = np.eye(6, dtype=complex) / 6
+        alone = self._paths([5], m, "posterior", rho0)[5]
+        for seeds in ([7, 5, 6], [7, 5] + list(range(8, 26))):
+            assert np.array_equal(self._paths(seeds, m, "posterior", rho0)[5], alone)
 
     def test_same_per_trajectory_results_for_blocks_and_workers(self, monkeypatch):
         mixed = QuantumState(np.eye(2, dtype=complex) / 2)
@@ -1457,7 +1568,7 @@ class TestPathwiseOracle:
             out_y = np.zeros(self.PATHS)
             for i in range(n):
                 x, _ = engine._step_linear(arr, x, 1.0 / n, dW[:, i : i + 1], u)
-                out_y += dW[:, i] + engine._rows(y, arr.drift)[:, 0] / n
+                out_y += dW[:, i] + steps._cols(y.T, arr.drift)[0] / n
                 y, _ = engine._posterior_substep(arr, y, 1.0 / n, dW[:, i : i + 1], u)
             sig, rho = self._exact(dW.sum(axis=1))
             sig_h = arr.matrices(x)
