@@ -402,7 +402,9 @@ def _simulate_batch(
         entropy = _entropy(cols, arr.tr0)
         recs = failed_at - np.arange(i, i + count)[:, None]
         entropy[recs == 0] = 0.0  # at the record where a row failed
-        fired, defect = (None if buf is None or dW is None else buf[..., :count, :].T for buf in (fs, ds))
+        fired, defect = (
+            None if buf is None or dW is None else buf[..., :count, :].T for buf in (fs, ds)
+        )
         collector.collect(i, cols.T, entropy.T, fired, dW, defect, (recs > 0).T)
 
     xs[:, 0] = x.T

@@ -908,9 +908,8 @@ class TestRowProducts:
     sub-batch, in a strided view, in the transpose of rows or in a reshaped
     block equals the matching column of the full product, bit for bit, for
     every stack the engine uses.  The batch is padded to a multiple of 8
-    columns; unpadded, the n = 6-8 stacks round per batch (among them the
-    drift stack with two diffusive operators), and so does the 5-level
-    waiting-time propagator (25 x 25) without ``_pad8``."""
+    columns; unpadded, the n = 6-8 stacks round per batch, among them the
+    drift stack with two diffusive operators."""
 
     LARGE = {  # name: (n, n_diff, n_jump)
         f"{kind}{n}": (n, *shape)
@@ -1022,13 +1021,13 @@ class TestMemoryOrder:
             return generate_atom_model(standard_direct(300.0, 1000.0))
         if case.startswith("random3"):
             return _random_model(np.random.default_rng(3), 3, n_diff=2, n_jump=2, n_diss=1)
-        return request.getfixturevalue("homodyne_model" if case in ("stratonovich", "fields") else "heterodyne_model")
+        pure = case in ("stratonovich", "fields")
+        return request.getfixturevalue("homodyne_model" if pure else "heterodyne_model")
 
     @pytest.mark.parametrize("b", [1, 7, 512])
-    @pytest.mark.parametrize(
-        "case",
-        ["linear", "random3_linear", "posterior", "direct", "mixed", "random3", "stratonovich", "fields"],
-    )
+    @pytest.mark.parametrize("case", [
+        "linear", "random3_linear", "posterior", "direct", "mixed", "random3", "stratonovich", "fields",
+    ])
     def test_same_bits_in_any_layout(self, case, b, request):
         rng = np.random.default_rng(b)
         m = self._model(case, request)
