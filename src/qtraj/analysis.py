@@ -53,6 +53,19 @@ def _check_burn_in(burn_in: float, t_final: float) -> None:
         raise EmptyAverageWindow(f"burn_in {burn_in} must be smaller than t_final {t_final}")
 
 
+def _check_grid(grid) -> tuple[int, int]:
+    """The (polar, azimuth) bin counts of a histogram grid, each >= 1."""
+    n_polar, n_azimuth = int(grid[0]), int(grid[1])
+    if n_polar < 1 or n_azimuth < 1:
+        raise ValidationError("histogram grid must be at least 1x1")
+    return n_polar, n_azimuth
+
+
+def _check_max_depth(max_depth: int) -> None:
+    if max_depth < 1:
+        raise ValidationError("max_depth must be >= 1")
+
+
 def _window(traj: PosteriorTrajectory, burn_in: float):
     """Times, states and entropies from the first time >= burn_in on: a
     suffix of the ascending grid, as views of the trajectory's paths."""
@@ -195,9 +208,7 @@ def empirical_invariant_measure(
     """
     if traj.state_path.shape[1] != 2:
         raise DimensionNotTwo("Bloch binning is defined for dim 2 only")
-    n_polar, n_azimuth = int(grid[0]), int(grid[1])
-    if n_polar < 1 or n_azimuth < 1:
-        raise ValidationError("histogram grid must be at least 1x1")
+    n_polar, n_azimuth = _check_grid(grid)
     _, states, entropy = _window(traj, burn_in)
     dt = traj.grid.dt
 
@@ -291,8 +302,7 @@ def lie_rank_check(m: MeasurementModel, psi: PureStateVector, max_depth: int = 3
     if not 2 <= n <= 4:
         # at n = 1 the pure states are one point, with no tangent directions
         raise ValidationError("Lie-rank check supports 2 <= dim <= 4")
-    if max_depth < 1:
-        raise ValidationError("max_depth must be >= 1")
+    _check_max_depth(max_depth)
 
     arr = _ModelArrays(m)
     x0 = arr.coords(psi.projector()[None])

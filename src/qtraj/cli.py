@@ -19,6 +19,8 @@ from . import __version__
 from .analysis import (
     PAULI_Z,
     _check_burn_in,
+    _check_grid,
+    _check_max_depth,
     build_ergodic_report,
     empirical_invariant_measure,
     lie_rank_check,
@@ -157,6 +159,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_check(args) -> int:
     model, mhash = load_model(args.model)
+    _check_max_depth(args.lie_depth)  # before any check runs
     lines: dict = {}
     pure = check_pure_preserving(model, n_samples=args.samples, rng_seed=args.seed)
     lines["pure_preserving"] = pure.verdict
@@ -209,6 +212,7 @@ def cmd_invariant(args) -> int:
     model, mhash = load_model(args.model)
     grid = TimeGrid(t_final=args.t_final, dt=args.dt)
     _check_burn_in(args.burn_in, grid.t_final)  # before integrating
+    _check_grid((args.bins_polar, args.bins_azimuth))
     rho0 = _initial_state(args.initial, model.dim)
     traj = simulate_posterior(model, rho0, grid, seed=args.seed)
     out = _out_dir(args)

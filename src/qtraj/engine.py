@@ -34,8 +34,7 @@ index order over fixed-size blocks.  A batch builds one Philox bit
 generator and keys it per trajectory by setting its state (key
 ``seed + trajectory_index``, counter 0), which draws what a generator
 built for that key would, at a fraction of the cost.  The sums of a flush
-over a batch's rows are BLAS products with a ones vector, on a (B F, N) row
-copy of the flush.
+over a batch's trajectories are BLAS products with a ones vector.
 """
 
 from __future__ import annotations
@@ -186,31 +185,19 @@ def _entropy(x: np.ndarray, tr0: float) -> np.ndarray:
     return 1.0 - 0.5 * _dot(x, x) / np.square(tr0 * x[0])
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """The maxima of the rows of a (B, F) block.  numpy reduces a short
-    inner axis one row at a time, so a block with more rows than columns
-    is transposed first and reduced over its rows."""
-    if a.shape[0] > a.shape[1]:
-        return np.ascontiguousarray(a.T).max(axis=0)
-    return a.max(axis=1)
-
-
 # -- collectors ---------------------------------------------------------------
 #
 # ``_simulate_batch`` hands its records over once per flush, as
 # collect(i, state, entropy, fired, dW, defect, alive) with records
-# i .. i + F - 1 in (B, F, ...) arrays: coordinate rows (B, F, N), whose
-# trace tr0 x_0 is the weight, entropy and alive (B, F), where alive is False
-# from the record at which a row failed on.  fired (B, F, K), dW (B, F, d)
-# and defect (B, F) come from the steps that end at those records; they are
-# None at record 0, and defect is None outside the Stratonovich scheme too.
-# K and d may be 0.  A step's output drift is ``arr.drift``
-# of the record before it.  The arrays are the driver's buffers, valid only
-# during the call; all but dW are transposes of buffers whose contiguous
-# axis is the batch, (N, F, B), (F, B) and (K, F, B).
+# i .. i + F - 1 in its buffers, valid only during the call, whose last axis
+# is the batch B: coordinate columns (N, F, B), whose trace tr0 x_0 is the
+# weight, entropy and alive (F, B), False from the record at which a
+# trajectory failed on.  fired (K, F, B), dW (F, d, B) and defect (F, B)
+# come from the steps that end at those records; they are None at record 0,
+# and defect is None outside the Stratonovich scheme too.  K and d may be 0.
 
 class _PathCollector:
-    """Records the full path of row 0 of every batch it is given.
+    """Records the full path of trajectory 0 of every batch it is given.
 
     Each flush is copied into per-record arrays by slice assignment, and
     ``result`` turns them into the public trajectory once.
@@ -229,15 +216,15 @@ class _PathCollector:
 
     def collect(self, i, state, entropy, fired, dW, defect, alive):
         f = state.shape[1]
-        self.rows[i:i + f] = state[0]
-        self.entropy[i:i + f] = entropy[0]
+        self.rows[i:i + f] = state[:, :, 0].T
+        self.entropy[i:i + f] = entropy[:, 0]
         if dW is None:
             return
         steps = slice(i - 1, i - 1 + f)
-        self.dW[steps] = dW[0]
-        self.fired[steps] = fired[0]
+        self.dW[steps] = dW[:, :, 0]
+        self.fired[steps] = fired[:, :, 0].T
         if defect is not None:
-            self.defect[steps] = defect[0]
+            self.defect[steps] = defect[:, 0]
 
     def result(self, underflow: bool):
         """The public trajectory, with the path converted to matrices once."""
@@ -257,22 +244,20 @@ class _PathCollector:
 
 
 class _StatsCollector:
-    """Streaming per-record mean/M2 aggregates over one batch of trajectories.
+    """Streaming per-record mean/M2 aggregates over one batch of b trajectories.
 
-    Each flush copies its states into (B F, N) rows and converts them, in
-    one product, to the columns
+    Each flush converts its states, in one product, to the rows
     [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
-    (the entropy goes into a zero column of the product, so nothing is
-    copied) and stores their mean and M2 per record over the rows alive
-    there (dead rows hold finite values and are masked out, unless every
-    row is alive).
-    It also adds the alive rows' jump counts, summed over the flush along
-    their contiguous batch axis, and Wiener sums.  The sums over rows
-    (means, M2 and Wiener sums) are products with a ones vector, one BLAS
-    gemv each.  With ``keep_path`` it also records row 0's full path.
+    (the entropy goes into a zero row of the product, so nothing is
+    copied) and stores their mean and M2 per record over the trajectories
+    alive there (dead ones hold finite values and are masked out, unless
+    every trajectory is alive).  The sums over the batch, the last axis,
+    are products with a ones vector, one BLAS gemv each.  It also adds the
+    alive trajectories' jump counts and Wiener sums.  With ``keep_path`` it
+    also records trajectory 0's full path.
     """
 
-    def __init__(self, arr: _ModelArrays, mode, grid, observable, keep_path):
+    def __init__(self, arr: _ModelArrays, mode, grid, observable, keep_path, b):
         n_rec = grid.n_steps + 1
         to_cols = arr._from
         if observable is not None:
@@ -286,61 +271,55 @@ class _StatsCollector:
         self.mean = np.zeros((n_rec, self.to_cols.shape[1]))
         self.m2 = np.zeros_like(self.mean)
         self.path = _PathCollector(arr, mode, grid) if keep_path else None
-        self.jump_totals = None  # (B, K), the transpose of a (K, B) array; set lazily
-        self.n_jump = arr.K
+        self.ones = np.ones(b)
+        self.jump_totals = np.zeros((arr.K, b), dtype=np.int64)
         self.wiener_s1 = np.zeros(arr.n_diff)
         self.wiener_s2 = np.zeros(arr.n_diff)
         self.wiener_n = 0
-        self.entropy_max = None  # (B,)
-        self.defect_max = None   # (B,), stratonovich pre-projection defect
+        self.entropy_max = np.zeros(b)
+        self.defect_max = np.zeros(b)  # stratonovich pre-projection defect
         self.alive = None
         self.underflow = None
 
     def collect(self, i, state, entropy, fired, dW, defect, alive):
         if self.path is not None:
             self.path.collect(i, state, entropy, fired, dW, defect, alive)
-        b, f = alive.shape
-        if self.jump_totals is None:
-            self.jump_totals = np.zeros((self.n_jump, b), dtype=np.int64).T
-            self.entropy_max = np.zeros(b)
-            self.defect_max = np.zeros(b)
-        np.maximum(self.entropy_max, _row_max(entropy), out=self.entropy_max)
+        n, f, b = state.shape
+        np.maximum(self.entropy_max, entropy.max(axis=0), out=self.entropy_max)
         if defect is not None:
-            np.maximum(self.defect_max, _row_max(defect), out=self.defect_max)
-        ones = np.ones(b * f)
-        vals = (state.reshape(b * f, -1) @ self.to_cols).reshape(b, f, -1)
-        vals[:, :, -1] = entropy
-        live = None if alive.all() else alive[:, :, None]
+            np.maximum(self.defect_max, defect.max(axis=0), out=self.defect_max)
+        vals = (self.to_cols.T @ state.reshape(n, f * b)).reshape(-1, f, b)
+        vals[-1] = entropy
+        live = None if alive.all() else alive
         if live is not None:
             vals *= live
-        cnt = np.full(f, b) if live is None else alive.sum(axis=0)
-        mean = (ones[:b] @ vals.reshape(b, -1)).reshape(f, -1)
-        mean /= np.maximum(cnt, 1)[:, None]
-        vals -= mean
+        cnt = np.full(f, b) if live is None else alive.sum(axis=1)
+        mean = (vals.reshape(-1, b) @ self.ones).reshape(-1, f)
+        mean /= np.maximum(cnt, 1)
+        vals -= mean[:, :, None]
         if live is not None:
             vals *= live
         recs = slice(i, i + f)
         self.count[recs] = cnt
-        self.mean[recs] = mean
+        self.mean[recs] = mean.T
         np.square(vals, out=vals)
-        self.m2[recs] = (ones[:b] @ vals.reshape(b, -1)).reshape(f, -1)
+        self.m2[recs] = (vals.reshape(-1, b) @ self.ones).reshape(-1, f).T
         if dW is None:
             return
         if live is not None:
             fired = fired * live
-            dW = dW * live
+            dW = dW * live[:, None]
         self.jump_totals += fired.sum(axis=1)
-        dW = dW.reshape(b * f, dW.shape[2])
-        self.wiener_s1 += ones @ dW
-        self.wiener_s2 += ones @ np.square(dW)
+        self.wiener_s1 += dW.sum(axis=(0, 2))
+        self.wiener_s2 += np.square(dW).sum(axis=(0, 2))
         self.wiener_n += int(cnt.sum()) if dW.shape[1] else 0
 
 
 # -- core driver --------------------------------------------------------------
 
 def _batch_last(a: np.ndarray) -> np.ndarray:
-    """(B, F, k) noise as (F, B, k), a view of its (F, k, B) copy."""
-    return a.transpose(1, 2, 0).copy().transpose(0, 2, 1)
+    """(B, F, k) noise as its (F, k, B) copy."""
+    return a.transpose(1, 2, 0).copy()
 
 
 def _simulate_batch(
@@ -402,10 +381,9 @@ def _simulate_batch(
         entropy = _entropy(cols, arr.tr0)
         recs = failed_at - np.arange(i, i + count)[:, None]
         entropy[recs == 0] = 0.0  # at the record where a row failed
-        fired, defect = (
-            None if buf is None or dW is None else buf[..., :count, :].T for buf in (fs, ds)
-        )
-        collector.collect(i, cols.T, entropy.T, fired, dW, defect, (recs > 0).T)
+        fired = None if dW is None else fs[:, :count]
+        defect = None if dW is None or ds is None else ds[:count]
+        collector.collect(i, cols, entropy, fired, dW, defect, recs > 0)
 
     xs[:, 0] = x.T
     flush_records(0, 1, None)
@@ -428,22 +406,23 @@ def _simulate_batch(
         step_dW = normals if s == 1 else normals[:, :clen].sum(axis=2)
         for f0 in range(0, clen, flush):
             count = min(flush, clen - f0)
-            dW_rows = _batch_last(step_dW[:, f0:f0 + count])
-            u_rows = _batch_last(uniforms[:, f0:f0 + count]) if s == 1 else [None] * count
-            for j, (dW, u) in enumerate(zip(dW_rows, u_rows)):
+            dWs = _batch_last(step_dW[:, f0:f0 + count])
+            us = _batch_last(uniforms[:, f0:f0 + count]) if s == 1 else None
+            for j, dW in enumerate(dWs):
                 l = f0 + j
+                u = None if us is None else us[j].T
                 if linear:
-                    x, fired = _step_linear(arr, x, dt, dW, u)
+                    x, fired = _step_linear(arr, x, dt, dW.T, u)
                     w = arr.tr0 * x[:, 0]
                     low = w < _WEIGHT_FLOOR
                     if low.any():
                         underflow |= low
                         x[w <= 0.0] = _WEIGHT_FLOOR * arr.mixed
                 elif strat:
-                    x, defect = _step_stratonovich(arr, x, dt, dW)
+                    x, defect = _step_stratonovich(arr, x, dt, dW.T)
                 else:
                     sub = None if s == 1 else (normals[:, l], uniforms[:, l])
-                    x, fired = _step_posterior(arr, x, dt, dW, u, s, sub)
+                    x, fired = _step_posterior(arr, x, dt, dW.T, u, s, sub)
 
                 # A row fails when an entry of it (and so its weight) is not
                 # finite; a finite row is a state of trace w > 0, with a finite
@@ -458,7 +437,7 @@ def _simulate_batch(
                     ds[j] = defect
                 elif arr.K:  # without jump channels fs is empty
                     fs[:, j] = fired.T
-            flush_records(start + f0 + 1, count, step_dW[:, f0:f0 + count])
+            flush_records(start + f0 + 1, count, dWs)
     return failed_at > n_steps, underflow
 
 
@@ -542,7 +521,7 @@ def _merge_collectors(a: _StatsCollector, b: _StatsCollector) -> _StatsCollector
     a.mean += delta * frac
 
     a.count = tot
-    a.jump_totals = np.concatenate([a.jump_totals, b.jump_totals], axis=0)
+    a.jump_totals = np.concatenate([a.jump_totals, b.jump_totals], axis=1)
     a.entropy_max = np.concatenate([a.entropy_max, b.entropy_max])
     a.defect_max = np.concatenate([a.defect_max, b.defect_max])
     a.alive = np.concatenate([a.alive, b.alive])
@@ -556,7 +535,7 @@ def _merge_collectors(a: _StatsCollector, b: _StatsCollector) -> _StatsCollector
 def _run_block(args):
     (m, mode, rho0_mat, grid, seeds, observable, keep_path) = args
     arr = _ModelArrays(m)
-    coll = _StatsCollector(arr, mode, grid, observable, keep_path)
+    coll = _StatsCollector(arr, mode, grid, observable, keep_path, len(seeds))
     alive, under = _simulate_batch(arr, mode, rho0_mat, grid, seeds, coll)
     coll.alive = alive
     coll.underflow = under
@@ -657,10 +636,10 @@ def run_ensemble(
     ent = 2 * n * n  # columns of the state entries; then tr(O* rho), weight, entropy
     se_state = se[:, :ent].reshape(-1, n, n, 2)
 
-    totals = merged.jump_totals[alive].astype(float)
-    k = totals.shape[0]
-    jmean = totals.sum(axis=0) / max(k, 1)
-    jse = totals.std(axis=0, ddof=1) / math.sqrt(k) if k > 1 else np.zeros(m.n_jump)
+    totals = merged.jump_totals[:, alive].astype(float)
+    k = totals.shape[1]
+    jmean = totals.sum(axis=1) / max(k, 1)
+    jse = totals.std(axis=1, ddof=1) / math.sqrt(k) if k > 1 else np.zeros(m.n_jump)
     wn = max(merged.wiener_n, 1)  # the sums are 0 when nothing was added
     wmean = merged.wiener_s1 / wn
     wvar = merged.wiener_s2 / wn - wmean**2

@@ -247,6 +247,19 @@ class TestCheckCommand:
     def test_seed_required(self, het_model_file):
         assert main(["check", "--model", str(het_model_file)]) == 1
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_zero_lie_depth_exits_1_before_checking(
+        self, points, het_model_file, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("checked despite a zero Lie depth")
+
+        monkeypatch.setattr(qtraj.cli, "check_pure_preserving", never)
+        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--lie-depth", "0"]
+        argv += ["--exceptional-point", "[[0.0, 0.0], [1.0, 0.0]]"] * points
+        assert main(argv) == 1
+        assert "error: ValidationError: max_depth must be >= 1" in capsys.readouterr().err
+
 
 class TestInvariantCommand:
     def test_runs_and_writes(self, het_model_file, tmp_path):
@@ -292,6 +305,20 @@ class TestInvariantCommand:
         err = capsys.readouterr().err
         assert "error: EmptyAverageWindow" in err
         assert f"burn_in {float(burn_in)}" in err
+
+    @pytest.mark.parametrize("option", ["--bins-polar", "--bins-azimuth"])
+    def test_empty_grid_exits_1_before_integrating(
+        self, option, het_model_file, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated despite an empty histogram grid")
+
+        monkeypatch.setattr(qtraj.cli, "simulate_posterior", never)
+        argv = ["invariant", "--model", str(het_model_file), "--t-final", "20", "--dt", "0.01",
+                "--seed", "13", option, "0", "--output", str(tmp_path / "inv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: ValidationError: histogram grid must be at least 1x1" in err
 
 
 class TestSeeds:

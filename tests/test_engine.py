@@ -242,7 +242,7 @@ class TestWaitingTime:
     N_TRAJ = 2000
 
     class _Fired:
-        """Keeps the (B, F, K) jump counts of every flush."""
+        """Keeps the (K, F, B) jump counts of every flush."""
 
         def __init__(self):
             self.fired = []
@@ -260,7 +260,7 @@ class TestWaitingTime:
         arr = _ModelArrays(m)
         assert arr.K == 1 and arr.substeps(grid.dt) == 1
         engine._simulate_batch(arr, "posterior", rho0, grid, list(range(self.N_TRAJ)), rec)
-        counts = np.concatenate(rec.fired, axis=1).sum(axis=2)  # (B, n_steps)
+        counts = np.concatenate(rec.fired, axis=1).sum(axis=0).T  # (B, n_steps)
         first = np.where(counts.any(axis=1), counts.argmax(axis=1), grid.n_steps)
         k0 = _superop(lambda r: apply_liouvillian(m, r) - apply_jump(m, r, 0), 2)
         for i in (1, 2, 5, 10, 20):
@@ -305,9 +305,10 @@ class TestWaitingTime:
         assert np.abs(stats.mean_state - mixed.matrix).max() < 1e-12
 
     def test_many_jumps_per_step_are_substepped(self, mixed):
-        # 40 jumps per step: 10 waiting-time substeps of 4.  One step's
-        # uniforms alone run out of bits after about 8 jumps, which read
-        # -1.4 % (z = -27) here without substeps
+        # 40 jumps per step: 10 waiting-time substeps of 4.  Without
+        # substeps this reads -1.4 % (z = -27): a jump moves a row at least
+        # one point of the 256-point jump-time grid on, and at 40 jumps per
+        # step that dead time undercounts, with fresh uniforms per jump too
         m = identity_jump_model(weight=4000.0)
         grid = TimeGrid(t_final=0.1, dt=1e-2)
         assert _ModelArrays(m).substeps(grid.dt) == 10
@@ -937,7 +938,7 @@ class TestRowProducts:
         arr = _ModelArrays(m)
         grid = TimeGrid(t_final=0.01, dt=1e-3)
         obs = random_complex(rng, m.dim)
-        to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False).to_cols
+        to_cols = engine._StatsCollector(arr, "posterior", grid, obs, False, 1).to_cols
         stacks = [arr.kraus(1e-3), arr.kraus(1e-3 / 7), arr.strat, arr.drift, arr._to, arr._from]
         if arr.K:
             step, surv, _, jumps = arr.waiting(1e-3)
@@ -1075,7 +1076,7 @@ class TestBatchIndependence:
     GRID = TimeGrid(t_final=0.2, dt=1e-3)
 
     class _Record:
-        """Keeps the (B, F, N) rows of every flush."""
+        """Keeps the (N, F, B) columns of every flush."""
 
         def __init__(self):
             self.states = []
@@ -1088,7 +1089,7 @@ class TestBatchIndependence:
         arr = _ModelArrays(model)
         engine._simulate_batch(arr, mode, rho0, self.GRID, seeds, rec)
         paths = np.concatenate(rec.states, axis=1)
-        return {s: paths[i] for i, s in enumerate(seeds)}
+        return {s: paths[:, :, i] for i, s in enumerate(seeds)}
 
     def test_same_path_in_any_batch(self):
         alone = {s: self._paths([s])[s] for s in (5, 6)}
@@ -1314,11 +1315,9 @@ class TestRowCollectors:
             close(stats.max_entropy_per_traj, entropy.max(axis=1))
             close(stats.jump_count_mean, want["jumps"][0])
             close(stats.jump_count_se, want["jumps"][1])
-
-    @pytest.mark.parametrize("shape", [(512, 8), (8, 512), (5, 5), (1, 7), (7, 1)])
-    def test_row_max_either_shape(self, shape):
-        a = np.random.default_rng(3).standard_normal(shape)
-        np.testing.assert_array_equal(engine._row_max(a), a.max(axis=1))
+            if mode == "stratonovich":
+                defect = [t.purity_defect_max for t in trajs]
+                assert np.array_equal(stats.max_purity_defect_per_traj, defect)
 
     @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich"])
     def test_trajectory_zero_equals_single_path(self, mode, request, monkeypatch):
@@ -1430,7 +1429,7 @@ class TestFailedTrajectory:
         seeds = [self.SEED + i for i in range(self.N_TRAJ)]
         coll = engine._run_block((m, "posterior", mixed.matrix, self.GRID, seeds, None, True))
         assert np.flatnonzero(~coll.alive).tolist() == [self.ROW]
-        assert coll.jump_totals[self.ROW, 0] == sum(step < self.STEP for step, _ in want)
+        assert coll.jump_totals[0, self.ROW] == sum(step < self.STEP for step, _ in want)
 
     @pytest.mark.parametrize("n_poisoned", [2, 3])
     def test_ensemble_fails_above_one_percent(self, n_poisoned, monkeypatch, mixed):
