@@ -109,9 +109,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sums of a * b over axis 0 (of length >= 2), of the even and the odd
     terms apart and then added: the order in which numpy's einsum sums a
     short contiguous row, so that at n = 2 the entropy and the Bloch radius
-    round as einsum("bi,bi->b") rounds them on rows.  The fixed order keeps
-    entropies independent of the flush and batch shapes, which numpy's own
-    reductions (np.square(x).sum(axis=0)) would not at n = 3."""
+    round as einsum("bi,bi->b") rounds them on rows.  The fixed order also
+    keeps entropies independent of the flush and batch shapes: numpy's own
+    reductions, such as np.square(x).sum(axis=0), change their order with
+    the shape and move an n = 3 entropy path between flush sizes."""
     p = a * b
     lanes = [p[0], p[1]]
     for i in range(2, len(p)):

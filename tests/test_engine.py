@@ -306,9 +306,10 @@ class TestWaitingTime:
 
     def test_many_jumps_per_step_are_substepped(self, mixed):
         # 40 jumps per step: 10 waiting-time substeps of 4.  Without
-        # substeps this reads -1.4 % (z = -27): a jump moves a row at least
-        # one point of the 256-point jump-time grid on, and at 40 jumps per
-        # step that dead time undercounts, with fresh uniforms per jump too
+        # substeps this reads -1.4 % (z = -27).  The cause is the 256-point
+        # jump-time grid: each jump moves a row at least one grid point on,
+        # and at 40 jumps per step that dead time undercounts even with a
+        # fresh uniform per jump
         m = identity_jump_model(weight=4000.0)
         grid = TimeGrid(t_final=0.1, dt=1e-2)
         assert _ModelArrays(m).substeps(grid.dt) == 10
