@@ -2,8 +2,10 @@
 
 Subcommands: simulate, master, equilibrium, check, invariant, atom.  Every
 stochastic command requires --seed; outputs carry a metadata header line
-sufficient to reproduce the run.  Exit codes: 0 success, 1 validation or
-usage error, 2 numerical failure.
+sufficient to reproduce the run.  Every command runs in one order: it checks
+all its inputs, computes all its results, and only then creates --output and
+writes, so a failing command costs no integration and leaves no file.  Exit
+codes: 0 success, 1 validation or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -55,15 +57,6 @@ from .serialize import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits with code 1 on usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _pure(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
@@ -82,24 +75,27 @@ def _initial_state(name: str, dim: int) -> QuantumState:
     return QuantumState(_INITIAL[name](dim))
 
 
-def _parse_complex_vector(text: str) -> np.ndarray:
+def _parse_complex(text: str, vector: bool = False):
+    """JSON [re, im] as a complex number, or [[re, im], ...] as a vector."""
     try:
-        pairs = json.loads(text)
-        return np.array([complex(p[0], p[1]) for p in pairs], dtype=np.complex128)
+        value = json.loads(text)
+        pairs = value if vector else [value]
+        z = np.array([complex(p[0], p[1]) for p in pairs], dtype=np.complex128)
     except (json.JSONDecodeError, TypeError, IndexError, KeyError) as exc:
+        form = "vector" if vector else "number"
+        expected = "[[re, im], ...]" if vector else "[re, im]"
         raise ValidationError(
-            f"cannot parse complex vector {text!r}; expected JSON [[re, im], ...]"
+            f"cannot parse complex {form} {text!r}; expected JSON {expected}"
         ) from exc
+    return z if vector else complex(z[0])
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        pair = json.loads(text)
-        return complex(pair[0], pair[1])
-    except (json.JSONDecodeError, TypeError, IndexError, KeyError) as exc:
-        raise ValidationError(
-            f"cannot parse complex number {text!r}; expected JSON [re, im]"
-        ) from exc
+def _unit_vector(text: str) -> PureStateVector:
+    vec = _parse_complex(text, vector=True)
+    nrm = np.linalg.norm(vec)
+    if not 0.0 < nrm < np.inf:
+        raise ValidationError(f"exceptional point {text!r} is not a nonzero finite vector")
+    return PureStateVector(vec / nrm)
 
 
 def _out_dir(args) -> Path:
@@ -112,21 +108,14 @@ def cmd_simulate(args) -> int:
     model, mhash = load_model(args.model)
     grid = TimeGrid(t_final=args.t_final, dt=args.dt)
     rho0 = _initial_state(args.initial, model.dim)
-    out = _out_dir(args)
-    meta = _base_metadata(
-        "simulate",
-        mhash,
-        mode=args.mode,
-        seed=args.seed,
-        dt=args.dt,
-        t_final=args.t_final,
-        trajectories=args.trajectories,
-        initial=args.initial,
-        rng=RNG_ALGORITHM,
-    )
     stats = run_ensemble(
         model, rho0, grid, n_traj=args.trajectories, seed=args.seed, mode=args.mode
     )
+    meta = _base_metadata(
+        "simulate", mhash, mode=args.mode, seed=args.seed, dt=args.dt, t_final=args.t_final,
+        trajectories=args.trajectories, initial=args.initial, rng=RNG_ALGORITHM,
+    )
+    out = _out_dir(args)
     write_ensemble_csv(out / "ensemble.csv", stats, meta)
     write_trajectory_csv(out / "trajectory.csv", stats.trajectory, meta)
     print(f"wrote {out / 'ensemble.csv'} and {out / 'trajectory.csv'}")
@@ -159,7 +148,14 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_check(args) -> int:
     model, mhash = load_model(args.model)
-    _check_max_depth(args.lie_depth)  # before any check runs
+    _check_max_depth(args.lie_depth)
+    points = [_unit_vector(text) for text in args.exceptional_point or []]
+    at_points: dict = {}  # before the sampling, so a misfit point costs none of it
+    for i, psi in enumerate(points if model.n_diffusive else []):
+        at_points[f"point{i}_elliptic"] = check_ellipticity(model, psi).elliptic
+        rank = lie_rank_check(model, psi, max_depth=args.lie_depth)
+        at_points[f"point{i}_lie_rank"] = rank.rank
+        at_points[f"point{i}_lie_full"] = rank.full
     lines: dict = {}
     pure = check_pure_preserving(model, n_samples=args.samples, rng_seed=args.seed)
     lines["pure_preserving"] = pure.verdict
@@ -179,18 +175,7 @@ def cmd_check(args) -> int:
                 n_elliptic += 1
         lines["ellipticity_samples"] = args.samples
         lines["ellipticity_elliptic"] = n_elliptic
-    for i, text in enumerate(args.exceptional_point or []):
-        vec = _parse_complex_vector(text)
-        nrm = np.linalg.norm(vec)
-        if not 0.0 < nrm < np.inf:
-            raise ValidationError(f"exceptional point {text!r} is not a nonzero finite vector")
-        psi = PureStateVector(vec / nrm)
-        if model.n_diffusive:
-            ell = check_ellipticity(model, psi)
-            lines[f"point{i}_elliptic"] = ell.elliptic
-            rank = lie_rank_check(model, psi, max_depth=args.lie_depth)
-            lines[f"point{i}_lie_rank"] = rank.rank
-            lines[f"point{i}_lie_full"] = rank.full
+    lines.update(at_points)
     meta = _base_metadata("check", mhash, seed=args.seed, samples=args.samples)
     if args.output:
         out = _out_dir(args)
@@ -211,33 +196,22 @@ _AXES = {
 def cmd_invariant(args) -> int:
     model, mhash = load_model(args.model)
     grid = TimeGrid(t_final=args.t_final, dt=args.dt)
-    _check_burn_in(args.burn_in, grid.t_final)  # before integrating
+    _check_burn_in(args.burn_in, grid.t_final)
     _check_grid((args.bins_polar, args.bins_azimuth))
     rho0 = _initial_state(args.initial, model.dim)
+    eta = equilibrium(model)  # a model without a unique one fails before integrating
     traj = simulate_posterior(model, rho0, grid, seed=args.seed)
-    out = _out_dir(args)
-    meta = _base_metadata(
-        "invariant",
-        mhash,
-        seed=args.seed,
-        dt=args.dt,
-        t_final=args.t_final,
-        burn_in=args.burn_in,
-        rng=RNG_ALGORITHM,
-    )
     hist = empirical_invariant_measure(
         traj,
         grid=(args.bins_polar, args.bins_azimuth),
         burn_in=args.burn_in,
         polar_axis=_AXES[args.polar_axis],
     )
-    write_histogram_csv(out / "histogram.csv", hist, meta)
-    eta = equilibrium(model)
     report = build_ergodic_report(traj, eta, {"sigma_z": PAULI_Z}, burn_in=args.burn_in)
     decomp = report.variance_decomposition["sigma_z"]
     lines = {
         "distance_to_equilibrium": f"{report.distance:.6e}",
-        "final_entropy": f"{linear_entropy(report.time_avg_state):.6e}",
+        "time_average_entropy": f"{linear_entropy(report.time_avg_state):.6e}",
         "bins_occupied": int((hist.counts > 0).sum()),
         "bins_total": hist.grid[0] * hist.grid[1],
         "mixed_samples": hist.mixed_samples,
@@ -246,6 +220,12 @@ def cmd_invariant(args) -> int:
         "sigma_z_term2": f"{decomp.term2:.6e}",
         "sigma_z_residual": f"{decomp.residual:.6e}",
     }
+    meta = _base_metadata(
+        "invariant", mhash, seed=args.seed, dt=args.dt, t_final=args.t_final,
+        burn_in=args.burn_in, rng=RNG_ALGORITHM,
+    )
+    out = _out_dir(args)
+    write_histogram_csv(out / "histogram.csv", hist, meta)
     write_report(out / "ergodic.txt", lines, meta)
     print(f"wrote {out / 'histogram.csv'} and {out / 'ergodic.txt'}")
     return 0
@@ -254,7 +234,7 @@ def cmd_invariant(args) -> int:
 def cmd_atom(args) -> int:
     spec = TwoLevelAtomSpec(
         delta_omega=args.delta_omega,
-        alpha=tuple(_parse_complex_vector(args.alpha)),
+        alpha=tuple(_parse_complex(args.alpha, vector=True)),
         lambda_inner=_parse_complex(args.lambda_inner),
         detection=args.detection,
     )
@@ -264,84 +244,73 @@ def cmd_atom(args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="qtraj", description=__doc__)
+def _command(sub, name, func, help, model=True, grid=False, seed=False, initial=None,
+             **output):
+    """A subcommand with the shared options it takes: --model, --t-final and
+    --dt with ``grid``, --seed, --initial with its default, and --output with
+    the keywords ``output`` (default ".")."""
+    cmd = sub.add_parser(name, help=help)
+    if model:
+        cmd.add_argument("--model", required=True)
+    if grid:
+        cmd.add_argument("--t-final", type=float, required=True)
+        cmd.add_argument("--dt", type=float, required=True)
+    if seed:
+        cmd.add_argument("--seed", type=int, required=True)
+    if initial:
+        cmd.add_argument("--initial", default=initial, choices=_INITIAL)
+    cmd.add_argument("--output", **(output or {"default": "."}))
+    cmd.set_defaults(func=func)
+    return cmd
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="qtraj", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qtraj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="integrate trajectories and aggregate them")
-    sim.add_argument("--model", required=True)
+    sim = _command(sub, "simulate", cmd_simulate, "integrate trajectories and aggregate them",
+                   grid=True, seed=True, initial="mixed")
     sim.add_argument("--mode", choices=MODES, default="posterior")
-    sim.add_argument("--t-final", type=float, required=True, dest="t_final")
-    sim.add_argument("--dt", type=float, required=True)
     sim.add_argument("--trajectories", type=int, default=1)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--initial", default="mixed", choices=_INITIAL)
-    sim.add_argument("--output", default=".")
-    sim.set_defaults(func=cmd_simulate)
 
-    mas = sub.add_parser("master", help="deterministic a-priori evolution")
-    mas.add_argument("--model", required=True)
-    mas.add_argument("--t-final", type=float, required=True, dest="t_final")
-    mas.add_argument("--dt", type=float, required=True)
-    mas.add_argument("--initial", default="mixed", choices=_INITIAL)
-    mas.add_argument("--output", default=".")
-    mas.set_defaults(func=cmd_master)
+    _command(sub, "master", cmd_master, "deterministic a-priori evolution",
+             grid=True, initial="mixed")
+    _command(sub, "equilibrium", cmd_equilibrium, "stationary state of the master equation")
 
-    eq = sub.add_parser("equilibrium", help="stationary state of the master equation")
-    eq.add_argument("--model", required=True)
-    eq.add_argument("--output", default=".")
-    eq.set_defaults(func=cmd_equilibrium)
-
-    chk = sub.add_parser("check", help="structural checks of a model")
-    chk.add_argument("--model", required=True)
-    chk.add_argument("--seed", type=int, required=True)
+    chk = _command(sub, "check", cmd_check, "structural checks of a model",
+                   seed=True, default=None)
     chk.add_argument("--samples", type=int, default=100)
-    chk.add_argument("--lie-depth", type=int, default=3, dest="lie_depth")
-    chk.add_argument("--exceptional-point", action="append", dest="exceptional_point",
+    chk.add_argument("--lie-depth", type=int, default=3)
+    chk.add_argument("--exceptional-point", action="append",
                      help="JSON [[re, im], ...] amplitudes; repeatable")
-    chk.add_argument("--output", default=None)
-    chk.set_defaults(func=cmd_check)
 
-    inv = sub.add_parser("invariant", help="long-run histogram and ergodic report")
-    inv.add_argument("--model", required=True)
-    inv.add_argument("--t-final", type=float, required=True, dest="t_final")
-    inv.add_argument("--dt", type=float, required=True)
-    inv.add_argument("--seed", type=int, required=True)
-    inv.add_argument("--burn-in", type=float, default=0.0, dest="burn_in")
-    inv.add_argument("--bins-polar", type=int, default=12, dest="bins_polar")
-    inv.add_argument("--bins-azimuth", type=int, default=24, dest="bins_azimuth")
-    inv.add_argument("--initial", default="ground", choices=_INITIAL)
-    inv.add_argument("--polar-axis", choices=_AXES, default="z", dest="polar_axis")
-    inv.add_argument("--output", default=".")
-    inv.set_defaults(func=cmd_invariant)
+    inv = _command(sub, "invariant", cmd_invariant, "long-run histogram and ergodic report",
+                   grid=True, seed=True, initial="ground")
+    inv.add_argument("--burn-in", type=float, default=0.0)
+    inv.add_argument("--bins-polar", type=int, default=12)
+    inv.add_argument("--bins-azimuth", type=int, default=24)
+    inv.add_argument("--polar-axis", choices=_AXES, default="z")
 
-    atom = sub.add_parser("atom", help="write a two-level-atom model file")
+    atom = _command(sub, "atom", cmd_atom, "write a two-level-atom model file",
+                    model=False, required=True)
     atom.add_argument("--detection", required=True, choices=DETECTIONS)
-    atom.add_argument("--delta-omega", type=float, default=0.0, dest="delta_omega")
-    atom.add_argument("--alpha", required=True,
-                      help="JSON [[re, im], ...] components of alpha")
-    atom.add_argument("--lambda-inner", required=True, dest="lambda_inner",
-                      help="JSON [re, im] for <alpha|lambda>")
-    atom.add_argument("--output", required=True)
-    atom.set_defaults(func=cmd_atom)
+    atom.add_argument("--delta-omega", type=float, default=0.0)
+    atom.add_argument("--alpha", required=True, help="JSON [[re, im], ...] components of alpha")
+    atom.add_argument("--lambda-inner", required=True, help="JSON [re, im] for <alpha|lambda>")
     return parser
 
 
 def main(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2 in argparse, 1 here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, NumericalError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 def console_entry() -> None:

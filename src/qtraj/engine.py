@@ -116,12 +116,14 @@ class OutputRecord:
     (under the reference law for the linear scheme; reconstructed output
     increments dW = dW~ + m dt under the physical law otherwise).
     ``compensated_wiener`` holds the standard increments dW~ drawn when
-    simulating under the physical law, else None.
+    simulating under the physical law, else None.  ``n_channels`` is the
+    model's number K of jump channels; every event (step, k) has k < K.
     """
 
     wiener: np.ndarray
     jump_events: list[tuple[int, int]]
     compensated_wiener: np.ndarray | None = None
+    n_channels: int = 0
 
 
 @dataclass
@@ -233,12 +235,12 @@ class _PathCollector:
         counts = self.fired[steps, ks]
         jumps = list(zip(np.repeat(steps, counts).tolist(), np.repeat(ks, counts).tolist()))
         if self.mode == "linear":
-            output = OutputRecord(self.dW, jumps, None)
+            output = OutputRecord(self.dW, jumps, n_channels=self.arr.K)
             weights = self.arr.tr0 * self.rows[:, 0]
             return LinearTrajectory(self.grid, states, weights, output, self.entropy, underflow)
         # output increments dW = dW~ + m dt, m at the row each step starts from
         m_drift = _cols(self.rows[:-1].T, self.arr.drift).T
-        output = OutputRecord(self.dW + m_drift * self.grid.dt, jumps, self.dW)
+        output = OutputRecord(self.dW + m_drift * self.grid.dt, jumps, self.dW, self.arr.K)
         defect = float(np.fmax.reduce(self.defect, initial=0.0))
         return PosteriorTrajectory(self.grid, states, output, self.entropy, defect)
 

@@ -137,15 +137,15 @@ def write_trajectory_csv(path, traj, meta: dict) -> None:
         raise ConfigError(f"unsupported trajectory type {type(traj)!r}")
     wiener = traj.output.wiener
     cum_w = np.vstack([np.zeros((1, wiener.shape[1])), np.cumsum(wiener, axis=0)])
-    channels = sorted({k for _, k in traj.output.jump_events})
-    cum_n = np.zeros((len(states), len(channels)), dtype=np.int64)
+    n_channels = traj.output.n_channels
+    cum_n = np.zeros((len(states), n_channels), dtype=np.int64)
     for step, k in traj.output.jump_events:
-        cum_n[step + 1, channels.index(k)] += 1
+        cum_n[step + 1, k] += 1
     np.cumsum(cum_n, axis=0, out=cum_n)
 
     header = ["t"] + _state_header(prefix, states.shape[1]) + ["weight", "entropy"]
     header += [f"cum_W{j}" for j in range(wiener.shape[1])]
-    header += [f"cum_N{k}" for k in channels]
+    header += [f"cum_N{k}" for k in range(n_channels)]
     columns = [traj.grid.times, states, weights, traj.entropy_path, cum_w, cum_n]
     _write_table(path, meta, header, columns)
 

@@ -60,8 +60,10 @@ a fixed grid of ``_GRID`` points per step in which the survival falls to u,
 so jump times are rounded to that grid without bias to first order; the
 channel is drawn there with probability proportional to nu_k lambda_k.
 Further jumps reuse the uniforms left over by earlier draws, whose bits
-last for about 8 jumps, so a step whose bound
-lambda_max(sum_k nu_k E_k) dt on the expected number of jumps exceeds
+last for about 8 jumps, and each jump moves a row at least one grid point
+past the one before, a dead time that undercounts by 1.4 % at 40 jumps per
+step even with a fresh uniform per jump.  For both reasons a step whose
+bound lambda_max(sum_k nu_k E_k) dt on the expected number of jumps exceeds
 ``_JUMP_BOUND`` is split into the fewest substeps that keep it within.
 
 A model with both diffusive operators and jump channels takes one
@@ -503,7 +505,10 @@ def _step_counting(arr: _ModelArrays, x, dt, u):
     columns of u in order and, after the last, the uniform left over by the
     previous draw.  Each jump uses about log2(M / (rate dt)) + 1 of a
     uniform's 53 bits, so the law holds while a step has up to about 8
-    jumps; ``substeps`` keeps the expected number within ``_JUMP_BOUND``.
+    jumps; and each jump lands at least one grid point, dt / M, after the
+    previous one, a dead time that undercounts by 1.4 % at 40 jumps per
+    step.  ``substeps`` keeps the expected number within ``_JUMP_BOUND``,
+    where both effects are within noise.
     """
     step, surv, grid, jumps = arr.waiting(dt)
     kk, m, tr0 = arr.K, _GRID, arr.tr0

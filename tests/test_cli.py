@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,26 @@ def het_model_file(tmp_path):
     )
     assert code == 0
     return path
+
+
+@pytest.fixture
+def degenerate_model_file(tmp_path):
+    # H = 0, L = sigma_z: every diagonal state is stationary
+    config = {
+        "dimension": 2,
+        "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "diffusive_ops": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]],
+    }
+    path = tmp_path / "sz.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _never(what):
+    def never(*args, **kwargs):
+        raise AssertionError(f"ran {what} despite an input that fails")
+
+    return never
 
 
 class TestAtomCommand:
@@ -151,6 +172,13 @@ class TestSimulateCommand:
         header = (tmp_path / "lin" / "trajectory.csv").read_text().splitlines()[1]
         assert "sigma00_re" in header and "weight" in header
 
+    def test_zero_trajectories_leave_no_output(self, het_model_file, tmp_path, capsys):
+        argv = ["simulate", "--model", str(het_model_file), "--t-final", "0.01", "--dt", "0.001",
+                "--trajectories", "0", "--seed", "1", "--output", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "error: ValidationError: n_traj must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestMasterAndEquilibrium:
     def test_master_path(self, het_model_file, tmp_path):
@@ -260,6 +288,25 @@ class TestCheckCommand:
         assert main(argv) == 1
         assert "error: ValidationError: max_depth must be >= 1" in capsys.readouterr().err
 
+    def test_malformed_point_exits_1_before_checking(
+        self, het_model_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(qtraj.cli, "check_pure_preserving", _never("the checks"))
+        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", "2000",
+                "--exceptional-point", "[[0.0, 0.0], [1.0, 0.0]]",
+                "--exceptional-point", "[[1, 0], [0]]", "--output", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "error: ValidationError: cannot parse complex vector" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_misfit_point_exits_1_before_sampling(self, het_model_file, monkeypatch, capsys):
+        # a point of the wrong dimension fails at its own check, before the sampling
+        monkeypatch.setattr(qtraj.cli, "check_pure_preserving", _never("the sampling"))
+        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", "2000",
+                "--exceptional-point", "[[1, 0], [0, 0], [0, 0]]"]
+        assert main(argv) == 1
+        assert "error: DimensionMismatch" in capsys.readouterr().err
+
 
 class TestInvariantCommand:
     def test_runs_and_writes(self, het_model_file, tmp_path):
@@ -290,6 +337,17 @@ class TestInvariantCommand:
         report = (tmp_path / "inv" / "ergodic.txt").read_text()
         assert "distance_to_equilibrium=" in report
         assert "sigma_z_residual=" in report
+        assert "time_average_entropy=" in report and "final_entropy" not in report
+
+    def test_degenerate_model_exits_2_before_integrating(
+        self, degenerate_model_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(qtraj.cli, "simulate_posterior", _never("the integration"))
+        argv = ["invariant", "--model", str(degenerate_model_file), "--t-final", "10",
+                "--dt", "0.001", "--seed", "1", "--output", str(tmp_path / "inv")]
+        assert main(argv) == 2
+        assert "error: NonUniqueEquilibrium" in capsys.readouterr().err
+        assert not (tmp_path / "inv").exists()
 
     @pytest.mark.parametrize("burn_in", ["30", "20", "nan"])
     def test_bad_burn_in_exits_1_before_integrating(
@@ -340,9 +398,32 @@ class TestSeeds:
         assert "error: ValidationError" in capsys.readouterr().err
 
 
+# each command's option strings, as its help lists them
+OPTIONS = {
+    "simulate": ["--model", "--mode", "--t-final", "--dt", "--trajectories", "--seed",
+                 "--initial", "--output"],
+    "master": ["--model", "--t-final", "--dt", "--initial", "--output"],
+    "equilibrium": ["--model", "--output"],
+    "check": ["--model", "--seed", "--samples", "--lie-depth", "--exceptional-point", "--output"],
+    "invariant": ["--model", "--t-final", "--dt", "--seed", "--burn-in", "--bins-polar",
+                  "--bins-azimuth", "--initial", "--polar-axis", "--output"],
+    "atom": ["--detection", "--delta-omega", "--alpha", "--lambda-inner", "--output"],
+}
+
+
 class TestUsage:
     def test_unknown_flag_exits_1(self):
         assert main(["simulate", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_exits_0_and_lists_the_options(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"-h", "--help", *OPTIONS[command]}
+
+    def test_version_exits_0(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"qtraj {qtraj.__version__}\n"
 
     def test_missing_model_exits_1(self, tmp_path):
         code = main(

@@ -181,6 +181,19 @@ class TestCsvRoundTrip:
         assert np.array_equal(data[1:, 21], np.cumsum(traj.output.wiener[:, 0]))
         assert np.array_equal(data[:, 22:], cum_n)
 
+    def test_direct_without_jumps(self, tmp_path, mixed):
+        # every channel has its column, whether or not it fired
+        m = generate_atom_model(standard_direct(1.0, 1.0))
+        traj = simulate_posterior(m, mixed, TimeGrid(t_final=0.002, dt=1e-3), seed=1)
+        assert traj.output.jump_events == [] and traj.output.n_channels == 1
+        path = tmp_path / "t.csv"
+        meta = {"command": "test"}
+        write_trajectory_csv(path, traj, meta)
+        header, rows, data = self._read(path, meta)
+        assert header == ["t"] + _state_cols("rho", 2) + ["weight", "entropy", "cum_N0"]
+        self._check_ints(rows, [-1])
+        assert np.array_equal(data[:, -1], np.zeros(traj.grid.n_steps + 1))
+
     def test_posterior(self, tmp_path, heterodyne_model, mixed):
         traj = simulate_posterior(heterodyne_model, mixed, TimeGrid(0.1, 1e-3), seed=7)
         path = tmp_path / "t.csv"
