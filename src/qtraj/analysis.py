@@ -55,6 +55,8 @@ def _check_burn_in(burn_in: float, t_final: float) -> None:
 
 def _check_grid(grid) -> tuple[int, int]:
     """The (polar, azimuth) bin counts of a histogram grid, each >= 1."""
+    if np.shape(grid) != (2,):
+        raise ValidationError(f"histogram grid must be two bin counts, got {grid!r}")
     n_polar, n_azimuth = int(grid[0]), int(grid[1])
     if n_polar < 1 or n_azimuth < 1:
         raise ValidationError("histogram grid must be at least 1x1")
@@ -179,9 +181,9 @@ class BlochHistogram:
 
 def _axis_triad(polar_axis: np.ndarray):
     axis = np.asarray(polar_axis, dtype=float)
-    nrm = np.linalg.norm(axis)
-    if nrm == 0:
-        raise ValidationError("polar_axis must be a nonzero 3-vector")
+    nrm = np.linalg.norm(axis) if axis.shape == (3,) else 0.0
+    if not 0.0 < nrm < np.inf:
+        raise ValidationError(f"polar_axis must be a finite nonzero 3-vector: {polar_axis!r}")
     axis = axis / nrm
     helper = np.array([1.0, 0.0, 0.0])
     if abs(axis @ helper) > 0.9:
@@ -209,6 +211,7 @@ def empirical_invariant_measure(
     if traj.state_path.shape[1] != 2:
         raise DimensionNotTwo("Bloch binning is defined for dim 2 only")
     n_polar, n_azimuth = _check_grid(grid)
+    e1, e2, axis = _axis_triad(polar_axis)
     _, states, entropy = _window(traj, burn_in)
     dt = traj.grid.dt
 
@@ -222,7 +225,6 @@ def empirical_invariant_measure(
     nrm[nrm == 0] = 1.0
     unit = vecs / nrm[:, None]
 
-    e1, e2, axis = _axis_triad(np.asarray(polar_axis, dtype=float))
     z = np.clip(unit @ axis, -1.0, 1.0)
     theta = np.arccos(z)
     phi = np.mod(np.arctan2(unit @ e2, unit @ e1), 2.0 * np.pi)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, ZeroLinewidth, ZeroRabi
-from .model import MeasurementModel, build_model
+from .model import JumpChannel, MeasurementModel
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
@@ -80,15 +80,10 @@ def generate_atom_model(spec: TwoLevelAtomSpec) -> MeasurementModel:
         + 1j * np.conj(li) * SIGMA_MINUS
         - 1j * li * SIGMA_PLUS
     )
-    config = {"dimension": 2, "hamiltonian": ham}
     if spec.detection == "direct":
-        amp = np.sqrt(spec.linewidth)
-        config["jump_channels"] = [
-            {"label": "count", "weight": 1.0, "kraus": [amp * SIGMA_MINUS]}
-        ]
-    else:
-        config["diffusive_ops"] = [a * SIGMA_MINUS for a in spec.alpha]
-    return build_model(config)
+        count = JumpChannel("count", 1.0, (np.sqrt(spec.linewidth) * SIGMA_MINUS,))
+        return MeasurementModel(2, ham, jump_channels=(count,))
+    return MeasurementModel(2, ham, diffusive_ops=tuple(a * SIGMA_MINUS for a in spec.alpha))
 
 
 def standard_heterodyne(

@@ -36,7 +36,7 @@ from .engine import (
     run_ensemble,
     simulate_posterior,
 )
-from .errors import NumericalError, ValidationError
+from .errors import DimensionMismatch, NumericalError, ValidationError
 from .linalg import PureStateVector, QuantumState, _philox, haar_random_state_vector
 from .master import equilibrium, evolve_master
 from .model import (
@@ -90,11 +90,14 @@ def _parse_complex(text: str, vector: bool = False):
     return z if vector else complex(z[0])
 
 
-def _unit_vector(text: str) -> PureStateVector:
+def _unit_vector(text: str, dim: int) -> PureStateVector:
+    """An --exceptional-point, normalized, for a model of dimension ``dim``."""
     vec = _parse_complex(text, vector=True)
     nrm = np.linalg.norm(vec)
     if not 0.0 < nrm < np.inf:
         raise ValidationError(f"exceptional point {text!r} is not a nonzero finite vector")
+    if vec.shape[0] != dim:
+        raise DimensionMismatch(f"exceptional point {text!r} does not have dimension {dim}")
     return PureStateVector(vec / nrm)
 
 
@@ -149,7 +152,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_check(args) -> int:
     model, mhash = load_model(args.model)
     _check_max_depth(args.lie_depth)
-    points = [_unit_vector(text) for text in args.exceptional_point or []]
+    points = [_unit_vector(text, model.dim) for text in args.exceptional_point or []]
     at_points: dict = {}  # before the sampling, so a misfit point costs none of it
     for i, psi in enumerate(points if model.n_diffusive else []):
         at_points[f"point{i}_elliptic"] = check_ellipticity(model, psi).elliptic

@@ -54,7 +54,7 @@ from .errors import (
     NotPurePreserving,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, _philox, _philox_key, _philox_state, hs_norm
+from .linalg import PureStateVector, QuantumState, _philox, _philox_key, _philox_state
 from .model import MeasurementModel
 
 # The driver calls the kernels through this module's names, so patching
@@ -453,7 +453,7 @@ def _check_stratonovich_model(m: MeasurementModel) -> None:
     """The Stratonovich scheme needs a diffusive, pure-state-preserving model."""
     if m.n_jump:
         raise JumpChannelsPresent("stratonovich scheme requires a diffusive model")
-    if any(hs_norm(op) > 1e-14 for op in m.dissipative_ops):
+    if m.dissipative_nonzero:
         raise NotPurePreserving("dissipative operators break pure-state preservation")
     if m.n_diffusive == 0:
         raise NoDiffusiveChannels("stratonovich scheme needs diffusive operators")

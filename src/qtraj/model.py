@@ -16,18 +16,23 @@ The drift used by the unnormalized (linear) equation is
 
     K[rho] = L0 + L1 - (D2 rho + rho D2)/2 + nu_tot rho + L3.
 
-Models are immutable after construction and safe to share across threads.
+A ``MeasurementModel`` checks itself on construction, as the other value
+types do, and derives D1, D2, D3 and nu_tot; ``build_model`` only reads a
+description into it.  Models are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BadChannelIndex,
+    ConfigError,
     DimensionMismatch,
     DimensionNotTwo,
     EmptyModel,
@@ -49,21 +54,18 @@ from .linalg import (
 _ELLIPTIC_TOL = 1e-9  # singular values above this count towards the diffusion rank
 
 
-def _parse_matrix(obj, dim: int | None) -> np.ndarray:
-    """Accept an ndarray or nested rows of [re, im] pairs."""
+def _parse_entry(entry) -> complex:
+    if isinstance(entry, (int, float, complex)):
+        return complex(entry)
+    re, im = entry
+    return complex(re) + 1j * complex(im)
+
+
+def _parse_matrix(obj) -> np.ndarray:
+    """An ndarray as it is, or nested rows of numbers and [re, im] pairs as one."""
     if isinstance(obj, np.ndarray):
-        return as_complex_matrix(obj, dim=dim)
-    rows = []
-    for row in obj:
-        parsed = []
-        for entry in row:
-            if isinstance(entry, (int, float, complex)):
-                parsed.append(complex(entry))
-            else:
-                re, im = entry
-                parsed.append(complex(re) + 1j * complex(im))
-        rows.append(parsed)
-    return as_complex_matrix(np.array(rows, dtype=np.complex128), dim=dim)
+        return obj
+    return np.array([[_parse_entry(e) for e in row] for row in obj], dtype=np.complex128)
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -106,17 +108,58 @@ class JumpChannel:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """Immutable bundle (H, {L_j}, jump channels, {S_h}) plus derived sums."""
+    """Immutable bundle (H, {L_j}, jump channels, {S_h}) plus derived sums.
+
+    Construction checks dim >= 1, square finite matrices and channels of
+    dimension dim, and H Hermitian within 1e-12 * dim (None means H = 0); it
+    warns when H = 0 and there are no channels, freezes the operators and
+    derives d1, d2, d3 and total_jump_mass.
+    """
 
     dim: int
-    hamiltonian: np.ndarray
-    diffusive_ops: tuple[np.ndarray, ...]
-    jump_channels: tuple[JumpChannel, ...]
-    dissipative_ops: tuple[np.ndarray, ...]
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    total_jump_mass: float
+    hamiltonian: np.ndarray | None = None
+    diffusive_ops: tuple[np.ndarray, ...] = ()
+    jump_channels: tuple[JumpChannel, ...] = ()
+    dissipative_ops: tuple[np.ndarray, ...] = ()
+    d1: np.ndarray = field(init=False)
+    d2: np.ndarray = field(init=False)
+    d3: np.ndarray = field(init=False)
+    total_jump_mass: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        dim = self.dim
+        if dim < 1:
+            raise ValidationError(f"dimension must be >= 1, got {dim}")
+        ham = self.hamiltonian
+        ham = as_complex_matrix(np.zeros((dim, dim)) if ham is None else ham, dim=dim)
+        if hs_norm(ham - ham.conj().T) > 1e-12 * dim:
+            raise NonHermitianH("hamiltonian is not Hermitian within 1e-12 * dim")
+        diffusive = tuple(_frozen(as_complex_matrix(op, dim=dim)) for op in self.diffusive_ops)
+        dissipative = tuple(_frozen(as_complex_matrix(op, dim=dim)) for op in self.dissipative_ops)
+        channels = tuple(self.jump_channels)
+        for ch in channels:
+            if ch.dim != dim:
+                raise DimensionMismatch(
+                    f"jump channel '{ch.outcome_label}' has dimension {ch.dim}, expected {dim}"
+                )
+        if not channels and not diffusive and not dissipative and hs_norm(ham) == 0.0:
+            level = 1  # warn at the first caller outside this module
+            while sys._getframe(level).f_globals.get("__name__") == __name__:
+                level += 1
+            warnings.warn("model has H = 0 and no channels: all dynamics are trivial",
+                          EmptyModelWarning, stacklevel=level + 1)
+        zero = np.zeros((dim, dim), dtype=np.complex128)
+        for name, value in (
+            ("hamiltonian", _frozen(hermitize(ham))),
+            ("diffusive_ops", diffusive),
+            ("jump_channels", channels),
+            ("dissipative_ops", dissipative),
+            ("d1", _frozen(hermitize(sum((op.conj().T @ op for op in diffusive), zero)))),
+            ("d2", _frozen(hermitize(sum((ch.weight * ch.effect() for ch in channels), zero)))),
+            ("d3", _frozen(hermitize(sum((op.conj().T @ op for op in dissipative), zero)))),
+            ("total_jump_mass", float(sum(ch.weight for ch in channels))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_diffusive(self) -> int:
@@ -126,113 +169,68 @@ class MeasurementModel:
     def n_jump(self) -> int:
         return len(self.jump_channels)
 
-    def jump_effects(self) -> tuple[np.ndarray, ...]:
-        """Per-channel effect operators E_k = sum_n J_n* J_n."""
-        return tuple(ch.effect() for ch in self.jump_channels)
+    @property
+    def dissipative_nonzero(self) -> bool:
+        """Some S_h has norm above 1e-14: pure states cannot be preserved."""
+        return any(hs_norm(op) > 1e-14 for op in self.dissipative_ops)
 
 
 def build_model(config) -> MeasurementModel:
-    """Validate a model description and compute the derived operators.
+    """Read a model description into a ``MeasurementModel``, which checks it.
 
     ``config`` maps keys dimension, hamiltonian, diffusive_ops,
     jump_channels, dissipative_ops; matrices may be ndarrays or nested
-    [re, im] rows, jump channels are {label, weight, kraus} mappings or
-    JumpChannel instances.
+    [re, im] rows, and jump channels are {label, weight, kraus} mappings.
+    A description that cannot be read (a missing key, or a value of the
+    wrong type or form) raises ``ConfigError``; the model's own checks
+    raise their ``ValidationError`` unchanged.
     """
-    if "dimension" not in config:
-        raise ValidationError("config must supply 'dimension'")
-    dim = int(config["dimension"])
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
-
-    has_any = any(
-        key in config and config[key] is not None and len(config[key]) > 0
-        for key in ("hamiltonian", "diffusive_ops", "jump_channels", "dissipative_ops")
-    )
-    if not has_any:
-        raise EmptyModel("config supplies neither a Hamiltonian nor any channel")
-
-    if config.get("hamiltonian") is not None:
-        ham = _parse_matrix(config["hamiltonian"], dim)
-    else:
-        ham = np.zeros((dim, dim), dtype=np.complex128)
-    if hs_norm(ham - ham.conj().T) > 1e-12 * dim:
-        raise NonHermitianH("hamiltonian is not Hermitian within 1e-12 * dim")
-    ham = _frozen(hermitize(ham))
-
-    diffusive = tuple(
-        _frozen(_parse_matrix(op, dim)) for op in config.get("diffusive_ops") or []
-    )
-    dissipative = tuple(
-        _frozen(_parse_matrix(op, dim)) for op in config.get("dissipative_ops") or []
-    )
-
-    channels = []
-    for entry in config.get("jump_channels") or []:
-        if isinstance(entry, JumpChannel):
-            ch = entry
-        else:
-            ch = JumpChannel(
-                outcome_label=str(entry["label"]),
-                weight=float(entry["weight"]),
-                kraus_ops=tuple(_parse_matrix(j, dim) for j in entry["kraus"]),
-            )
-        if ch.dim != dim:
-            raise DimensionMismatch(
-                f"jump channel '{ch.outcome_label}' has dimension {ch.dim}, expected {dim}"
-            )
-        channels.append(ch)
-    channels = tuple(channels)
-
-    eye = np.zeros((dim, dim), dtype=np.complex128)
-    d1 = sum((op.conj().T @ op for op in diffusive), eye.copy())
-    d3 = sum((op.conj().T @ op for op in dissipative), eye.copy())
-    d2 = sum((ch.weight * ch.effect() for ch in channels), eye.copy())
-    total_mass = float(sum(ch.weight for ch in channels))
-
-    if not channels and not diffusive and not dissipative and hs_norm(ham) == 0.0:
-        warnings.warn(
-            "model has H = 0 and no channels: all dynamics are trivial",
-            EmptyModelWarning,
-            stacklevel=2,
+    try:
+        if "dimension" not in config:
+            raise ValidationError("config must supply 'dimension'")
+        dim = int(config["dimension"])
+        keys = ("hamiltonian", "diffusive_ops", "jump_channels", "dissipative_ops")
+        if not any(config.get(key) is not None and len(config[key]) > 0 for key in keys):
+            raise EmptyModel("config supplies neither a Hamiltonian nor any channel")
+        ham = config.get("hamiltonian")
+        ham = None if ham is None else _parse_matrix(ham)
+        ops = {key: tuple(map(_parse_matrix, config.get(key) or []))
+               for key in ("diffusive_ops", "dissipative_ops")}
+        channels = tuple(
+            JumpChannel(str(ch["label"]), float(ch["weight"]),
+                        tuple(map(_parse_matrix, ch["kraus"])))
+            for ch in config.get("jump_channels") or []
         )
-
-    return MeasurementModel(
-        dim=dim,
-        hamiltonian=ham,
-        diffusive_ops=diffusive,
-        jump_channels=channels,
-        dissipative_ops=dissipative,
-        d1=_frozen(hermitize(d1)),
-        d2=_frozen(hermitize(d2)),
-        d3=_frozen(hermitize(d3)),
-        total_jump_mass=total_mass,
-    )
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model description: {type(exc).__name__}: {exc}") from exc
+    return MeasurementModel(dim, ham, jump_channels=channels, **ops)
 
 
-def _check_dim(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
-    return as_complex_matrix(rho, dim=m.dim)
+def _dissipator(ops, d: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_A A rho A* - (rho D + D rho)/2 over the operators A of ``ops``."""
+    out = -0.5 * (rho @ d + d @ rho)
+    for op in ops:
+        out += op @ rho @ op.conj().T
+    return out
 
 
 def apply_l0(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     """Hamiltonian part -i [H, rho]."""
-    rho = _check_dim(m, rho)
+    rho = as_complex_matrix(rho, dim=m.dim)
     h = m.hamiltonian
     return -1j * (h @ rho - rho @ h)
 
 
 def apply_l1(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     """Diffusive dissipator sum_j L_j rho L_j* - (rho D1 + D1 rho)/2."""
-    rho = _check_dim(m, rho)
-    out = -0.5 * (rho @ m.d1 + m.d1 @ rho)
-    for op in m.diffusive_ops:
-        out += op @ rho @ op.conj().T
-    return out
+    return _dissipator(m.diffusive_ops, m.d1, as_complex_matrix(rho, dim=m.dim))
 
 
 def apply_l2(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     """Jump dissipator sum_k nu_k J_k[rho] - (rho D2 + D2 rho)/2."""
-    rho = _check_dim(m, rho)
+    rho = as_complex_matrix(rho, dim=m.dim)
     out = -0.5 * (rho @ m.d2 + m.d2 @ rho)
     for k, ch in enumerate(m.jump_channels):
         out += ch.weight * apply_jump(m, rho, k)
@@ -241,11 +239,7 @@ def apply_l2(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
 
 def apply_l3(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     """Purely dissipative part sum_h S_h rho S_h* - (rho D3 + D3 rho)/2."""
-    rho = _check_dim(m, rho)
-    out = -0.5 * (rho @ m.d3 + m.d3 @ rho)
-    for op in m.dissipative_ops:
-        out += op @ rho @ op.conj().T
-    return out
+    return _dissipator(m.dissipative_ops, m.d3, as_complex_matrix(rho, dim=m.dim))
 
 
 def apply_liouvillian(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
@@ -260,7 +254,7 @@ def apply_k(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     compensator identity L = K + sum_k nu_k (J_k - id) is a genuine
     cross-check between two code paths.
     """
-    rho = _check_dim(m, rho)
+    rho = as_complex_matrix(rho, dim=m.dim)
     h = m.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     out -= 0.5 * (rho @ m.d1 + m.d1 @ rho)
@@ -276,7 +270,7 @@ def apply_k(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
 
 def apply_jump(m: MeasurementModel, rho: np.ndarray, k: int) -> np.ndarray:
     """Channel map J_k[rho] = sum_n J_n rho J_n* (completely positive)."""
-    rho = _check_dim(m, rho)
+    rho = as_complex_matrix(rho, dim=m.dim)
     if not 0 <= k < len(m.jump_channels):
         raise BadChannelIndex(f"jump channel index {k} out of range")
     ch = m.jump_channels[k]
@@ -308,7 +302,6 @@ def check_pure_preserving(
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    dissipative_nonzero = any(hs_norm(op) > 1e-14 for op in m.dissipative_ops)
     witnesses: list[tuple[np.ndarray, int]] = []
     rng = _philox(rng_seed)
     for _ in range(n_samples):
@@ -322,10 +315,9 @@ def check_pure_preserving(
             evals = np.linalg.eigvalsh(hermitize(out))
             if evals[-2] > 1e-8 * tr:
                 witnesses.append((psi, k))
-    verdict = not dissipative_nonzero and not witnesses
     return PurePreservingReport(
-        verdict=verdict,
-        dissipative_nonzero=dissipative_nonzero,
+        verdict=not m.dissipative_nonzero and not witnesses,
+        dissipative_nonzero=m.dissipative_nonzero,
         witnesses=tuple(witnesses),
         n_samples=n_samples,
     )
@@ -360,7 +352,7 @@ def check_purification_obstruction_dim2(m: MeasurementModel) -> ObstructionRepor
     diff_prop = tuple(
         _proportional_to_identity(op + op.conj().T) for op in m.diffusive_ops
     )
-    jump_prop = tuple(_proportional_to_identity(e) for e in m.jump_effects())
+    jump_prop = tuple(_proportional_to_identity(ch.effect()) for ch in m.jump_channels)
     exists = all(diff_prop) and all(jump_prop)
     return ObstructionReport(
         obstruction_exists=exists,

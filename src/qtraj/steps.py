@@ -83,7 +83,7 @@ import math
 import numpy as np
 
 from .linalg import _expm, coherence_basis, superoperator_matrix
-from .model import MeasurementModel, apply_jump, apply_k, apply_l0, apply_l1, build_model
+from .model import MeasurementModel, apply_jump, apply_k, apply_l0, apply_l1
 
 _GRID = 256  # jump-time grid points per waiting-time step
 _JUMP_BOUND = 4.0  # max expected jumps per waiting-time step
@@ -218,7 +218,7 @@ class _ModelArrays:
         self._k0 = k_rows - mat(lambda r: apply_l1(m, r)).T - m.total_jump_mass * np.eye(nn)
         self._waiting = {}
         self.diffusive = (
-            _ModelArrays(build_model({"dimension": n, "diffusive_ops": ops})) if d and self.K else None
+            _ModelArrays(MeasurementModel(n, diffusive_ops=ops)) if d and self.K else None
         )
         # the dt-free pieces of kraus(dt)
         self._kraus_parts = (
@@ -242,10 +242,8 @@ class _ModelArrays:
         self.strat_cuts = _cuts(nn, d * nn, d, 1)
         self.mixed = self.coords(np.eye(n)[None] / n)[0]  # coordinates of I/n
         self.nu = np.array([ch.weight for ch in m.jump_channels])
-        # lambda_max(sum_k nu_k E_k): the largest total jump intensity of any state
-        self.peak_total = float(np.linalg.eigvalsh(
-            sum(ch.weight * ch.effect() for ch in m.jump_channels)
-        )[-1]) if self.K else 0.0
+        # lambda_max(D2), D2 = sum_k nu_k E_k: the largest total jump intensity of any state
+        self.peak_total = float(np.linalg.eigvalsh(m.d2)[-1]) if self.K else 0.0
 
     def kraus(self, dt: float) -> np.ndarray:
         """The Kraus stack at step dt, built on first use and kept per dt

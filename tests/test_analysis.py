@@ -155,6 +155,23 @@ class TestBlochHistogram:
         ti = np.nonzero(hist.counts)[0]
         assert list(ti) == [0]  # dominant eigenvector is +z
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"polar_axis": (np.nan, 0.0, 1.0)},
+            {"polar_axis": (np.inf, 0.0, 0.0)},
+            {"polar_axis": (0.0, 1.0)},
+            {"polar_axis": (0.0, 0.0, 0.0)},
+            {"grid": (12,)},
+            {"grid": (12, 24, 2)},
+        ],
+        ids=["nan_axis", "inf_axis", "two_vector_axis", "zero_axis", "one_count", "three_counts"],
+    )
+    def test_malformed_axis_or_grid_raises(self, excited, kwargs):
+        # a RuntimeWarning on the way is an error too (see pyproject.toml)
+        with pytest.raises(ValidationError):
+            empirical_invariant_measure(constant_trajectory(excited), **kwargs)
+
     def test_wrong_dimension(self, rng):
         rho = QuantumState(random_density_matrix(3, rng))
         grid = TimeGrid(t_final=1.0, dt=0.01)

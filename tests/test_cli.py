@@ -229,6 +229,29 @@ class TestMasterAndEquilibrium:
         assert code == 1
         assert "error: ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"dimension": 2, "jump_channels": [{"weight": 1.0, "kraus": [[[1, 0], [0, 1]]]}]},
+            {"dimension": 2, "jump_channels": [{"label": "c", "weight": 1.0}]},
+            {"dimension": "two", "hamiltonian": [[1, 0], [0, -1]]},
+            {"dimension": 2, "hamiltonian": [[[1, 0, 3], 0], [0, -1]]},
+            {"dimension": 2, "jump_channels": [{"label": "c", "weight": "x",
+                                                "kraus": [[[1, 0], [0, 1]]]}]},
+            {"dimension": 2, "hamiltonian": [["a", 0], [0, -1]]},
+            {"dimension": 2, "diffusive_ops": 5},
+            5,
+        ],
+        ids=["no_label", "no_kraus", "word_dimension", "three_entry_pair", "word_weight",
+             "string_entry", "number_ops", "number"],
+    )
+    def test_malformed_model_exits_1(self, config, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = main(["equilibrium", "--model", str(path), "--output", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError")
+
 
 class TestCheckCommand:
     def test_heterodyne_report(self, het_model_file, capsys):
@@ -299,13 +322,20 @@ class TestCheckCommand:
         assert "error: ValidationError: cannot parse complex vector" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_misfit_point_exits_1_before_sampling(self, het_model_file, monkeypatch, capsys):
-        # a point of the wrong dimension fails at its own check, before the sampling
+    def test_misfit_point_exits_1_before_sampling(
+        self, het_model_file, tmp_path, monkeypatch, capsys
+    ):
+        # a point of the wrong dimension fails before the sampling, also on a
+        # direct-detection model, which has no diffusive operators to check it with
+        dir_model_file = tmp_path / "dir.json"
+        assert main(["atom", "--detection", "direct", "--alpha", "[[1.0, 0.0]]",
+                     "--lambda-inner", "[0.0, 1.0]", "--output", str(dir_model_file)]) == 0
         monkeypatch.setattr(qtraj.cli, "check_pure_preserving", _never("the sampling"))
-        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", "2000",
-                "--exceptional-point", "[[1, 0], [0, 0], [0, 0]]"]
-        assert main(argv) == 1
-        assert "error: DimensionMismatch" in capsys.readouterr().err
+        for path in (het_model_file, dir_model_file):
+            argv = ["check", "--model", str(path), "--seed", "1", "--samples", "2000",
+                    "--exceptional-point", "[[1, 0], [0, 0], [0, 0]]"]
+            assert main(argv) == 1
+            assert "error: DimensionMismatch" in capsys.readouterr().err
 
 
 class TestInvariantCommand:

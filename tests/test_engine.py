@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from qtraj import (
+    MeasurementModel,
     PureStateVector,
     QuantumState,
     TimeGrid,
@@ -54,15 +55,7 @@ def identity_jump_model(weight=1.0):
 def _with_diffusion(m, op=0.1 * SIGMA_Z):
     """m plus one diffusive operator: a model with both diffusive operators
     and m's jump channels, which takes the split step."""
-    return build_model(
-        {
-            "dimension": m.dim,
-            "hamiltonian": m.hamiltonian,
-            "diffusive_ops": [op],
-            "jump_channels": list(m.jump_channels),
-            "dissipative_ops": list(m.dissipative_ops),
-        }
-    )
+    return MeasurementModel(m.dim, m.hamiltonian, (op,), m.jump_channels, m.dissipative_ops)
 
 
 class TestTimeGrid:

@@ -3,6 +3,7 @@ import pytest
 
 from qtraj import (
     JumpChannel,
+    MeasurementModel,
     PureStateVector,
     apply_jump,
     apply_k,
@@ -89,8 +90,9 @@ class TestBuildModel:
             build_model({"dimension": 2})
 
     def test_trivial_model_warns(self):
-        with pytest.warns(EmptyModelWarning):
+        with pytest.warns(EmptyModelWarning) as record:
             build_model({"dimension": 2, "hamiltonian": np.zeros((2, 2))})
+        assert record[0].filename == __file__
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -105,11 +107,61 @@ class TestBuildModel:
         )
         assert np.allclose(m.hamiltonian, SIGMA_Y)
 
+    def test_channel_errors_pass_through(self):
+        bad = {"label": "c", "weight": -1.0, "kraus": [np.eye(2)]}
+        with pytest.raises(ValidationError) as exc:
+            build_model({"dimension": 2, "jump_channels": [bad]})
+        assert type(exc.value) is ValidationError
+        bad = {"label": "c", "weight": 1.0, "kraus": [np.eye(3)]}
+        with pytest.raises(DimensionMismatch):
+            build_model({"dimension": 2, "jump_channels": [bad]})
+
     def test_channel_validation(self):
         with pytest.raises(Exception):
             JumpChannel("x", -1.0, (np.eye(2),))
         with pytest.raises(Exception):
             JumpChannel("x", 1.0, ())
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_derives_what_build_model_derives(self, rng, n):
+        m = random_model(rng, n)
+        direct = MeasurementModel(
+            n, m.hamiltonian, m.diffusive_ops, m.jump_channels, m.dissipative_ops
+        )
+        for name in ("hamiltonian", "d1", "d2", "d3"):
+            assert np.array_equal(getattr(direct, name), getattr(m, name))
+            assert not getattr(direct, name).flags.writeable
+        assert direct.total_jump_mass == m.total_jump_mass
+
+    @pytest.mark.parametrize(
+        "error, config",
+        [
+            (NonHermitianH, {"dimension": 2, "hamiltonian": SIGMA_X + 1j * SIGMA_Y}),
+            (DimensionMismatch, {"dimension": 3, "hamiltonian": SIGMA_Z}),
+            (DimensionMismatch, {"dimension": 3, "diffusive_ops": [SIGMA_MINUS]}),
+            (ValidationError, {"dimension": 0, "hamiltonian": np.zeros((1, 1))}),
+        ],
+        ids=["non_hermitian", "hamiltonian_dim", "operator_dim", "dim_0"],
+    )
+    def test_raises_where_build_model_does(self, error, config):
+        with pytest.raises(error) as built:
+            build_model(config)
+        kwargs = dict(config)
+        with pytest.raises(error) as direct:
+            MeasurementModel(kwargs.pop("dimension"), **kwargs)
+        assert str(direct.value) == str(built.value)
+
+    def test_channel_of_another_dimension(self):
+        channel = JumpChannel("c", 1.0, (SIGMA_MINUS,))
+        with pytest.raises(DimensionMismatch):
+            MeasurementModel(3, np.eye(3), jump_channels=(channel,))
+
+    def test_trivial_model_warns_at_the_call(self):
+        with pytest.warns(EmptyModelWarning) as record:
+            MeasurementModel(2)
+        assert record[0].filename == __file__
 
 
 class TestLiouvillian:
