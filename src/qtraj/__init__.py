@@ -13,7 +13,6 @@ from .analysis import (
     linear_entropy,
     quantum_variance,
     time_average_state,
-    traceless_hermitian_basis,
     variance_decomposition,
 )
 from .atom import (
@@ -42,8 +41,8 @@ from .linalg import (
     hs_norm,
     project_to_simplex,
     project_to_state,
-    random_density_matrix,
     trace_norm,
+    traceless_hermitian_basis,
 )
 from .master import (
     FlowResult,

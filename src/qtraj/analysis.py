@@ -23,13 +23,7 @@ from .errors import (
     NoDiffusiveChannels,
     ValidationError,
 )
-from .linalg import (  # traceless_hermitian_basis is re-exported
-    PureStateVector,
-    QuantumState,
-    _complement,
-    as_complex_matrix,
-    traceless_hermitian_basis,
-)
+from .linalg import PureStateVector, QuantumState, _complement, _count, as_complex_matrix
 from .model import MeasurementModel
 from .steps import _ModelArrays, _strat_a_b
 
@@ -54,18 +48,11 @@ def _check_burn_in(burn_in: float, t_final: float) -> None:
 
 
 def _check_grid(grid) -> tuple[int, int]:
-    """The (polar, azimuth) bin counts of a histogram grid, each >= 1."""
+    """The (polar, azimuth) bin counts of a histogram grid, integers >= 1."""
     if np.shape(grid) != (2,):
         raise ValidationError(f"histogram grid must be two bin counts, got {grid!r}")
-    n_polar, n_azimuth = int(grid[0]), int(grid[1])
-    if n_polar < 1 or n_azimuth < 1:
-        raise ValidationError("histogram grid must be at least 1x1")
-    return n_polar, n_azimuth
-
-
-def _check_max_depth(max_depth: int) -> None:
-    if max_depth < 1:
-        raise ValidationError("max_depth must be >= 1")
+    return tuple(_count(n, "histogram bin count", "histogram grid must be at least 1x1")
+                 for n in grid)
 
 
 def _window(traj: PosteriorTrajectory, burn_in: float):
@@ -121,6 +108,8 @@ def variance_decomposition(
     their sum converges to D^2(a; eta_eq) as the horizon grows.
     """
     a = as_complex_matrix(a, dim=eta_eq.dim)
+    if traj.state_path.shape[1] != eta_eq.dim:
+        raise DimensionMismatch("trajectory dimension does not match eta_eq")
     times, states, _ = _window(traj, burn_in)
     span = times[-1] - times[0]
     adag = a.conj().T
@@ -150,6 +139,8 @@ def build_ergodic_report(
     observables: dict[str, np.ndarray],
     burn_in: float = 0.0,
 ) -> ErgodicReport:
+    if traj.state_path.shape[1] != eta_eq.dim:
+        raise DimensionMismatch("trajectory dimension does not match eta_eq")
     avg = time_average_state(traj, burn_in)
     dist = float(np.linalg.norm(avg.matrix - eta_eq.matrix))
     decomp = {
@@ -304,7 +295,7 @@ def lie_rank_check(m: MeasurementModel, psi: PureStateVector, max_depth: int = 3
     if not 2 <= n <= 4:
         # at n = 1 the pure states are one point, with no tangent directions
         raise ValidationError("Lie-rank check supports 2 <= dim <= 4")
-    _check_max_depth(max_depth)
+    max_depth = _count(max_depth, "max_depth")
 
     arr = _ModelArrays(m)
     x0 = arr.coords(psi.projector()[None])

@@ -22,7 +22,6 @@ from .analysis import (
     PAULI_Z,
     _check_burn_in,
     _check_grid,
-    _check_max_depth,
     build_ergodic_report,
     empirical_invariant_measure,
     lie_rank_check,
@@ -37,7 +36,7 @@ from .engine import (
     simulate_posterior,
 )
 from .errors import DimensionMismatch, NumericalError, ValidationError
-from .linalg import PureStateVector, QuantumState, _philox, haar_random_state_vector
+from .linalg import PureStateVector, QuantumState, _count, _philox, haar_random_state_vector
 from .master import equilibrium, evolve_master
 from .model import (
     check_ellipticity,
@@ -151,7 +150,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_check(args) -> int:
     model, mhash = load_model(args.model)
-    _check_max_depth(args.lie_depth)
+    _count(args.lie_depth, "max_depth")
     points = [_unit_vector(text, model.dim) for text in args.exceptional_point or []]
     at_points: dict = {}  # before the sampling, so a misfit point costs none of it
     for i, psi in enumerate(points if model.n_diffusive else []):

@@ -54,7 +54,7 @@ from .errors import (
     NotPurePreserving,
     ValidationError,
 )
-from .linalg import PureStateVector, QuantumState, _philox, _philox_key, _philox_state
+from .linalg import PureStateVector, QuantumState, _count, _philox, _philox_key, _philox_state
 from .model import MeasurementModel
 
 # The driver calls the kernels through this module's names, so patching
@@ -112,18 +112,17 @@ class TimeGrid:
 class OutputRecord:
     """Measurement record of one trajectory.
 
-    ``wiener`` holds per-step increments of the driving Wiener processes
-    (under the reference law for the linear scheme; reconstructed output
-    increments dW = dW~ + m dt under the physical law otherwise).
-    ``compensated_wiener`` holds the standard increments dW~ drawn when
-    simulating under the physical law, else None.  ``n_channels`` is the
-    model's number K of jump channels; every event (step, k) has k < K.
+    Both output processes are stored as per-step increments in one layout,
+    row i for the step from t_i to t_{i+1}: ``wiener`` (n_steps, d) holds dW
+    (under the reference law for the linear scheme; the output increments
+    dW = dW~ + m dt under the physical law otherwise) and ``jump_counts``
+    (n_steps, K) int64 the counts dN_k.  ``compensated_wiener`` holds the
+    standard increments dW~ drawn under the physical law, else None.
     """
 
     wiener: np.ndarray
-    jump_events: list[tuple[int, int]]
+    jump_counts: np.ndarray
     compensated_wiener: np.ndarray | None = None
-    n_channels: int = 0
 
 
 @dataclass
@@ -231,16 +230,13 @@ class _PathCollector:
     def result(self, underflow: bool):
         """The public trajectory, with the path converted to matrices once."""
         states = self.arr.matrices(self.rows)
-        steps, ks = np.nonzero(self.fired)
-        counts = self.fired[steps, ks]
-        jumps = list(zip(np.repeat(steps, counts).tolist(), np.repeat(ks, counts).tolist()))
         if self.mode == "linear":
-            output = OutputRecord(self.dW, jumps, n_channels=self.arr.K)
+            output = OutputRecord(self.dW, self.fired)
             weights = self.arr.tr0 * self.rows[:, 0]
             return LinearTrajectory(self.grid, states, weights, output, self.entropy, underflow)
         # output increments dW = dW~ + m dt, m at the row each step starts from
         m_drift = _cols(self.rows[:-1].T, self.arr.drift).T
-        output = OutputRecord(self.dW + m_drift * self.grid.dt, jumps, self.dW, self.arr.K)
+        output = OutputRecord(self.dW + m_drift * self.grid.dt, self.fired, self.dW)
         defect = float(np.fmax.reduce(self.defect, initial=0.0))
         return PosteriorTrajectory(self.grid, states, output, self.entropy, defect)
 
@@ -443,24 +439,31 @@ def _simulate_batch(
     return failed_at > n_steps, underflow
 
 
-def _prepare_rho0(m: MeasurementModel, rho0: QuantumState) -> np.ndarray:
-    if rho0.dim != m.dim:
-        raise DimensionMismatch("initial state dimension does not match the model")
-    return np.array(rho0.matrix)
+def _initial(m: MeasurementModel, mode: str, state) -> np.ndarray:
+    """The initial matrix of a run, by the rule ``run_ensemble`` states."""
+    if state.dim != m.dim:
+        kind = "vector" if isinstance(state, PureStateVector) else "state"
+        raise DimensionMismatch(f"initial {kind} dimension does not match the model")
+    if mode == "stratonovich":
+        if m.n_jump:
+            raise JumpChannelsPresent("stratonovich scheme requires a diffusive model")
+        if m.dissipative_nonzero:
+            raise NotPurePreserving("dissipative operators break pure-state preservation")
+        if m.n_diffusive == 0:
+            raise NoDiffusiveChannels("stratonovich scheme needs diffusive operators")
+    if isinstance(state, PureStateVector):
+        return state.projector()
+    if mode != "stratonovich":
+        return np.array(state.matrix)
+    evals, evecs = np.linalg.eigh(state.matrix)
+    if 1.0 - float(evals[-1]) > 1e-9:
+        raise ValidationError("stratonovich mode needs a pure initial state")
+    return np.outer(evecs[:, -1], evecs[:, -1].conj())
 
 
-def _check_stratonovich_model(m: MeasurementModel) -> None:
-    """The Stratonovich scheme needs a diffusive, pure-state-preserving model."""
-    if m.n_jump:
-        raise JumpChannelsPresent("stratonovich scheme requires a diffusive model")
-    if m.dissipative_nonzero:
-        raise NotPurePreserving("dissipative operators break pure-state preservation")
-    if m.n_diffusive == 0:
-        raise NoDiffusiveChannels("stratonovich scheme needs diffusive operators")
-
-
-def _simulate_path(m, mode, rho0_mat, grid, seed):
+def _simulate_path(m, mode, state, grid, seed):
     """One trajectory recorded in full, as its public trajectory result."""
+    rho0_mat = _initial(m, mode, state)
     arr = _ModelArrays(m)
     coll = _PathCollector(arr, mode, grid)
     _, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll)
@@ -475,7 +478,7 @@ def simulate_linear(
     Deterministic given the seed.  The trace is kept as the trajectory
     weight and is never renormalized; every state on the path is positive.
     """
-    return _simulate_path(m, "linear", _prepare_rho0(m, rho0), grid, seed)
+    return _simulate_path(m, "linear", rho0, grid, seed)
 
 
 def simulate_posterior(
@@ -490,7 +493,7 @@ def simulate_posterior(
     lambda_max(sum_k nu_k E_k) dt, exceeds 4, every step is split into the
     fewest equal substeps that bring it within 4.
     """
-    return _simulate_path(m, "posterior", _prepare_rho0(m, rho0), grid, seed)
+    return _simulate_path(m, "posterior", rho0, grid, seed)
 
 
 def simulate_stratonovich_pure(
@@ -498,14 +501,12 @@ def simulate_stratonovich_pure(
 ) -> PosteriorTrajectory:
     """Heun integration of the Stratonovich pure-state system.
 
-    Only defined for diffusive, pure-state-preserving models; every step is
-    re-projected onto the dominant eigenvector, and the largest observed
-    pre-projection purity defect is reported on the trajectory.
+    Starts from the projector of ``psi0`` under the rule of ``run_ensemble``'s
+    stratonovich mode.  Every step is re-projected onto the dominant
+    eigenvector, and the largest observed pre-projection purity defect is
+    reported on the trajectory.
     """
-    _check_stratonovich_model(m)
-    if psi0.dim != m.dim:
-        raise DimensionMismatch("initial vector dimension does not match the model")
-    return _simulate_path(m, "stratonovich", psi0.projector(), grid, seed)
+    return _simulate_path(m, "stratonovich", psi0, grid, seed)
 
 
 # -- ensembles ----------------------------------------------------------------
@@ -561,6 +562,9 @@ def run_ensemble(
     the mean state is the plain average of the unnormalized matrices, which
     estimates the a-priori state by reweighting; in posterior and
     stratonovich modes it is the average of the normalized states.
+    ``rho0`` must have the model's dimension.  Stratonovich mode needs a
+    diffusive, pure-state-preserving model and a pure ``rho0`` (top
+    eigenvalue within 1e-9 of 1), and starts from its top eigenvector.
 
     Trajectories run in blocks of ``_BLOCK``.  With P = min(``QTRAJ_THREADS``,
     blocks), the calling process runs blocks 0, P, 2P, ... while a pool of
@@ -571,21 +575,12 @@ def run_ensemble(
     in ``simulate_posterior``.  Every key is checked before the first block
     runs.
     """
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
+    n_traj = _count(n_traj, "n_traj")
     _philox_key(seed)
     _philox_key(seed + n_traj - 1)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}")
-    if mode == "stratonovich":
-        _check_stratonovich_model(m)
-        evals, evecs = np.linalg.eigh(rho0.matrix)
-        if 1.0 - float(evals[-1]) > 1e-9:
-            raise ValidationError("stratonovich mode needs a pure initial state")
-        top = evecs[:, -1]
-        rho0_mat = np.outer(top, top.conj())
-    else:
-        rho0_mat = _prepare_rho0(m, rho0)
+    rho0_mat = _initial(m, mode, rho0)
     if observable is not None:
         observable = np.asarray(observable, dtype=np.complex128)
         if observable.shape != (m.dim, m.dim):

@@ -234,6 +234,18 @@ def project_to_state(a: np.ndarray) -> QuantumState:
     return QuantumState(hermitize((evecs * project_to_simplex(evals)) @ evecs.conj().T))
 
 
+def _count(value, name: str, low: str | None = None) -> int:
+    """``value`` as a count >= 1; one that is not an integer (Python or numpy) is
+    refused, not truncated, and one below 1 raises ``low`` or "<name> must be >= 1"."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+    if count < 1:
+        raise ValidationError(low or f"{name} must be >= 1")
+    return count
+
+
 def _philox_key(key) -> int:
     """``key`` as a Philox4x64 key, which lies in [0, 2^128); a seed that is
     not an integer (Python or numpy) is refused, not truncated."""
@@ -275,9 +287,3 @@ def haar_random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
         nrm = np.linalg.norm(z)
     return z / nrm
 
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank state from a Ginibre matrix G: G G* / tr(G G*)."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     PureStateVector,
     QuantumState,
+    _count,
     _expm,
     as_complex_matrix,
     coherence_basis,
@@ -82,6 +83,8 @@ def evolve_master(
     exactly and the states positive, so the outputs are the coordinates'
     matrices, unrepaired and checked in one batch.
     """
+    if rho0.dim != m.dim:
+        raise DimensionMismatch("initial state dimension does not match the model")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.shape[0] == 0:
         raise ValidationError("times must be a nonempty 1-D sequence")
@@ -168,8 +171,7 @@ def deterministic_flow(
         raise DimensionMismatch("initial vector dimension does not match the model")
     if not (t_final > 0 and np.isfinite(t_final)):
         raise ValidationError("t_final must be positive and finite")
-    if n_points < 1:
-        raise ValidationError("n_points must be >= 1")
+    n_points = _count(n_points, "n_points")
 
     delta = t_final / n_points
     prop = _expm(sign * delta * m.diffusive_ops[op_index])

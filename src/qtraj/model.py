@@ -24,6 +24,7 @@ share across threads.
 
 from __future__ import annotations
 
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .errors import (
 from .linalg import (
     PureStateVector,
     _complement,
+    _count,
     _philox,
     as_complex_matrix,
     haar_random_state_vector,
@@ -110,8 +112,8 @@ class JumpChannel:
 class MeasurementModel:
     """Immutable bundle (H, {L_j}, jump channels, {S_h}) plus derived sums.
 
-    Construction checks dim >= 1, square finite matrices and channels of
-    dimension dim, and H Hermitian within 1e-12 * dim (None means H = 0); it
+    Construction checks an integer dim >= 1, square finite matrices and
+    channels of dimension dim, H Hermitian within 1e-12 * dim (None is 0); it
     warns when H = 0 and there are no channels, freezes the operators and
     derives d1, d2, d3 and total_jump_mass.
     """
@@ -127,9 +129,7 @@ class MeasurementModel:
     total_jump_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
-        dim = self.dim
-        if dim < 1:
-            raise ValidationError(f"dimension must be >= 1, got {dim}")
+        dim = _count(self.dim, "dimension", f"dimension must be >= 1, got {self.dim}")
         ham = self.hamiltonian
         ham = as_complex_matrix(np.zeros((dim, dim)) if ham is None else ham, dim=dim)
         if hs_norm(ham - ham.conj().T) > 1e-12 * dim:
@@ -188,7 +188,10 @@ def build_model(config) -> MeasurementModel:
     try:
         if "dimension" not in config:
             raise ValidationError("config must supply 'dimension'")
-        dim = int(config["dimension"])
+        dim = config["dimension"]
+        if isinstance(dim, bool):
+            raise TypeError(f"dimension must be an integer, not {dim!r}")
+        dim = int(dim) if isinstance(dim, float) and dim.is_integer() else operator.index(dim)
         keys = ("hamiltonian", "diffusive_ops", "jump_channels", "dissipative_ops")
         if not any(config.get(key) is not None and len(config[key]) > 0 for key in keys):
             raise EmptyModel("config supplies neither a Hamiltonian nor any channel")
@@ -300,8 +303,7 @@ def check_pure_preserving(
     eigenvalue of J_k[|psi><psi|] must not exceed 1e-8 times its trace
     whenever the trace exceeds 1e-12.
     """
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
+    n_samples = _count(n_samples, "n_samples")
     witnesses: list[tuple[np.ndarray, int]] = []
     rng = _philox(rng_seed)
     for _ in range(n_samples):

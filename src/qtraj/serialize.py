@@ -18,7 +18,7 @@ line (model hash, command, seed, dt, scheme, version), the header, then the
 given column arrays side by side, integers as integers and floats with 17
 significant digits, so reruns can be compared byte for byte.  The writers
 only arrange arrays the results already hold (plus running sums of the
-output record); no physical quantity is derived here.
+output record's increments); no physical quantity is derived here.
 """
 
 from __future__ import annotations
@@ -135,17 +135,12 @@ def write_trajectory_csv(path, traj, meta: dict) -> None:
         states, weights, prefix = traj.state_path, np.ones(len(traj.state_path)), "rho"
     else:
         raise ConfigError(f"unsupported trajectory type {type(traj)!r}")
-    wiener = traj.output.wiener
-    cum_w = np.vstack([np.zeros((1, wiener.shape[1])), np.cumsum(wiener, axis=0)])
-    n_channels = traj.output.n_channels
-    cum_n = np.zeros((len(states), n_channels), dtype=np.int64)
-    for step, k in traj.output.jump_events:
-        cum_n[step + 1, k] += 1
-    np.cumsum(cum_n, axis=0, out=cum_n)
+    cum_w, cum_n = (np.vstack([np.zeros_like(inc[:1]), np.cumsum(inc, axis=0)])
+                    for inc in (traj.output.wiener, traj.output.jump_counts))
 
     header = ["t"] + _state_header(prefix, states.shape[1]) + ["weight", "entropy"]
-    header += [f"cum_W{j}" for j in range(wiener.shape[1])]
-    header += [f"cum_N{k}" for k in range(n_channels)]
+    header += [f"cum_W{j}" for j in range(cum_w.shape[1])]
+    header += [f"cum_N{k}" for k in range(cum_n.shape[1])]
     columns = [traj.grid.times, states, weights, traj.entropy_path, cum_w, cum_n]
     _write_table(path, meta, header, columns)
 

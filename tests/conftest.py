@@ -71,3 +71,10 @@ def random_hermitian(rng, n):
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_density_matrix(dim, rng):
+    """Random full-rank state from a Ginibre matrix G: G G* / tr(G G*)."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real

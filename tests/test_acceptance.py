@@ -26,7 +26,6 @@ from qtraj import (
     haar_random_state_vector,
     hs_norm,
     lie_rank_check,
-    random_density_matrix,
     run_ensemble,
     simulate_posterior,
     standard_direct,
@@ -39,7 +38,7 @@ from qtraj import (
 )
 from qtraj.analysis import PAULI_X, PAULI_Z
 
-from conftest import random_complex
+from conftest import random_complex, random_density_matrix
 from test_model import random_model
 
 MIXED = QuantumState(np.eye(2, dtype=complex) / 2)

@@ -13,7 +13,6 @@ from qtraj import (
     lie_rank_check,
     linear_entropy,
     quantum_variance,
-    random_density_matrix,
     simulate_posterior,
     standard_heterodyne,
     standard_homodyne,
@@ -26,7 +25,7 @@ from qtraj.analysis import _brackets
 from qtraj.engine import OutputRecord, _ModelArrays
 from qtraj.errors import DimensionNotTwo, EmptyAverageWindow, NoDiffusiveChannels, ValidationError
 
-from conftest import SIGMA_MINUS, SIGMA_Z, random_complex
+from conftest import SIGMA_MINUS, SIGMA_Z, random_complex, random_density_matrix
 
 
 def constant_trajectory(rho, t_final=1.0, dt=0.01):
@@ -36,7 +35,7 @@ def constant_trajectory(rho, t_final=1.0, dt=0.01):
     return PosteriorTrajectory(
         grid=grid,
         state_path=path,
-        output=OutputRecord(np.zeros((grid.n_steps, 0)), []),
+        output=OutputRecord(np.zeros((grid.n_steps, 0)), np.zeros((grid.n_steps, 0), np.int64)),
         entropy_path=np.full(grid.n_steps + 1, g),
     )
 
@@ -164,8 +163,11 @@ class TestBlochHistogram:
             {"polar_axis": (0.0, 0.0, 0.0)},
             {"grid": (12,)},
             {"grid": (12, 24, 2)},
+            {"grid": (12.9, 3.5)},
+            {"grid": (0, 24)},
         ],
-        ids=["nan_axis", "inf_axis", "two_vector_axis", "zero_axis", "one_count", "three_counts"],
+        ids=["nan_axis", "inf_axis", "two_vector_axis", "zero_axis", "one_count", "three_counts",
+             "fractional_counts", "zero_count"],
     )
     def test_malformed_axis_or_grid_raises(self, excited, kwargs):
         # a RuntimeWarning on the way is an error too (see pyproject.toml)
@@ -179,7 +181,7 @@ class TestBlochHistogram:
         traj = PosteriorTrajectory(
             grid=grid,
             state_path=path,
-            output=OutputRecord(np.zeros((grid.n_steps, 0)), []),
+            output=OutputRecord(np.zeros((grid.n_steps, 0)), np.zeros((grid.n_steps, 0), np.int64)),
             entropy_path=np.zeros(grid.n_steps + 1),
         )
         with pytest.raises(DimensionNotTwo):
@@ -229,6 +231,13 @@ class TestLieRank:
     def test_requires_diffusive(self, direct_model):
         with pytest.raises(NoDiffusiveChannels):
             lie_rank_check(direct_model, PureStateVector([1.0, 0.0]))
+
+    @pytest.mark.parametrize("max_depth", [0, 2.5, np.float64(3.0)])
+    def test_depth_is_an_integer_of_at_least_one(self, heterodyne_model, max_depth):
+        # a depth is not rounded: 2.5 would run to depth 3, full at the ground state where 2 is not
+        assert not lie_rank_check(heterodyne_model, PureStateVector([0.0, 1.0]), 2).full
+        with pytest.raises(ValidationError, match="^max_depth must be"):
+            lie_rank_check(heterodyne_model, PureStateVector([0.0, 1.0]), max_depth)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_diffusion_bracket_closed_form(self, n):

@@ -241,9 +241,13 @@ class TestMasterAndEquilibrium:
             {"dimension": 2, "hamiltonian": [["a", 0], [0, -1]]},
             {"dimension": 2, "diffusive_ops": 5},
             5,
+            {"dimension": 2.7, "hamiltonian": [[1, 0], [0, -1]]},
+            {"dimension": True, "hamiltonian": [[1]]},
+            {"dimension": "2", "hamiltonian": [[1, 0], [0, -1]]},
         ],
         ids=["no_label", "no_kraus", "word_dimension", "three_entry_pair", "word_weight",
-             "string_entry", "number_ops", "number"],
+             "string_entry", "number_ops", "number", "fractional_dimension", "bool_dimension",
+             "digit_string_dimension"],
     )
     def test_malformed_model_exits_1(self, config, tmp_path, capsys):
         path = tmp_path / "bad.json"

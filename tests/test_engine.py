@@ -17,20 +17,26 @@ from qtraj import (
     apply_l0,
     apply_l1,
     apply_liouvillian,
+    build_ergodic_report,
     build_model,
+    check_ellipticity,
     deterministic_flow,
     evolve_master,
     generate_atom_model,
     hs_norm,
+    lie_rank_check,
+    quantum_variance,
     run_ensemble,
     simulate_linear,
     simulate_posterior,
     simulate_stratonovich_pure,
     standard_direct,
+    variance_decomposition,
 )
 from qtraj import engine, linalg, master, steps
 from qtraj.engine import _ModelArrays, _strat_a_b
 from qtraj.errors import (
+    DimensionMismatch,
     EnsembleFailure,
     JumpChannelsPresent,
     MultipleDiffusiveOps,
@@ -164,14 +170,14 @@ class TestSimulatePosterior:
         grid = TimeGrid(t_final=0.05, dt=1e-3)
         traj = simulate_posterior(m, mixed, grid, seed=31)
         assert np.abs(traj.state_path - mixed.matrix).max() < 1e-12
-        assert len(traj.output.jump_events) > 0
+        assert traj.output.jump_counts.sum() > 0
         # with a diffusive operator at 5 expected jumps per step the split
         # model takes 2 substeps, and its path records the jumps
         split = _with_diffusion(identity_jump_model(weight=5000.0))
         assert _ModelArrays(split).substeps(grid.dt) == 2
         traj = simulate_posterior(split, mixed, grid, seed=31)
         assert np.isfinite(traj.state_path).all()
-        assert len(traj.output.jump_events) > 0
+        assert traj.output.jump_counts.sum() > 0
 
     def test_substep_count_forgives_rounding(self):
         # peak total intensity 300.00000000000006: at dt = 0.08 the bound
@@ -439,7 +445,7 @@ class TestDeterministicFlow:
         res = deterministic_flow(m, psi0, t_final=30.0, sign=-1)
         assert hs_norm(res.states[-1].matrix - np.diag([0.0, 1.0])) < 1e-9
 
-    @pytest.mark.parametrize("n_points", [0, -1])
+    @pytest.mark.parametrize("n_points", [0, -1, 2.5])
     def test_rejects_no_points(self, decay_model, n_points):
         with pytest.raises(ValidationError, match="n_points"):
             deterministic_flow(decay_model, PureStateVector([1.0, 0.0]), 1.0, n_points=n_points)
@@ -481,7 +487,7 @@ class TestLinearStepPositivity:
         # seed 4 fires sigma_- at the first step, on |g><g|, whose image is 0
         grid = TimeGrid(t_final=1.0, dt=1e-3)
         traj = simulate_linear(direct_model, ground, grid, seed=4)
-        assert traj.output.jump_events[0] == (0, 0)
+        assert traj.output.jump_counts[0, 0] > 0
         assert np.isfinite(traj.sigma_path).all()
         traces = np.einsum("tii->t", traj.sigma_path).real
         assert np.abs(traces - traj.weight_path).max() < 1e-12
@@ -623,7 +629,7 @@ class TestRunEnsemble:
                 assert np.array_equal(got.state_path, want.state_path)
                 assert np.array_equal(got.entropy_path, want.entropy_path)
                 assert np.array_equal(got.output.wiener, want.output.wiener)
-                assert got.output.jump_events == want.output.jump_events
+                assert np.array_equal(got.output.jump_counts, want.output.jump_counts)
 
     def test_pool_starts_no_idle_workers(self, heterodyne_model, mixed, monkeypatch):
         sizes, mapped = [], []
@@ -703,6 +709,55 @@ class TestRunEnsemble:
         stats = run_ensemble(direct_model, mixed, grid, 64, seed=19, mode="posterior")
         assert stats.jump_count_mean[0] > 0.0
         assert stats.jump_count_se[0] > 0.0
+
+    def test_single_trajectory_record_holds_its_jump_counts(self, direct_model, mixed):
+        grid = TimeGrid(t_final=2.0, dt=1e-3)
+        stats = run_ensemble(direct_model, mixed, grid, 1, seed=19, mode="posterior")
+        counts = stats.trajectory.output.jump_counts
+        assert counts.shape == (grid.n_steps, 1) and counts.dtype == np.int64
+        assert counts.sum() > 0
+        assert np.array_equal(counts.sum(axis=0), stats.jump_count_mean)
+
+    @pytest.mark.parametrize("n_traj", [0, 2.5, np.float64(2.0), "2"])
+    def test_trajectory_count_is_an_integer_of_at_least_one(self, heterodyne_model, mixed,
+                                                            n_traj):
+        # the count is checked before the keys, so 2.5 is not blamed on the seed
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        with pytest.raises(ValidationError, match="^n_traj must be"):
+            run_ensemble(heterodyne_model, mixed, grid, n_traj, seed=3, mode="posterior")
+
+
+# -- every state is checked against the model's dimension ----------------------
+
+_GRID = TimeGrid(t_final=0.01, dt=1e-3)
+_RHO3 = QuantumState(np.diag([1.0, 0.0, 0.0]).astype(complex))
+_PSI3 = PureStateVector([1.0, 0.0, 0.0])
+
+# each call gets a 2-level model (the homodyne atom) and a 2-level trajectory
+_WRONG_DIMENSION = {
+    "simulate_linear": lambda m, traj: simulate_linear(m, _RHO3, _GRID, 1),
+    "simulate_posterior": lambda m, traj: simulate_posterior(m, _RHO3, _GRID, 1),
+    "simulate_stratonovich_pure": lambda m, traj: simulate_stratonovich_pure(m, _PSI3, _GRID, 1),
+    "run_ensemble_linear": lambda m, traj: run_ensemble(m, _RHO3, _GRID, 4, 1, "linear"),
+    "run_ensemble_posterior": lambda m, traj: run_ensemble(m, _RHO3, _GRID, 4, 1, "posterior"),
+    "run_ensemble_stratonovich":
+        lambda m, traj: run_ensemble(m, _RHO3, _GRID, 4, 1, "stratonovich"),
+    "evolve_master": lambda m, traj: evolve_master(m, _RHO3, [0.0, 1.0]),
+    "deterministic_flow": lambda m, traj: deterministic_flow(m, _PSI3, 1.0),
+    "lie_rank_check": lambda m, traj: lie_rank_check(m, _PSI3),
+    "check_ellipticity": lambda m, traj: check_ellipticity(m, _PSI3),
+    "quantum_variance": lambda m, traj: quantum_variance(SIGMA_Z, _RHO3),
+    "variance_decomposition": lambda m, traj: variance_decomposition(np.eye(3), traj, _RHO3),
+    "build_ergodic_report":
+        lambda m, traj: build_ergodic_report(traj, _RHO3, {"sigma_z": SIGMA_Z}),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_DIMENSION))
+def test_state_of_another_dimension_is_a_dimension_mismatch(name, homodyne_model, mixed):
+    traj = simulate_posterior(homodyne_model, mixed, _GRID, 1)
+    with pytest.raises(DimensionMismatch):
+        _WRONG_DIMENSION[name](homodyne_model, traj)
 
 
 # -- step kernels against a reference written with model.apply_* --------------
@@ -1265,9 +1320,7 @@ class TestRowCollectors:
             entropy = np.stack([t.entropy_path for t in trajs])
             wiener = np.stack([t.output.compensated_wiener for t in trajs])
         obs = np.einsum("ij,ktji->kt", SIGMA_X.conj().T, states)
-        jumps = np.array(
-            [np.bincount([k for _, k in t.output.jump_events], minlength=m.n_jump) for t in trajs]
-        )
+        jumps = np.array([t.output.jump_counts.sum(axis=0) for t in trajs])
         if case == "jumps":
             assert jumps.sum() > 0
         w_mean = wiener.mean(axis=(0, 1))
@@ -1326,7 +1379,7 @@ class TestRowCollectors:
                 if hasattr(want, name):
                     assert np.array_equal(getattr(got, name), getattr(want, name))
             assert np.array_equal(got.output.wiener, want.output.wiener)
-            assert got.output.jump_events == want.output.jump_events
+            assert np.array_equal(got.output.jump_counts, want.output.jump_counts)
             if mode != "linear":
                 assert np.array_equal(
                     got.output.compensated_wiener, want.output.compensated_wiener
@@ -1408,7 +1461,7 @@ class TestFailedTrajectory:
                 np.testing.assert_allclose(got_se[recs], se, rtol=0, atol=1e-12)
 
         # jump totals: the survivors only; Wiener sums: the failed row before step STEP
-        counts = np.array([len(trajs[i].output.jump_events) for i in survivors])
+        counts = np.array([trajs[i].output.jump_counts.sum() for i in survivors])
         assert counts.sum() > 0
         np.testing.assert_allclose(stats.jump_count_mean, [counts.mean()], rtol=1e-12)
         dw = [t.output.wiener if mode == "linear" else t.output.compensated_wiener for t in trajs]
@@ -1418,12 +1471,12 @@ class TestFailedTrajectory:
 
     def test_failed_row_jump_total_stops_at_failure(self, monkeypatch, mixed):
         m = _mixed_jump_model()
-        want = simulate_posterior(m, mixed, self.GRID, self.SEED + self.ROW).output.jump_events
+        want = simulate_posterior(m, mixed, self.GRID, self.SEED + self.ROW).output.jump_counts
         self._poisoned(monkeypatch, "_step_posterior")
         seeds = [self.SEED + i for i in range(self.N_TRAJ)]
         coll = engine._run_block((m, "posterior", mixed.matrix, self.GRID, seeds, None, True))
         assert np.flatnonzero(~coll.alive).tolist() == [self.ROW]
-        assert coll.jump_totals[0, self.ROW] == sum(step < self.STEP for step, _ in want)
+        assert coll.jump_totals[0, self.ROW] == want[: self.STEP].sum()
 
     @pytest.mark.parametrize("n_poisoned", [2, 3])
     def test_ensemble_fails_above_one_percent(self, n_poisoned, monkeypatch, mixed):
@@ -1486,15 +1539,15 @@ class TestFlushSize:
         )
         ref = runs[-1]
         if mode == "counting":  # several jumps in one step, in the first chunk
-            jump_steps = [step for step, _ in ref.trajectory.output.jump_events]
-            assert np.bincount(jump_steps)[:20].max() >= 2
+            per_step = ref.trajectory.output.jump_counts.sum(axis=1)
+            assert per_step[:20].max() >= 2
         for got in runs[:-1]:
             a, b = got.trajectory, ref.trajectory
             for name in ("sigma_path", "weight_path", "state_path", "entropy_path"):
                 if hasattr(b, name):
                     assert np.array_equal(getattr(a, name), getattr(b, name))
             assert np.array_equal(a.output.wiener, b.output.wiener)
-            assert a.output.jump_events == b.output.jump_events
+            assert np.array_equal(a.output.jump_counts, b.output.jump_counts)
             if mode != "linear":
                 assert np.array_equal(a.output.compensated_wiener, b.output.compensated_wiener)
             assert (got.n_failed, got.n_underflow) == (ref.n_failed, ref.n_underflow)
@@ -1519,12 +1572,12 @@ class TestFlushSize:
         assert _ModelArrays(m).substeps(grid.dt) == s
         monkeypatch.setattr(engine, "_CHUNK", 60)
         runs = self._runs(monkeypatch, lambda: simulate_posterior(m, rho0, grid, 5), 1)
-        assert len(runs[-1].output.jump_events) > 0
+        assert runs[-1].output.jump_counts.sum() > 0
         for got in runs[:-1]:
             assert np.array_equal(got.state_path, runs[-1].state_path)
             assert np.array_equal(got.entropy_path, runs[-1].entropy_path)
             assert np.array_equal(got.output.wiener, runs[-1].output.wiener)
-            assert got.output.jump_events == runs[-1].output.jump_events
+            assert np.array_equal(got.output.jump_counts, runs[-1].output.jump_counts)
 
 
 class TestPathwiseOracle:

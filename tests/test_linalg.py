@@ -8,12 +8,11 @@ from qtraj import (
     hs_norm,
     project_to_simplex,
     project_to_state,
-    random_density_matrix,
     trace_norm,
 )
 from qtraj.errors import DimensionMismatch, NotHermitian, ValidationError, ZeroTrace
 
-from conftest import SIGMA_Z, random_complex
+from conftest import SIGMA_Z, random_complex, random_density_matrix
 
 
 def svd_trace_norm(a):

@@ -9,14 +9,19 @@ from qtraj import (
     equilibrium,
     evolve_master,
     hs_norm,
-    random_density_matrix,
     vectorized_liouvillian,
 )
 from qtraj.errors import NonUniqueEquilibrium, ValidationError
 from qtraj.linalg import _expm
 from qtraj.master import _generator
 
-from conftest import SIGMA_MINUS, SIGMA_Z, random_complex, random_hermitian
+from conftest import (
+    SIGMA_MINUS,
+    SIGMA_Z,
+    random_complex,
+    random_density_matrix,
+    random_hermitian,
+)
 from test_model import random_model
 
 

@@ -16,10 +16,10 @@ from qtraj import (
     check_purification_obstruction_dim2,
     haar_random_state_vector,
     hs_norm,
-    random_density_matrix,
 )
 from qtraj.errors import (
     BadChannelIndex,
+    ConfigError,
     DimensionMismatch,
     DimensionNotTwo,
     EmptyModel,
@@ -29,7 +29,15 @@ from qtraj.errors import (
     ValidationError,
 )
 
-from conftest import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, random_complex
+from conftest import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    random_complex,
+    random_density_matrix,
+)
 
 
 def random_model(rng, n=2):
@@ -97,6 +105,18 @@ class TestBuildModel:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_model({"dimension": 3, "hamiltonian": SIGMA_Z})
+
+    @pytest.mark.parametrize("dim", [2.7, True, "2", np.inf])
+    def test_dimension_is_an_integer(self, dim):
+        # not read with int(), which makes 2.7 and "2" a 2-level model and true a 1-level one
+        with pytest.raises(ConfigError, match="TypeError"):
+            build_model({"dimension": dim, "hamiltonian": [[1.0]]})
+
+    def test_integral_float_dimension_is_read(self):
+        # a JSON 2.0 is a dimension; the constructor itself takes integers only
+        assert build_model({"dimension": 2.0, "hamiltonian": SIGMA_Z}).dim == 2
+        with pytest.raises(ValidationError, match="^dimension must be an integer"):
+            MeasurementModel(2.0, SIGMA_Z)
 
     def test_nested_pair_parsing(self):
         m = build_model(
@@ -332,6 +352,11 @@ class TestPurePreserving:
             }
         )
         assert check_pure_preserving(m, n_samples=10, rng_seed=2).verdict
+
+    @pytest.mark.parametrize("n_samples", [0, 2.5])
+    def test_sample_count_is_an_integer_of_at_least_one(self, heterodyne_model, n_samples):
+        with pytest.raises(ValidationError, match="^n_samples must be"):
+            check_pure_preserving(heterodyne_model, n_samples=n_samples, rng_seed=1)
 
 
 class TestObstruction:
