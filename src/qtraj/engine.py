@@ -11,15 +11,16 @@ trajectory's path does not depend on its batch for n <= 8, on
 scipy-openblas 0.3.31 (see ``steps``).  States are converted to complex
 matrices only when a public result is built.
 
-The step loop does per step only what the next step needs: the step, the
-weight-underflow reset and a finiteness check.  A row's trace is its
-trajectory's weight (always 1 outside linear mode), and the output drift of
-a step is a functional of the row it starts from, so neither is carried
-beside the rows.  Each step's output rows are buffered, and what is recorded
-from them (the entropy, the collector's statistics and paths) is computed
-once per flush, a block of up to ``_FLUSH`` row-steps ending at the latest
-with its noise chunk.  A single long trajectory therefore pays per step
-little more than its own products.
+The step loop does per step only the step and, in linear mode, the
+weight-underflow reset.  A row's trace is its trajectory's weight (always 1
+outside linear mode), and the output drift of a step is a functional of the
+row it starts from, so neither is carried beside the rows.  Each step's
+output rows are buffered; once per flush, a block of up to ``_FLUSH``
+row-steps ending at the latest with its noise chunk, one sum checks them
+for nan and inf (a failed row restarts from I/n and is stepped again on its
+own), and what is recorded (the entropy, the collector's statistics and
+paths) is computed.  So a long trajectory pays per step little more than
+its own products.
 
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes compute one
@@ -343,13 +344,19 @@ def _simulate_batch(
     throughout, as the kernels return them, and the loop handles it as
     their transpose, the (B, N) rows it passes to the kernels.
 
-    Each step does only what the next step needs: the step kernel, the
-    weight-underflow reset (linear mode, on the trace) and the finiteness
-    check with its reset.  It writes its outputs into buffers of
+    Each step runs the kernel and, in linear mode, the weight-underflow reset
+    of finite rows.  It writes its outputs into buffers of
     F = max(1, min(_FLUSH // B, chunk)) steps, with the batch as their
-    contiguous axis.  A flush, after F steps or at the end of a noise
-    chunk, computes the entropy of the whole (N, F, B) block and hands the
-    records to ``collector.collect`` in one call.
+    contiguous axis.  A flush, after F steps or at the end of a noise chunk,
+    checks finiteness with one ``np.add.reduce`` over the buffer.  A row
+    that failed was carried non-finite to there, with numpy's warnings off
+    (``np.errstate``), so failures show only as counts.  It restarts from
+    I/n at its first non-finite record, its ``failed_at`` unless it failed
+    before, and the same per-step body steps it alone, with its own noise,
+    to the end of the flush, again if it fails again; so every output is
+    that of a per-step check.  The flush then computes the entropy of the
+    whole (N, F, B) block and hands the records to ``collector.collect`` in
+    one call.
     Returns (alive, underflow) masks.
     """
     b = len(seeds)
@@ -383,6 +390,31 @@ def _simulate_batch(
         defect = None if dW is None or ds is None else ds[:count]
         collector.collect(i, cols, entropy, fired, dW, defect, recs > 0)
 
+    def advance(x, rows, j0):
+        """Step rows x, the batch's ``rows`` (a slice), through the flush's slots
+        j0 .. count - 1 with their noise, into the buffers; returns them."""
+        dWr, xb, fb, under = (a[..., rows] for a in (dWs, xs, fs, underflow))
+        ur = None if us is None else us[..., rows]
+        for j in range(j0, count):
+            dW, u = dWr[j].T, None if ur is None else ur[j].T
+            if linear:
+                x, fired = _step_linear(arr, x, dt, dW, u)
+                w = arr.tr0 * x[:, 0]
+                low = w < _WEIGHT_FLOOR
+                if low.any():
+                    low &= w > -math.inf  # a row of weight -inf has failed
+                    under |= low
+                    x[low & (w <= 0.0)] = _WEIGHT_FLOOR * arr.mixed
+            elif strat:
+                x, ds[j, rows] = _step_stratonovich(arr, x, dt, dW)
+            else:
+                noise = None if s == 1 else (normals[rows, f0 + j], uniforms[rows, f0 + j])
+                x, fired = _step_posterior(arr, x, dt, dW, u, s, noise)
+            xb[:, j] = x.T
+            if arr.K:  # without jump channels fs is empty
+                fb[:, j] = fired.T
+        return x
+
     xs[:, 0] = x.T
     flush_records(0, 1, None)
 
@@ -406,35 +438,22 @@ def _simulate_batch(
             count = min(flush, clen - f0)
             dWs = _batch_last(step_dW[:, f0:f0 + count])
             us = _batch_last(uniforms[:, f0:f0 + count]) if s == 1 else None
-            for j, dW in enumerate(dWs):
-                l = f0 + j
-                u = None if us is None else us[j].T
-                if linear:
-                    x, fired = _step_linear(arr, x, dt, dW.T, u)
-                    w = arr.tr0 * x[:, 0]
-                    low = w < _WEIGHT_FLOOR
-                    if low.any():
-                        underflow |= low
-                        x[w <= 0.0] = _WEIGHT_FLOOR * arr.mixed
-                elif strat:
-                    x, defect = _step_stratonovich(arr, x, dt, dW.T)
-                else:
-                    sub = None if s == 1 else (normals[:, l], uniforms[:, l])
-                    x, fired = _step_posterior(arr, x, dt, dW.T, u, s, sub)
-
-                # A row fails when an entry of it (and so its weight) is not
-                # finite; a finite row is a state of trace w > 0, with a finite
-                # entropy.  One sum finds any nan or inf; only then are rows
-                # checked one by one.  Failed rows restart from I/n.
-                if not math.isfinite(x.sum()):
-                    bad = ~np.isfinite(x).all(axis=1)
-                    failed_at[bad & (failed_at > n_steps)] = start + l + 1
-                    x[bad] = arr.mixed
-                xs[:, j] = x.T
-                if strat:
-                    ds[j] = defect
-                elif arr.K:  # without jump channels fs is empty
-                    fs[:, j] = fired.T
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                x = advance(x, slice(None), 0)
+                # A row fails at its first record with an entry (and so its weight)
+                # not finite; a finite row is a state of trace w > 0, with a finite
+                # entropy.  One sum finds any nan or inf, then rows are checked.
+                if not math.isfinite(np.add.reduce(xs[:, :count], axis=None)):
+                    for r in np.flatnonzero(~np.isfinite(xs[:, :count]).all(axis=(0, 1))):
+                        j = -1  # the slot where the row last restarted
+                        while True:
+                            fine = np.isfinite(xs[:, j + 1:count, r]).all(axis=0)
+                            if fine.all():
+                                break
+                            j += 1 + int(fine.argmin())
+                            failed_at[r] = min(failed_at[r], start + f0 + j + 1)
+                            xs[:, j, r] = arr.mixed
+                            x[r] = advance(arr.mixed[None], slice(r, r + 1), j + 1)[0]
             flush_records(start + f0 + 1, count, dWs)
     return failed_at > n_steps, underflow
 

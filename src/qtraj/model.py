@@ -112,10 +112,10 @@ class JumpChannel:
 class MeasurementModel:
     """Immutable bundle (H, {L_j}, jump channels, {S_h}) plus derived sums.
 
-    Construction checks an integer dim >= 1, square finite matrices and
-    channels of dimension dim, H Hermitian within 1e-12 * dim (None is 0); it
-    warns when H = 0 and there are no channels, freezes the operators and
-    derives d1, d2, d3 and total_jump_mass.
+    Construction checks an integer dim >= 1 (stored as a Python int), square
+    finite matrices and channels of dimension dim, H Hermitian within
+    1e-12 * dim (None is 0); it warns when H = 0 and there are no channels,
+    freezes the operators and derives d1, d2, d3 and total_jump_mass.
     """
 
     dim: int
@@ -150,6 +150,7 @@ class MeasurementModel:
                           EmptyModelWarning, stacklevel=level + 1)
         zero = np.zeros((dim, dim), dtype=np.complex128)
         for name, value in (
+            ("dim", dim),
             ("hamiltonian", _frozen(hermitize(ham))),
             ("diffusive_ops", diffusive),
             ("jump_channels", channels),

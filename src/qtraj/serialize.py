@@ -72,9 +72,9 @@ def model_hash(config: dict) -> str:
 
 def save_model(m: MeasurementModel, path) -> str:
     config = model_to_config(m)
+    text = json.dumps(config, indent=1) + "\n"  # in full before the file is opened
     with open(path, "w") as fh:
-        json.dump(config, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
     return model_hash(config)
 
 

@@ -27,7 +27,9 @@ w = tr sigma + dt tr K[sigma] + sum_j m_j dW_j (+ lambda_k - tr sigma per
 fired channel), so the weight is an exact discrete martingale; a row whose
 image or w is not positive gets weight 0 and the underflow reset.  The
 posterior scheme uses the output increment xi = dW + m dt (m at the start
-of the step) and divides by the trace.
+of the step) and divides by the trace.  Each Kraus step is one product, the
+images of E0, C_j and P_jl (j <= l), and one contraction of them with the
+coefficients ext_i ext_l, i <= l, of ext = (1, xi).
 
 The state is carried as coherence-vector coordinates (Alicki & Lendi,
 LNP 286): over the orthonormal Hermitian basis {I/sqrt(n), tau_a} a state
@@ -210,8 +212,9 @@ class _ModelArrays:
         a = mat(lambda r: g @ r + r @ g.conj().T + sum(conj_by(s)(r) for s in m.dissipative_ops))
         q = mat(conj_by(g))
         xs = [mat(conj_by(g, op)) for op in ops]
-        self.pairs = np.triu_indices(d)
-        ps = [mat(conj_by(ops[j], None if j == l else ops[l])) for j, l in zip(*self.pairs)]
+        self.pairs = np.triu_indices(d + 1)  # (0, 0), (0, j), (j, l): E0, C_j, P_jl
+        ps = [mat(conj_by(ops[j], None if j == l else ops[l]))
+              for j, l in zip(*np.triu_indices(d))]
         k_rows = mat(lambda r: apply_k(m, r)).T
         k_trace = k_rows @ trace  # x -> tr K[x]
         # the generator between counts, K0 = K - L1 - sum_k nu_k id
@@ -320,13 +323,13 @@ def _apply_k_b(arr: _ModelArrays, x: np.ndarray, dt: float):
 
 def _kraus_image(arr: _ModelArrays, kx: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """The no-jump image E0 x + sum_j xi_j C_j x + sum_{j<=l} xi_j xi_l P_jl x
-    (N, B), which is M x M* + dt sum_h S_h x S_h* for M = I + dt G + sum_j xi_j L_j."""
-    img = kx[0]
-    if arr.n_diff:
-        j, l = arr.pairs
-        coef = np.concatenate((xi, xi.take(j, 0) * xi.take(l, 0)))
-        img = img + np.einsum("cb,cab->ab", coef, kx[1:])
-    return img
+    (N, B), which is M x M* + dt sum_h S_h x S_h* for M = I + dt G + sum_j xi_j L_j:
+    one contraction of kx with ext_i ext_l, (i, l) in ``arr.pairs``, ext = (1, xi)."""
+    ext = np.empty((len(xi) + 1, xi.shape[1]))
+    ext[0] = 1.0
+    ext[1:] = xi
+    i, l = arr.pairs
+    return np.einsum("cb,cab->ab", ext.take(i, 0) * ext.take(l, 0), kx)
 
 
 def _strat_a_b(arr: _ModelArrays, x: np.ndarray):
@@ -370,7 +373,13 @@ def _project_pure_b(arr: _ModelArrays, x: np.ndarray):
         if flat.any():
             out[:, flat] = _GROUND2[:, None]  # no direction: |0><0|
         return out, defect
-    evals, evecs = np.linalg.eigh(arr.matrices(x.T))
+    mats = arr.matrices(x.T)
+    try:
+        evals, evecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError:  # a failed row, which stays non-finite
+        fine = np.isfinite(x).all(axis=0)
+        evals, evecs = np.full(mats.shape[:2], np.nan), np.full_like(mats, np.nan)
+        evals[fine], evecs[fine] = np.linalg.eigh(mats[fine])
     evals = np.clip(evals, 0.0, None)
     s = np.clip(evals.sum(axis=1), 1e-300, None)
     defect = 1.0 - ((evals / s[:, None]) ** 2).sum(axis=1)

@@ -1400,9 +1400,12 @@ def _mixed_jump_model():
 
 
 class TestFailedTrajectory:
-    """One row of a 200-trajectory ensemble turns NaN at one step; the
-    ensemble keeps the 199 survivors and the failed row's history up to
-    that step.  More than 1 % of the rows failing fails the ensemble."""
+    """One row of a 200-trajectory ensemble turns NaN (or +-inf) at one step;
+    the ensemble keeps the 199 survivors and the failed row's history up to
+    that step.  More than 1 % of the rows failing fails the ensemble.  The
+    driver checks finiteness once per flush, so a failed row restarts from
+    I/n at its failure record and is stepped again on its own: its path is
+    that of a row reset to I/n there, whatever the flush size."""
 
     GRID = TimeGrid(t_final=0.08, dt=1e-3)
     N_TRAJ = 200
@@ -1410,29 +1413,48 @@ class TestFailedTrajectory:
     ROW = 17
     STEP = 30  # the step (0-based) whose output is NaN; it ends at record STEP + 1
 
-    def _poisoned(self, monkeypatch, name, rows=(ROW,)):
+    def _poisoned(self, monkeypatch, name, rows=(ROW,), value=np.nan):
         kernel = getattr(engine, name)
         calls = []
 
         def step(arr, x, *args):
             out = kernel(arr, x, *args)
             if len(calls) == self.STEP:
-                out[0][list(rows)] = np.nan
+                out[0][list(rows)] = value
             calls.append(1)
             return out
 
         monkeypatch.setattr(engine, name, step)
 
-    @pytest.mark.parametrize("mode", ["linear", "posterior"])
-    def test_failed_row_leaves_the_statistics(self, mode, monkeypatch, mixed):
-        m = _mixed_jump_model()
-        sim = simulate_linear if mode == "linear" else simulate_posterior
-        trajs = [sim(m, mixed, self.GRID, self.SEED + i) for i in range(self.N_TRAJ)]
-        self._poisoned(monkeypatch, "_step_linear" if mode == "linear" else "_step_posterior")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            stats = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, mode)
+    @staticmethod
+    def _case(mode, request):
+        """(model, initial state, run mode, kernel name, single-path simulator)."""
+        if mode == "stratonovich":
+            m = request.getfixturevalue("homodyne_model")
+            psi0 = PureStateVector([1.0, 0.0])
+            sim = lambda m, rho, grid, seed: simulate_stratonovich_pure(m, psi0, grid, seed)  # noqa: E731
+            return m, QuantumState(psi0.projector()), mode, "_step_stratonovich", sim
+        if mode == "counting":  # the waiting-time step
+            m = _counting_model()
+            return m, QuantumState(np.eye(3) / 3), "posterior", "_step_posterior", simulate_posterior
+        rho0 = request.getfixturevalue("mixed")
+        if mode == "linear":
+            return _mixed_jump_model(), rho0, mode, "_step_linear", simulate_linear
+        return _mixed_jump_model(), rho0, mode, "_step_posterior", simulate_posterior
 
+    @pytest.mark.parametrize("mode", ["linear", "posterior", "stratonovich", "counting"])
+    def test_failed_row_leaves_the_statistics(self, mode, monkeypatch, request):
+        m, rho0, mode, kernel, sim = self._case(mode, request)
+        trajs = [sim(m, rho0, self.GRID, self.SEED + i) for i in range(self.N_TRAJ)]
+        for value in (np.nan, np.inf, -np.inf):
+            with monkeypatch.context() as patch:
+                self._poisoned(patch, kernel, value=value)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    stats = run_ensemble(m, rho0, self.GRID, self.N_TRAJ, self.SEED, mode)
+            self._check_one_failed(stats, m, mode, trajs)
+
+    def _check_one_failed(self, stats, m, mode, trajs):
         assert stats.n_failed == 1
         assert np.isnan(stats.max_entropy_per_traj[self.ROW])
         survivors = [i for i in range(self.N_TRAJ) if i != self.ROW]
@@ -1444,6 +1466,7 @@ class TestFailedTrajectory:
         if mode == "linear":
             states = np.stack([t.sigma_path for t in trajs])
             weights = np.stack([t.weight_path for t in trajs])
+            assert stats.n_underflow == sum(t.weight_underflow for t in trajs)
         else:
             states = np.stack([t.state_path for t in trajs])
             weights = np.ones(states.shape[:2])
@@ -1461,13 +1484,14 @@ class TestFailedTrajectory:
                 np.testing.assert_allclose(got_se[recs], se, rtol=0, atol=1e-12)
 
         # jump totals: the survivors only; Wiener sums: the failed row before step STEP
-        counts = np.array([trajs[i].output.jump_counts.sum() for i in survivors])
-        assert counts.sum() > 0
-        np.testing.assert_allclose(stats.jump_count_mean, [counts.mean()], rtol=1e-12)
+        counts = np.array([trajs[i].output.jump_counts.sum(axis=0) for i in survivors])
+        assert (counts.sum() > 0) == (m.n_jump > 0)
+        np.testing.assert_allclose(stats.jump_count_mean, counts.mean(axis=0), rtol=1e-12)
         dw = [t.output.wiener if mode == "linear" else t.output.compensated_wiener for t in trajs]
         pooled = np.concatenate([dw[i] for i in survivors] + [dw[self.ROW][: self.STEP]])
-        np.testing.assert_allclose(stats.wiener_increment_mean, pooled.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(stats.wiener_increment_var, pooled.var(axis=0), rtol=1e-12)
+        if m.n_diffusive:
+            np.testing.assert_allclose(stats.wiener_increment_mean, pooled.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(stats.wiener_increment_var, pooled.var(axis=0), rtol=1e-12)
 
     def test_failed_row_jump_total_stops_at_failure(self, monkeypatch, mixed):
         m = _mixed_jump_model()
@@ -1503,6 +1527,130 @@ class TestFailedTrajectory:
         assert got.entropy_path[fail] == 0.0
         assert np.array_equal(got.entropy_path[:fail], want.entropy_path[:fail])
         assert np.isfinite(got.state_path).all() and np.isfinite(got.entropy_path).all()
+
+
+class TestFailedRowRestart:
+    """A row that fails is reset to I/n at its failure record and goes on
+    from there with its own noise, as often as it fails, in any flush: the
+    same path as a row whose step output is replaced by I/n at those steps.
+    Failures sit in the first and the last slot of a flush, in two rows at
+    different records of one flush, and twice in one row, with flushes of
+    1, 7 and up to 4096 steps (``_FLUSH`` counts row-steps, F steps of B
+    rows)."""
+
+    GRID = TimeGrid(t_final=0.03, dt=1e-3)  # 30 steps
+    SEEDS = [40, 41, 42]
+    KERNEL = {"linear": "_step_linear", "stratonovich": "_step_stratonovich"}
+
+    class _Record:
+        """Every flush's records, joined per field along the record axis."""
+
+        def __init__(self):
+            self.parts = []
+
+        def collect(self, i, state, entropy, fired, dW, defect, alive):
+            self.parts.append([None if a is None else np.array(a) for a in
+                               (state, entropy, fired, dW, defect, alive)])
+
+        def field(self, k, axis):
+            return np.concatenate([p[k] for p in self.parts if p[k] is not None], axis=axis)
+
+    class _Kernel:
+        """Wraps a step kernel.  Without a ``value``, step ``t`` of row ``r``
+        for each (r, t) in ``at`` outputs I/n, and the row's noise there is
+        kept as a key; with one, every row whose noise matches a key outputs
+        ``value``, in whichever batch it is stepped."""
+
+        def __init__(self, kernel, at=(), value=None, keys=None):
+            self.kernel, self.at, self.value = kernel, at, value
+            self.keys = {} if keys is None else keys
+            self.calls = 0
+
+        def __call__(self, arr, x, dt, dW, *rest):
+            out = self.kernel(arr, x, dt, dW, *rest)
+            noise = [dW] if not rest or rest[0] is None else [dW, rest[0]]
+            rows = [np.concatenate(noise, axis=1)[i].tobytes() for i in range(len(x))]
+            if self.value is None:  # reset, in the batch that no failure splits
+                for r, t in self.at:
+                    if t == self.calls:
+                        self.keys[rows[r]] = (r, t)
+                        out[0][r] = arr.mixed
+            else:
+                for i, key in enumerate(rows):
+                    if key in self.keys:
+                        out[0][i] = self.value
+            self.calls += 1
+            return out
+
+    def _case(self, case, request):
+        if case == "stratonovich":
+            return request.getfixturevalue("homodyne_model"), np.diag([1.0, 0.0]), case
+        if case == "stratonovich3":  # the projection takes eigh at n = 3
+            m = _random_model(np.random.default_rng(3), 3, n_diff=1, n_jump=0)
+            return m, np.diag([1.0, 0.0, 0.0]), "stratonovich"
+        if case == "counting":
+            return _counting_model(), np.eye(3) / 3, "posterior"
+        return _mixed_jump_model(), np.eye(2) / 2, case
+
+    def _run(self, monkeypatch, case, request, flush, kernel):
+        m, rho0, mode = self._case(case, request)
+        monkeypatch.setattr(engine, "_FLUSH", flush * len(self.SEEDS))
+        monkeypatch.setattr(engine, self.KERNEL.get(mode, "_step_posterior"), kernel)
+        rec = self._Record()
+        alive, under = engine._simulate_batch(
+            _ModelArrays(m), mode, rho0.astype(complex), self.GRID, self.SEEDS, rec
+        )
+        return rec, alive, under
+
+    @staticmethod
+    def _targets(where, flush, n_steps):
+        """(row, step) failures; first and last are the first and last
+        step of the second flush, or of the only one."""
+        first, last = (flush, 2 * flush - 1) if 2 * flush <= n_steps else (0, n_steps - 1)
+        return {
+            "first": [(1, first)],
+            "last": [(1, last)],
+            "two_rows": [(0, first + 1), (2, last - 1)],
+            "twice": [(1, first + 1), (1, last - 1)],
+        }[where]
+
+    @pytest.mark.parametrize("where", ["first", "last", "two_rows", "twice"])
+    @pytest.mark.parametrize("flush", [1, 7, 4096])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "case", ["linear", "posterior", "stratonovich", "stratonovich3", "counting"]
+    )
+    def test_failed_rows_take_the_path_of_a_reset(self, case, value, flush, where,
+                                                 monkeypatch, request):
+        m, _, mode = self._case(case, request)
+        name = self.KERNEL.get(mode, "_step_posterior")
+        at = self._targets(where, flush, self.GRID.n_steps)
+        reset = self._Kernel(getattr(engine, name), at)
+        want, want_alive, want_under = self._run(monkeypatch, case, request, 4096, reset)
+        assert want_alive.all() and len(reset.keys) == len(at)
+        poison = self._Kernel(getattr(engine, name), value=value, keys=reset.keys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, alive, under = self._run(monkeypatch, case, request, flush, poison)
+
+        rows = sorted({r for r, _ in at})
+        fail = {r: min(t for q, t in at if q == r) + 1 for r in rows}  # first failure record
+        assert np.flatnonzero(~alive).tolist() == rows
+        assert np.array_equal(under, want_under)
+        states, entropy = got.field(0, 1), got.field(1, 0)
+        assert np.array_equal(states, want.field(0, 1))  # I/n at every failure record
+        want_entropy = want.field(1, 0)
+        for r, t in at:
+            assert np.array_equal(states[:, t + 1, r], _ModelArrays(m).mixed)
+            want_entropy[fail[r], r] = 0.0
+        assert np.array_equal(entropy, want_entropy)
+        for k in (2, 3, 4):  # jumps, noise and Stratonovich defects, per step
+            axis = 1 if k == 2 else 0
+            if any(p[k] is not None for p in want.parts):
+                assert np.array_equal(got.field(k, axis), want.field(k, axis))
+        live = got.field(5, 0)
+        for r in range(len(self.SEEDS)):
+            assert np.array_equal(live[:, r], np.arange(self.GRID.n_steps + 1) < fail.get(r, 99))
 
 
 class TestFlushSize:

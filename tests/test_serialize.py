@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qtraj import (
+    MeasurementModel,
     QuantumState,
     TimeGrid,
     build_model,
@@ -50,6 +51,17 @@ class TestModelRoundTrip:
         assert np.array_equal(
             loaded.jump_channels[0].kraus_ops[0], direct_model.jump_channels[0].kraus_ops[0]
         )
+
+    def test_numpy_integer_dimension_saves_as_the_same_model(self, tmp_path):
+        # the model keeps its checked dimension as a Python int, so a numpy
+        # integer saves, loads back and hashes as dim = 2 does
+        path = tmp_path / "model.json"
+        m = MeasurementModel(np.int64(2), SIGMA_Z, (0.5 * SIGMA_Z,))
+        assert type(m.dim) is int
+        h = save_model(m, path)
+        loaded, h_loaded = load_model(path)
+        assert h == h_loaded == model_hash(model_to_config(MeasurementModel(2, SIGMA_Z, (0.5 * SIGMA_Z,))))
+        assert loaded.dim == 2 and np.array_equal(loaded.hamiltonian, m.hamiltonian)
 
     def test_hash_stable_and_sensitive(self, heterodyne_model):
         cfg = model_to_config(heterodyne_model)
