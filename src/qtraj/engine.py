@@ -391,8 +391,9 @@ def _simulate_batch(
         collector.collect(i, cols, entropy, fired, dW, defect, recs > 0)
 
     def advance(x, rows, j0):
-        """Step rows x, the batch's ``rows`` (a slice), through the flush's slots
-        j0 .. count - 1 with their noise, into the buffers; returns them."""
+        """Step rows x, the batch's ``rows`` (a slice, so the buffers' views are
+        written), through slots j0 .. count - 1 of the flush the loop is in
+        (its count, f0, dWs and us), into the buffers; returns the rows."""
         dWr, xb, fb, under = (a[..., rows] for a in (dWs, xs, fs, underflow))
         ur = None if us is None else us[..., rows]
         for j in range(j0, count):

@@ -1528,6 +1528,20 @@ class TestFailedTrajectory:
         assert np.array_equal(got.entropy_path[:fail], want.entropy_path[:fail])
         assert np.isfinite(got.state_path).all() and np.isfinite(got.entropy_path).all()
 
+    def test_stratonovich_row_that_overflows_fails_alone(self):
+        # at n = 3 the projection takes eigh, which refuses a non-finite
+        # matrix; the row stays non-finite and the others project as alone
+        rng = np.random.default_rng(8)
+        arr = _ModelArrays(_random_model(rng, 3, n_diff=1, n_jump=0))
+        x = np.ascontiguousarray(arr.coords(_random_states(rng, 3, 3, pure=True)))
+        x[1] *= 1e160  # its Heun step overflows
+        dW = rng.standard_normal((3, 1)) * math.sqrt(1e-3)
+        with np.errstate(all="ignore"):
+            out, defect = engine._step_stratonovich(arr, x, 1e-3, dW)
+        alone = engine._step_stratonovich(arr, x[[0, 2]], 1e-3, dW[[0, 2]])
+        assert np.array_equal(out[[0, 2]], alone[0]) and np.array_equal(defect[[0, 2]], alone[1])
+        assert not np.isfinite(out[1]).all() and np.isnan(defect[1])
+
 
 class TestFailedRowRestart:
     """A row that fails is reset to I/n at its failure record and goes on
