@@ -151,6 +151,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_check(args) -> int:
     model, mhash = load_model(args.model)
     _count(args.lie_depth, "max_depth")
+    _count(args.samples, "n_samples")
     points = [_unit_vector(text, model.dim) for text in args.exceptional_point or []]
     at_points: dict = {}  # before the sampling, so a misfit point costs none of it
     for i, psi in enumerate(points if model.n_diffusive else []):

@@ -17,10 +17,11 @@ outside linear mode), and the output drift of a step is a functional of the
 row it starts from, so neither is carried beside the rows.  Each step's
 output rows are buffered; once per flush, a block of up to ``_FLUSH``
 row-steps ending at the latest with its noise chunk, one sum checks them
-for nan and inf (a failed row restarts from I/n and is stepped again on its
-own), and what is recorded (the entropy, the collector's statistics and
-paths) is computed.  So a long trajectory pays per step little more than
-its own products.
+for nan and inf, and what is recorded (the entropy, the collector's
+statistics and paths) is computed.  So a long trajectory pays per step
+little more than its own products.  A row fails at its first record that is
+not finite: rho_t = sigma_t / tr sigma_t is defined only while the trace is
+finite and positive, so the row has no state from there on, only NaN.
 
 Well-posedness of the continuous equations beyond special cases is an open
 question; at fixed step size and seed the schemes compute one
@@ -53,6 +54,7 @@ from .errors import (
     JumpChannelsPresent,
     NoDiffusiveChannels,
     NotPurePreserving,
+    NumericalError,
     ValidationError,
 )
 from .linalg import PureStateVector, QuantumState, _count, _philox, _philox_key, _philox_state
@@ -193,10 +195,11 @@ def _entropy(x: np.ndarray, tr0: float) -> np.ndarray:
 # collect(i, state, entropy, fired, dW, defect, alive) with records
 # i .. i + F - 1 in its buffers, valid only during the call, whose last axis
 # is the batch B: coordinate columns (N, F, B), whose trace tr0 x_0 is the
-# weight, entropy and alive (F, B), False from the record at which a
-# trajectory failed on.  fired (K, F, B), dW (F, d, B) and defect (F, B)
-# come from the steps that end at those records; they are None at record 0,
-# and defect is None outside the Stratonovich scheme too.  K and d may be 0.
+# weight, entropy and alive (F, B), False (and state and entropy NaN) from
+# the record at which a trajectory failed on.  fired (K, F, B), dW (F, d, B)
+# and defect (F, B) come from the steps that end at those records; they are
+# None at record 0, and defect is None outside the Stratonovich scheme too.
+# K and d may be 0.
 
 class _PathCollector:
     """Records the full path of trajectory 0 of every batch it is given.
@@ -249,9 +252,9 @@ class _StatsCollector:
     [re, im of the state's entries | re, im of tr(O* rho) | weight | entropy]
     (the entropy goes into a zero row of the product, so nothing is
     copied) and stores their mean and M2 per record over the trajectories
-    alive there (dead ones hold finite values and are masked out, unless
-    every trajectory is alive).  The sums over the batch, the last axis,
-    are products with a ones vector, one BLAS gemv each.  It also adds the
+    alive there (dead ones, NaN, are set to 0 unless every trajectory is
+    alive).  The sums over the batch, the last axis, are products with a
+    ones vector, one BLAS gemv each.  It also adds the
     alive trajectories' jump counts and Wiener sums.  With ``keep_path`` it
     also records trajectory 0's full path.
     """
@@ -291,7 +294,7 @@ class _StatsCollector:
         vals[-1] = entropy
         live = None if alive.all() else alive
         if live is not None:
-            vals *= live
+            vals[:, ~live] = 0.0  # by assignment: NaN * 0 is NaN
         cnt = np.full(f, b) if live is None else alive.sum(axis=1)
         mean = (vals.reshape(-1, b) @ self.ones).reshape(-1, f)
         mean /= np.maximum(cnt, 1)
@@ -348,15 +351,12 @@ def _simulate_batch(
     of finite rows.  It writes its outputs into buffers of
     F = max(1, min(_FLUSH // B, chunk)) steps, with the batch as their
     contiguous axis.  A flush, after F steps or at the end of a noise chunk,
-    checks finiteness with one ``np.add.reduce`` over the buffer.  A row
-    that failed was carried non-finite to there, with numpy's warnings off
-    (``np.errstate``), so failures show only as counts.  It restarts from
-    I/n at its first non-finite record, its ``failed_at`` unless it failed
-    before, and the same per-step body steps it alone, with its own noise,
-    to the end of the flush, again if it fails again; so every output is
-    that of a per-step check.  The flush then computes the entropy of the
-    whole (N, F, B) block and hands the records to ``collector.collect`` in
-    one call.
+    checks finiteness with one ``np.add.reduce`` over the buffer; a row
+    fails at its first non-finite record, its ``failed_at``, and its records
+    are NaN from there on.  It is carried to the end of the run as the
+    kernels leave it, with numpy's warnings off (``np.errstate``), so
+    failures show only as counts.  The flush then computes the entropy of
+    the whole (N, F, B) block and hands it to ``collector.collect``.
     Returns (alive, underflow) masks.
     """
     b = len(seeds)
@@ -383,38 +383,13 @@ def _simulate_batch(
         """Hand records i .. i + count - 1 from the buffers to the collector;
         dW is None for record 0, which ends no step."""
         cols = xs[:, :count]
-        entropy = _entropy(cols, arr.tr0)
         recs = failed_at - np.arange(i, i + count)[:, None]
-        entropy[recs == 0] = 0.0  # at the record where a row failed
+        if failed_at.min() < i + count:
+            cols[:, recs <= 0] = np.nan  # no state from the failure record on
+        entropy = _entropy(cols, arr.tr0)
         fired = None if dW is None else fs[:, :count]
         defect = None if dW is None or ds is None else ds[:count]
         collector.collect(i, cols, entropy, fired, dW, defect, recs > 0)
-
-    def advance(x, rows, j0):
-        """Step rows x, the batch's ``rows`` (a slice, so the buffers' views are
-        written), through slots j0 .. count - 1 of the flush the loop is in
-        (its count, f0, dWs and us), into the buffers; returns the rows."""
-        dWr, xb, fb, under = (a[..., rows] for a in (dWs, xs, fs, underflow))
-        ur = None if us is None else us[..., rows]
-        for j in range(j0, count):
-            dW, u = dWr[j].T, None if ur is None else ur[j].T
-            if linear:
-                x, fired = _step_linear(arr, x, dt, dW, u)
-                w = arr.tr0 * x[:, 0]
-                low = w < _WEIGHT_FLOOR
-                if low.any():
-                    low &= w > -math.inf  # a row of weight -inf has failed
-                    under |= low
-                    x[low & (w <= 0.0)] = _WEIGHT_FLOOR * arr.mixed
-            elif strat:
-                x, ds[j, rows] = _step_stratonovich(arr, x, dt, dW)
-            else:
-                noise = None if s == 1 else (normals[rows, f0 + j], uniforms[rows, f0 + j])
-                x, fired = _step_posterior(arr, x, dt, dW, u, s, noise)
-            xb[:, j] = x.T
-            if arr.K:  # without jump channels fs is empty
-                fb[:, j] = fired.T
-        return x
 
     xs[:, 0] = x.T
     flush_records(0, 1, None)
@@ -440,21 +415,32 @@ def _simulate_batch(
             dWs = _batch_last(step_dW[:, f0:f0 + count])
             us = _batch_last(uniforms[:, f0:f0 + count]) if s == 1 else None
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                x = advance(x, slice(None), 0)
+                for j in range(count):
+                    dW, u = dWs[j].T, None if us is None else us[j].T
+                    if linear:
+                        x, fired = _step_linear(arr, x, dt, dW, u)
+                        w = arr.tr0 * x[:, 0]
+                        low = w < _WEIGHT_FLOOR
+                        if low.any():
+                            low &= w > -math.inf  # a row of weight -inf has failed
+                            underflow |= low
+                            x[low & (w <= 0.0)] = _WEIGHT_FLOOR * arr.mixed
+                    elif strat:
+                        x, ds[j] = _step_stratonovich(arr, x, dt, dW)
+                    else:
+                        noise = None if s == 1 else (normals[:, f0 + j], uniforms[:, f0 + j])
+                        x, fired = _step_posterior(arr, x, dt, dW, u, s, noise)
+                    xs[:, j] = x.T
+                    if arr.K:  # without jump channels fs is empty
+                        fs[:, j] = fired.T
                 # A row fails at its first record with an entry (and so its weight)
                 # not finite; a finite row is a state of trace w > 0, with a finite
                 # entropy.  One sum finds any nan or inf, then rows are checked.
                 if not math.isfinite(np.add.reduce(xs[:, :count], axis=None)):
-                    for r in np.flatnonzero(~np.isfinite(xs[:, :count]).all(axis=(0, 1))):
-                        j = -1  # the slot where the row last restarted
-                        while True:
-                            fine = np.isfinite(xs[:, j + 1:count, r]).all(axis=0)
-                            if fine.all():
-                                break
-                            j += 1 + int(fine.argmin())
-                            failed_at[r] = min(failed_at[r], start + f0 + j + 1)
-                            xs[:, j, r] = arr.mixed
-                            x[r] = advance(arr.mixed[None], slice(r, r + 1), j + 1)[0]
+                    bad = ~np.isfinite(xs[:, :count]).all(axis=0)  # (F, B)
+                    first = start + f0 + 1 + bad.argmax(axis=0)
+                    np.minimum(failed_at, np.where(bad.any(axis=0), first, n_steps + 1),
+                               out=failed_at)
             flush_records(start + f0 + 1, count, dWs)
     return failed_at > n_steps, underflow
 
@@ -482,11 +468,15 @@ def _initial(m: MeasurementModel, mode: str, state) -> np.ndarray:
 
 
 def _simulate_path(m, mode, state, grid, seed):
-    """One trajectory recorded in full, as its public trajectory result."""
+    """One trajectory recorded in full, as its public result; a failed one is
+    a ``NumericalError``."""
     rho0_mat = _initial(m, mode, state)
     arr = _ModelArrays(m)
     coll = _PathCollector(arr, mode, grid)
-    _, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll)
+    alive, under = _simulate_batch(arr, mode, rho0_mat, grid, [seed], coll)
+    if not alive[0]:
+        t = grid.times[np.isnan(coll.rows[:, 0]).argmax()]
+        raise NumericalError(f"the {mode} trajectory of seed {seed} is not finite at t = {t:g}")
     return coll.result(bool(under[0]))
 
 
@@ -497,6 +487,7 @@ def simulate_linear(
 
     Deterministic given the seed.  The trace is kept as the trajectory
     weight and is never renormalized; every state on the path is positive.
+    Raises ``NumericalError`` if the path does not stay finite.
     """
     return _simulate_path(m, "linear", rho0, grid, seed)
 
@@ -511,7 +502,8 @@ def simulate_posterior(
     diffusive part if it has diffusive operators (see ``steps``).  When the
     largest number of jumps any state can expect in a step,
     lambda_max(sum_k nu_k E_k) dt, exceeds 4, every step is split into the
-    fewest equal substeps that bring it within 4.
+    fewest equal substeps that bring it within 4.  Raises
+    ``NumericalError`` if the path does not stay finite.
     """
     return _simulate_path(m, "posterior", rho0, grid, seed)
 
@@ -524,7 +516,8 @@ def simulate_stratonovich_pure(
     Starts from the projector of ``psi0`` under the rule of ``run_ensemble``'s
     stratonovich mode.  Every step is re-projected onto the dominant
     eigenvector, and the largest observed pre-projection purity defect is
-    reported on the trajectory.
+    reported on the trajectory.  Raises ``NumericalError`` if the path does
+    not stay finite.
     """
     return _simulate_path(m, "stratonovich", psi0, grid, seed)
 
@@ -591,9 +584,14 @@ def run_ensemble(
     P - 1 worker processes runs the others, so no process idles beside the
     pool.  Blocks are reduced in index order, so results are independent of
     ``QTRAJ_THREADS``.  The full path of trajectory 0, recorded in the same
-    pass, is returned as ``trajectory``.  Posterior steps are substepped as
-    in ``simulate_posterior``.  Every key is checked before the first block
-    runs.
+    pass, is returned as ``trajectory``.  A trajectory fails at its first
+    record that is not finite; ``n_failed`` counts it, it leaves the
+    per-record statistics from there on and the jump counts altogether, and
+    its per-trajectory maxima are NaN.  Trajectory 0's path is NaN from its
+    failure record on, and ``n_underflow`` counts only underflows before a
+    row failed.  More than 1 % failed raises ``EnsembleFailure``.  Posterior
+    steps are substepped as in ``simulate_posterior``.  Every key is checked
+    before the first block runs.
     """
     n_traj = _count(n_traj, "n_traj")
     _philox_key(seed)

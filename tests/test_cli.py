@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qtraj
-from qtraj import build_model
+from qtraj import build_model, engine
 from qtraj.cli import main
 from qtraj.serialize import save_model
 
@@ -315,6 +315,17 @@ class TestCheckCommand:
         assert main(argv) == 1
         assert "error: ValidationError: max_depth must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_sample_count_exits_1_before_checking(
+        self, samples, het_model_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(qtraj.cli, "lie_rank_check", _never("the Lie-rank check"))
+        monkeypatch.setattr(qtraj.cli, "check_ellipticity", _never("the ellipticity check"))
+        argv = ["check", "--model", str(het_model_file), "--seed", "1", "--samples", samples,
+                "--exceptional-point", "[[1, 0], [0, 0]]"]
+        assert main(argv) == 1
+        assert "error: ValidationError: n_samples must be >= 1" in capsys.readouterr().err
+
     def test_malformed_point_exits_1_before_checking(
         self, het_model_file, tmp_path, monkeypatch, capsys
     ):
@@ -381,6 +392,24 @@ class TestInvariantCommand:
                 "--dt", "0.001", "--seed", "1", "--output", str(tmp_path / "inv")]
         assert main(argv) == 2
         assert "error: NonUniqueEquilibrium" in capsys.readouterr().err
+        assert not (tmp_path / "inv").exists()
+
+    def test_failed_trajectory_exits_2_and_writes_nothing(
+        self, het_model_file, tmp_path, monkeypatch, capsys
+    ):
+        kernel = engine._step_posterior
+
+        def poisoned(arr, x, *args):
+            out = kernel(arr, x, *args)
+            out[0][:] = np.nan
+            return out
+
+        monkeypatch.setattr(engine, "_step_posterior", poisoned)
+        argv = ["invariant", "--model", str(het_model_file), "--t-final", "0.1", "--dt", "0.001",
+                "--seed", "13", "--output", str(tmp_path / "inv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: NumericalError: the posterior trajectory of seed 13 is not finite" in err
         assert not (tmp_path / "inv").exists()
 
     @pytest.mark.parametrize("burn_in", ["30", "20", "nan"])

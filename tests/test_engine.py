@@ -1402,10 +1402,10 @@ def _mixed_jump_model():
 class TestFailedTrajectory:
     """One row of a 200-trajectory ensemble turns NaN (or +-inf) at one step;
     the ensemble keeps the 199 survivors and the failed row's history up to
-    that step.  More than 1 % of the rows failing fails the ensemble.  The
-    driver checks finiteness once per flush, so a failed row restarts from
-    I/n at its failure record and is stepped again on its own: its path is
-    that of a row reset to I/n there, whatever the flush size."""
+    that step.  More than 1 % of the rows failing fails the ensemble.  A
+    failed row has no state from its failure record on: it is NaN there,
+    in trajectory 0's path too, and a single path that fails raises
+    ``NumericalError``."""
 
     GRID = TimeGrid(t_final=0.08, dt=1e-3)
     N_TRAJ = 200
@@ -1514,19 +1514,40 @@ class TestFailedTrajectory:
             stats = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, "posterior")
             assert stats.n_failed == 2
 
-    def test_failed_path_restarts_mixed_with_entropy_zero(self, monkeypatch, mixed):
-        # trajectory 0 is recorded in full: at the failing record its state is
-        # I/2 and its entropy 0; it is finite everywhere
+    def test_failed_path_is_nan_from_its_failure_record(self, monkeypatch, mixed):
+        # trajectory 0 is recorded in full: it is the unpoisoned path up to the
+        # failing record and NaN from there on, and its noise is its own
         m = _mixed_jump_model()
         want = simulate_posterior(m, mixed, self.GRID, self.SEED)
         self._poisoned(monkeypatch, "_step_posterior", rows=(0,))
         got = run_ensemble(m, mixed, self.GRID, self.N_TRAJ, self.SEED, "posterior").trajectory
         fail = self.STEP + 1
-        assert np.array_equal(got.state_path[:fail], want.state_path[:fail])
-        assert np.array_equal(got.state_path[fail], mixed.matrix)
-        assert got.entropy_path[fail] == 0.0
-        assert np.array_equal(got.entropy_path[:fail], want.entropy_path[:fail])
-        assert np.isfinite(got.state_path).all() and np.isfinite(got.entropy_path).all()
+        for name in ("state_path", "entropy_path"):
+            path, ref = getattr(got, name), getattr(want, name)
+            assert np.array_equal(path[:fail], ref[:fail])
+            assert np.isnan(path[fail:]).all()
+        assert np.array_equal(got.output.wiener[:fail], want.output.wiener[:fail])
+        assert np.isnan(got.output.wiener[fail:]).all()  # dW~ + m dt at no state
+        assert np.array_equal(got.output.compensated_wiener, want.output.compensated_wiener)
+        assert np.array_equal(got.output.jump_counts[:fail], want.output.jump_counts[:fail])
+
+    def test_overflowing_single_path_raises(self):
+        # n = 3, H = 0 and one diffusive operator of norm ~1e60: the first
+        # Stratonovich step overflows, in a single path and in every row
+        rng = np.random.default_rng(3)
+        op = 1e60 * random_complex(rng, 3)
+        m = build_model({"dimension": 3, "hamiltonian": np.zeros((3, 3)), "diffusive_ops": [op]})
+        psi0 = PureStateVector([1.0, 0.0, 0.0])
+        grid = TimeGrid(t_final=0.01, dt=1e-3)
+        with pytest.raises(NumericalError, match="of seed 5 is not finite at t = 0.001"):
+            simulate_stratonovich_pure(m, psi0, grid, 5)
+        with pytest.raises(EnsembleFailure, match="4 of 4 trajectories failed"):
+            run_ensemble(m, QuantumState(psi0.projector()), grid, 4, 5, "stratonovich")
+
+    def test_poisoned_single_path_raises(self, monkeypatch, mixed):
+        self._poisoned(monkeypatch, "_step_posterior", rows=(0,))
+        with pytest.raises(NumericalError, match="posterior trajectory .* at t = 0.031"):
+            simulate_posterior(_mixed_jump_model(), mixed, self.GRID, self.SEED)
 
     def test_stratonovich_row_that_overflows_fails_alone(self):
         # at n = 3 the projection takes eigh, which refuses a non-finite
@@ -1543,14 +1564,14 @@ class TestFailedTrajectory:
         assert not np.isfinite(out[1]).all() and np.isnan(defect[1])
 
 
-class TestFailedRowRestart:
-    """A row that fails is reset to I/n at its failure record and goes on
-    from there with its own noise, as often as it fails, in any flush: the
-    same path as a row whose step output is replaced by I/n at those steps.
-    Failures sit in the first and the last slot of a flush, in two rows at
-    different records of one flush, and twice in one row, with flushes of
-    1, 7 and up to 4096 steps (``_FLUSH`` counts row-steps, F steps of B
-    rows)."""
+class TestFailedRowStops:
+    """A row that fails is NaN from its first failure record on, in states and
+    entropy, and is not stepped again: the kernel runs once per step, and
+    every other row keeps the path, jumps, noise and defects of the
+    unpoisoned run.  Failures sit in the first and the last slot of a flush,
+    in two rows at different records of one flush, and twice in one row,
+    with flushes of 1, 7 and up to 4096 steps (``_FLUSH`` counts row-steps,
+    F steps of B rows)."""
 
     GRID = TimeGrid(t_final=0.03, dt=1e-3)  # 30 steps
     SEEDS = [40, 41, 42]
@@ -1570,29 +1591,18 @@ class TestFailedRowRestart:
             return np.concatenate([p[k] for p in self.parts if p[k] is not None], axis=axis)
 
     class _Kernel:
-        """Wraps a step kernel.  Without a ``value``, step ``t`` of row ``r``
-        for each (r, t) in ``at`` outputs I/n, and the row's noise there is
-        kept as a key; with one, every row whose noise matches a key outputs
-        ``value``, in whichever batch it is stepped."""
+        """Wraps a step kernel: call ``t`` outputs ``value`` in row ``r`` for
+        each (r, t) in ``at``."""
 
-        def __init__(self, kernel, at=(), value=None, keys=None):
+        def __init__(self, kernel, at=(), value=None):
             self.kernel, self.at, self.value = kernel, at, value
-            self.keys = {} if keys is None else keys
             self.calls = 0
 
-        def __call__(self, arr, x, dt, dW, *rest):
-            out = self.kernel(arr, x, dt, dW, *rest)
-            noise = [dW] if not rest or rest[0] is None else [dW, rest[0]]
-            rows = [np.concatenate(noise, axis=1)[i].tobytes() for i in range(len(x))]
-            if self.value is None:  # reset, in the batch that no failure splits
-                for r, t in self.at:
-                    if t == self.calls:
-                        self.keys[rows[r]] = (r, t)
-                        out[0][r] = arr.mixed
-            else:
-                for i, key in enumerate(rows):
-                    if key in self.keys:
-                        out[0][i] = self.value
+        def __call__(self, arr, x, *rest):
+            out = self.kernel(arr, x, *rest)
+            for r, t in self.at:
+                if t == self.calls:
+                    out[0][r] = self.value
             self.calls += 1
             return out
 
@@ -1606,14 +1616,17 @@ class TestFailedRowRestart:
             return _counting_model(), np.eye(3) / 3, "posterior"
         return _mixed_jump_model(), np.eye(2) / 2, case
 
-    def _run(self, monkeypatch, case, request, flush, kernel):
+    def _run(self, monkeypatch, case, request, flush, at=(), value=None):
         m, rho0, mode = self._case(case, request)
+        name = self.KERNEL.get(mode, "_step_posterior")
+        kernel = self._Kernel(getattr(engine, name), at, value)
         monkeypatch.setattr(engine, "_FLUSH", flush * len(self.SEEDS))
-        monkeypatch.setattr(engine, self.KERNEL.get(mode, "_step_posterior"), kernel)
+        monkeypatch.setattr(engine, name, kernel)
         rec = self._Record()
         alive, under = engine._simulate_batch(
             _ModelArrays(m), mode, rho0.astype(complex), self.GRID, self.SEEDS, rec
         )
+        assert kernel.calls == self.GRID.n_steps  # no step is taken again
         return rec, alive, under
 
     @staticmethod
@@ -1634,37 +1647,35 @@ class TestFailedRowRestart:
     @pytest.mark.parametrize(
         "case", ["linear", "posterior", "stratonovich", "stratonovich3", "counting"]
     )
-    def test_failed_rows_take_the_path_of_a_reset(self, case, value, flush, where,
-                                                 monkeypatch, request):
-        m, _, mode = self._case(case, request)
-        name = self.KERNEL.get(mode, "_step_posterior")
+    def test_failed_rows_are_nan_from_their_failure(self, case, value, flush, where,
+                                                   monkeypatch, request):
         at = self._targets(where, flush, self.GRID.n_steps)
-        reset = self._Kernel(getattr(engine, name), at)
-        want, want_alive, want_under = self._run(monkeypatch, case, request, 4096, reset)
-        assert want_alive.all() and len(reset.keys) == len(at)
-        poison = self._Kernel(getattr(engine, name), value=value, keys=reset.keys)
+        want, want_alive, want_under = self._run(monkeypatch, case, request, 4096)
+        assert want_alive.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got, alive, under = self._run(monkeypatch, case, request, flush, poison)
+            got, alive, under = self._run(monkeypatch, case, request, flush, at, value)
 
         rows = sorted({r for r, _ in at})
         fail = {r: min(t for q, t in at if q == r) + 1 for r in rows}  # first failure record
         assert np.flatnonzero(~alive).tolist() == rows
         assert np.array_equal(under, want_under)
-        states, entropy = got.field(0, 1), got.field(1, 0)
-        assert np.array_equal(states, want.field(0, 1))  # I/n at every failure record
-        want_entropy = want.field(1, 0)
-        for r, t in at:
-            assert np.array_equal(states[:, t + 1, r], _ModelArrays(m).mixed)
-            want_entropy[fail[r], r] = 0.0
-        assert np.array_equal(entropy, want_entropy)
-        for k in (2, 3, 4):  # jumps, noise and Stratonovich defects, per step
-            axis = 1 if k == 2 else 0
-            if any(p[k] is not None for p in want.parts):
-                assert np.array_equal(got.field(k, axis), want.field(k, axis))
         live = got.field(5, 0)
+        # records of states and entropy; steps of jumps, noise and defects,
+        # where step t ends at record t + 1, so the failing step is kept
+        fields = [(0, 1), (1, 0), (2, 1), (3, 0), (4, 0)]
         for r in range(len(self.SEEDS)):
-            assert np.array_equal(live[:, r], np.arange(self.GRID.n_steps + 1) < fail.get(r, 99))
+            end = fail.get(r, self.GRID.n_steps + 1)
+            for k, axis in fields:
+                if want.parts[-1][k] is None:  # defects outside the stratonovich scheme
+                    continue
+                a, b = (np.moveaxis(rec.field(k, axis)[..., r], axis, 0) for rec in (got, want))
+                assert np.array_equal(a[:end], b[:end]), (k, r)
+                if k < 2:
+                    assert np.isnan(a[end:]).all(), (k, r)
+                if k == 3:  # the noise is the trajectory's own
+                    assert np.array_equal(a, b)
+            assert np.array_equal(live[:, r], np.arange(self.GRID.n_steps + 1) < end)
 
 
 class TestFlushSize:
